@@ -3,7 +3,7 @@ real Jordan algebras, with symbolic certificates and numeric cross-checks.
 
 Layers, bottom up:
 
-  scalars      exact coefficient ring Q[s,t,lam,mu][tau,tau^-1]
+  scalars      exact coefficient ring Q[s,t,lam,mu][tau,tau^-1], Gaussian rationals
   polynomials  sparse multivariate polynomials over it, exact division
   fischer      derivative pairing, derivative spaces, product-rule expansion
   jordan       concrete simple real Jordan algebras + classification registry
@@ -12,7 +12,7 @@ Layers, bottom up:
   conformal    quadric model, cocycles, infinitesimal action, covariance
   rpq          explicit quadratic-space operators and the bracket family
   zeta         gamma factors, functional-equation matrices, numeric checks
-  suites, cli  seeded verification suites and the command-line runner
+  suites, cli  registry of seeded verification suites and the command-line runner
 """
 
 from .jordan import algebra_from_spec, registry_json, registry_rows

@@ -1,8 +1,9 @@
 """Command-line entry point: run verification suites, emit JSON reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed,
-2 configuration error (bad flags, unknown/unsupported algebra),
-3 resource limit (dimension or degree beyond the guarded budget).
+2 configuration error (bad flags or environment values, unknown/unsupported
+algebra, unwritable report), 3 resource limit (dimension or degree beyond
+the guarded budget).
 
 Every flag has an environment-variable override COVJORD_<FLAG>.
 """
@@ -14,14 +15,7 @@ import json
 import os
 import sys
 
-from .jordan import UnsupportedKindError
-from .suites import (
-    SUITE_NAMES,
-    ConfigurationError,
-    ResourceLimitError,
-    SuiteConfig,
-    run_suite,
-)
+from .suites import SUITES, ConfigurationError, ResourceLimitError, SuiteConfig, run_suite
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -42,22 +36,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator families on simple real Jordan algebras.",
     )
     parser.add_argument("--suite", default=_env_default("suite", "all"),
-                        help=f"one of: {', '.join(SUITE_NAMES)}")
+                        help=f"one of: {', '.join(SUITES)}, all")
     parser.add_argument("--algebra", default=_env_default("algebra"),
                         help="algebra spec, e.g. sym:3, mat:2, hermc:2, rpq:2,1")
-    parser.add_argument("--max-degree", type=int,
-                        default=int(_env_default("max_degree", 3)),
+    # string defaults (environment values) go through `type` like flags do
+    parser.add_argument("--max-degree", type=int, default=_env_default("max_degree", 3),
                         help="polynomial degree budget for sampled checks")
-    parser.add_argument("--seed", type=int, default=int(_env_default("seed", 0)),
+    parser.add_argument("--seed", type=int, default=_env_default("seed", 0),
                         help="seed determining every random draw")
-    parser.add_argument("--tolerance", type=float,
-                        default=(lambda v: float(v) if v is not None else None)(
-                            _env_default("tolerance")),
+    parser.add_argument("--tolerance", type=float, default=_env_default("tolerance"),
                         help="numeric tolerance override for floating checks")
     parser.add_argument("--report", default=_env_default("report"),
                         help="path for the JSON report (stdout summary either way)")
-    parser.add_argument("--jobs", type=int, default=int(_env_default("jobs", 1)),
-                        help="worker pool width for independent checks")
+    parser.add_argument("--jobs", type=int, default=_env_default("jobs", 1),
+                        help="reserved: accepted and validated (>= 1); checks "
+                             "run in order on one thread")
     parser.add_argument("--registry", action="store_true",
                         help="print the algebra classification registry as JSON and exit")
     return parser
@@ -73,11 +66,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(registry_json(), indent=2, sort_keys=True))
         return EXIT_PASS
 
-    if args.suite not in SUITE_NAMES:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_CONFIGURATION
-    if args.jobs < 1 or args.max_degree < 0:
-        print("error: --jobs must be >= 1 and --max-degree >= 0", file=sys.stderr)
+    bad_tolerance = args.tolerance is not None and not args.tolerance >= 0  # NaN too
+    if args.jobs < 1 or args.max_degree < 0 or bad_tolerance:
+        print("error: --jobs must be >= 1, --max-degree >= 0 and --tolerance >= 0",
+              file=sys.stderr)
         return EXIT_CONFIGURATION
 
     config = SuiteConfig(
@@ -86,14 +78,13 @@ def main(argv: list[str] | None = None) -> int:
         max_degree=args.max_degree,
         seed=args.seed,
         tolerance=args.tolerance,
-        jobs=args.jobs,
     )
     try:
         report = run_suite(config)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
-    except (ConfigurationError, UnsupportedKindError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION
 
@@ -106,9 +97,13 @@ def main(argv: list[str] | None = None) -> int:
           f"{report['passed']} passed, {report['failed']} failed")
 
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_CONFIGURATION
 
     return EXIT_PASS if report["failed"] == 0 else EXIT_CHECK_FAILURE
 

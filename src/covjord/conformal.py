@@ -79,17 +79,8 @@ class QuadricModel:
         for i in range(self.n):
             J[i + 1][i + 1] = self.signs[i]
         self.J = _freeze(J)
-        self.Jinv = _freeze(self._invert(J))
+        self.Jinv = _freeze(jd.fraction_matrix_inverse(J))
         self.dim_g = (m - 1) * m // 2
-
-    @staticmethod
-    def _invert(J):
-        m = len(J)
-        inv = [[Fraction(0)] * m for _ in range(m)]
-        inv[0][m - 1] = inv[m - 1][0] = Fraction(-2)
-        for i in range(1, m - 1):
-            inv[i][i] = Fraction(1) / J[i][i]
-        return inv
 
     # -- membership checks ---------------------------------------------------
 

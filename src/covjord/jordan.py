@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from .polynomials import InexactDivisionError, MPoly
-from .scalars import ParamPoly
+from .scalars import G_I, G_ONE, Gaussian, ParamPoly
 
 Rat = Fraction
 Coords = tuple  # entries are Fraction or MPoly
@@ -66,34 +66,13 @@ class InternalInconsistencyError(ArithmeticError):
 # small exact helpers
 
 
-class _GQ:
-    """Gaussian rational a + b*i, used only to build hermitian tables."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, o):
-        return _GQ(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return _GQ(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        return _GQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def scale(self, c: Fraction):
-        return _GQ(self.re * c, self.im * c)
-
-
 def _mat_mul(A, B):
     m = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(m)), _GQ(0)) for j in range(m)] for i in range(m)]
+    return [[sum((A[i][k] * B[k][j] for k in range(m)), Gaussian()) for j in range(m)] for i in range(m)]
 
 
-def _fraction_matrix_inverse(G: list[list[Fraction]]) -> list[list[Fraction]]:
+def fraction_matrix_inverse(G: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of an invertible rational matrix, by Gauss-Jordan."""
     m = len(G)
     aug = [[Fraction(G[i][j]) for j in range(m)] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     for col in range(m):
@@ -212,16 +191,16 @@ def _det_trace_minors(entries, m: int, vars: tuple[str, ...]):
 
 
 def _mult_table_from_basis(basis, m: int, to_coords):
-    """Multiplication table from matrix basis elements over _GQ."""
+    """Multiplication table from matrix basis elements over the Gaussian rationals."""
     n = len(basis)
-    half = Fraction(1, 2)
+    half = Gaussian(Fraction(1, 2))
     table = []
     for i in range(n):
         row = []
         for j in range(n):
             prod = _mat_mul(basis[i], basis[j])
             prod2 = _mat_mul(basis[j], basis[i])
-            sym = [[(prod[a][b] + prod2[a][b]).scale(half) for b in range(m)] for a in range(m)]
+            sym = [[(prod[a][b] + prod2[a][b]) * half for b in range(m)] for a in range(m)]
             row.append(tuple(to_coords(sym)))
         table.append(tuple(row))
     return tuple(table)
@@ -240,7 +219,7 @@ def _pairing_from_table(mult, trace_vec, n):
 def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
     """p composed with G^{-1}: realizes the pairing-adapted operator of p
     through literal derivative substitution."""
-    Ginv = _fraction_matrix_inverse([list(map(Fraction, row)) for row in G])
+    Ginv = fraction_matrix_inverse([list(map(Fraction, row)) for row in G])
     vars = p.vars
     images = []
     for i in range(len(vars)):
@@ -334,10 +313,10 @@ def sym_algebra(m: int) -> AlgebraDescriptor:
     vars = tuple(f"x{i+1}" for i in range(n))
     basis = []
     for (i, j) in pairs:
-        B = [[_GQ(0) for _ in range(m)] for _ in range(m)]
-        B[i][j] = B[i][j] + _GQ(1)
+        B = [[Gaussian() for _ in range(m)] for _ in range(m)]
+        B[i][j] = B[i][j] + G_ONE
         if i != j:
-            B[j][i] = B[j][i] + _GQ(1)
+            B[j][i] = B[j][i] + G_ONE
         basis.append(B)
 
     def to_coords(M):
@@ -370,8 +349,8 @@ def mat_algebra(m: int) -> AlgebraDescriptor:
     vars = tuple(f"x{i+1}" for i in range(n))
     basis = []
     for (i, j) in cells:
-        B = [[_GQ(0) for _ in range(m)] for _ in range(m)]
-        B[i][j] = B[i][j] + _GQ(1)
+        B = [[Gaussian() for _ in range(m)] for _ in range(m)]
+        B[i][j] = B[i][j] + G_ONE
         basis.append(B)
 
     def to_coords(M):
@@ -401,17 +380,17 @@ def hermc_algebra(m: int) -> AlgebraDescriptor:
     vars = tuple(f"x{i+1}" for i in range(n))
     basis = []
     for i in range(m):
-        B = [[_GQ(0) for _ in range(m)] for _ in range(m)]
-        B[i][i] = _GQ(1)
+        B = [[Gaussian() for _ in range(m)] for _ in range(m)]
+        B[i][i] = G_ONE
         basis.append(B)
     for (i, j) in offs:
-        U = [[_GQ(0) for _ in range(m)] for _ in range(m)]
-        U[i][j] = _GQ(1)
-        U[j][i] = _GQ(1)
+        U = [[Gaussian() for _ in range(m)] for _ in range(m)]
+        U[i][j] = G_ONE
+        U[j][i] = G_ONE
         basis.append(U)
-        W = [[_GQ(0) for _ in range(m)] for _ in range(m)]
-        W[i][j] = _GQ(0, 1)
-        W[j][i] = _GQ(0, -1)
+        W = [[Gaussian() for _ in range(m)] for _ in range(m)]
+        W[i][j] = G_I
+        W[j][i] = -G_I
         basis.append(W)
 
     def to_coords(M):

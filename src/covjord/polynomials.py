@@ -295,17 +295,6 @@ class MPoly:
     def fold_tau(self, tau_squared: RatLike = Fraction(-1)) -> "MPoly":
         return MPoly(self.vars, {m: c.fold_tau(tau_squared) for m, c in self.terms.items()})
 
-    def eval_numeric(self, point: Sequence[complex], params: Mapping[str, complex] | None = None) -> complex:
-        params = params or {}
-        total = 0j
-        for m, c in self.terms.items():
-            term = c.evaluate_complex(params) if c.terms else 0j
-            for i, e in enumerate(m):
-                if e:
-                    term *= complex(point[i]) ** e
-            total += term
-        return total
-
     # -- exact division --------------------------------------------------------
 
     def exact_div(self, divisor: "MPoly") -> "MPoly":

@@ -9,10 +9,15 @@ Fraction coefficients:
 
 with e_tau allowed to be negative (Laurent in tau) and the others >= 0.
 Zero coefficients are never stored, so equality is dict equality.
+
+Exact Gaussian rationals re + im*i (`Gaussian`) live here too: the
+hermitian multiplication tables and the orbit-coefficient polynomials of
+the zeta layer are built over them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -287,3 +292,30 @@ LAM = ParamPoly.var("lam")
 MU = ParamPoly.var("mu")
 TAU = ParamPoly.var("tau")
 TAU_INV = ParamPoly.var("tau", -1)
+
+
+@dataclass(frozen=True)
+class Gaussian:
+    """Exact Gaussian rational re + im*i."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __add__(self, o):
+        return Gaussian(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Gaussian(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+
+G_ONE = Gaussian(Fraction(1))
+G_I = Gaussian(Fraction(0), Fraction(1))

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -21,23 +20,6 @@ from . import zeta as zt
 from .fischer import LeibnitzExpansion, apply_diffop, derivative_space, fischer_inner
 from .polynomials import MPoly, double_vars
 from .scalars import LAM, MU, ParamPoly
-
-SUITE_NAMES = (
-    "leibnitz", "jordan-axioms", "bernstein", "main-identity",
-    "fourier-weyl", "covariance", "brackets", "zeta-matrices",
-    "zeta-numeric", "all",
-)
-
-_DEFAULT_ALGEBRA = {
-    "jordan-axioms": "sym:2",
-    "bernstein": "sym:2",
-    "main-identity": "sym:2",
-    "fourier-weyl": "sym:2",
-    "covariance": "rpq:2,1",
-    "brackets": "rpq:2,1",
-    "zeta-matrices": "rpq:2,1",
-    "zeta-numeric": "rpq:2,1",
-}
 
 _MAX_DIMENSION = 16
 _MAX_DEGREE = 6
@@ -58,7 +40,6 @@ class SuiteConfig:
     max_degree: int = 3
     seed: int = 0
     tolerance: float | None = None
-    jobs: int = 1
 
 
 @dataclass
@@ -91,8 +72,10 @@ class Check:
     tolerance: float = 0.0
 
 
-def _execute(checks: Sequence[Check], jobs: int) -> list[CheckResult]:
-    def one(check: Check) -> CheckResult:
+def _execute(checks: Sequence[Check]) -> list[CheckResult]:
+    """Run the checks in order, one at a time."""
+    results = []
+    for check in checks:
         t0 = time.perf_counter()
         try:
             residual = float(check.run())
@@ -103,12 +86,8 @@ def _execute(checks: Sequence[Check], jobs: int) -> list[CheckResult]:
             status = "fail"
             detail = f"{type(exc).__name__}: {exc}"
         millis = (time.perf_counter() - t0) * 1000.0
-        return CheckResult(check.id, check.identity, status, residual, millis, detail)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, checks))
-    return [one(c) for c in checks]
+        results.append(CheckResult(check.id, check.identity, status, residual, millis, detail))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +116,43 @@ def _exact(ok: bool) -> float:
     return 0.0 if ok else 1.0
 
 
-def _algebra_for(config: SuiteConfig, suite: str) -> jd.AlgebraDescriptor:
-    spec = config.algebra or _DEFAULT_ALGEBRA.get(suite)
-    if spec is None:
-        raise ConfigurationError(f"suite {suite} needs an algebra")
-    alg = jd.algebra_from_spec(spec)
+def _rpq_params(alg: jd.AlgebraDescriptor) -> tuple[int, int]:
+    ps, qs = alg.key.split(":")[1].split(",")
+    return int(ps), int(qs)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A registered suite: its builder, its default algebra (None: the
+    suite takes no algebra) and the condition it puts on the signature
+    (p, q) of an rpq algebra; `rpq_only` suites run on no other family."""
+
+    build: Callable[..., list[Check]]
+    algebra: str | None = None
+    rpq_rule: str = ""
+    rpq_holds: Callable[[int, int], bool] = lambda p, q: True
+    rpq_only: bool = False
+
+
+def _algebra_for(config: SuiteConfig, suite: Suite) -> jd.AlgebraDescriptor | None:
+    if suite.algebra is None:
+        return None
+    spec = config.algebra or suite.algebra
+    try:
+        alg = jd.algebra_from_spec(spec)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     if alg.n > _MAX_DIMENSION or config.max_degree > _MAX_DEGREE:
         raise ResourceLimitError(
             f"dimension {alg.n} / degree {config.max_degree} beyond the "
             f"guarded budget (n <= {_MAX_DIMENSION}, degree <= {_MAX_DEGREE})"
         )
+    if alg.family != "rpq":
+        if suite.rpq_only:
+            raise ConfigurationError(
+                f"suite {config.suite} runs on quadratic-space algebras rpq:p,q only")
+    elif not suite.rpq_holds(*_rpq_params(alg)):
+        raise ConfigurationError(f"suite {config.suite} needs rpq:p,q with {suite.rpq_rule}")
     return alg
 
 
@@ -154,7 +160,7 @@ def _algebra_for(config: SuiteConfig, suite: str) -> jd.AlgebraDescriptor:
 # suite: leibnitz (derivative pairing and product-rule reconstruction)
 
 
-def leibnitz_checks(config: SuiteConfig, samples: int = 100) -> list[Check]:
+def leibnitz_checks(config: SuiteConfig, alg: None, samples: int = 100) -> list[Check]:
     checks: list[Check] = []
     for n in (1, 2, 3, 6):
         vars = tuple(f"x{i+1}" for i in range(n))
@@ -259,8 +265,8 @@ def _in_span(p: MPoly, basis: list[MPoly]) -> bool:
 # suite: jordan-axioms
 
 
-def jordan_checks(config: SuiteConfig, samples: int = 100) -> list[Check]:
-    alg = _algebra_for(config, "jordan-axioms")
+def jordan_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor,
+                  samples: int = 100) -> list[Check]:
     checks: list[Check] = []
 
     def run_axioms() -> float:
@@ -351,8 +357,7 @@ def jordan_checks(config: SuiteConfig, samples: int = 100) -> list[Check]:
 # suite: bernstein
 
 
-def bernstein_checks(config: SuiteConfig) -> list[Check]:
-    alg = _algebra_for(config, "bernstein")
+def bernstein_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
     checks: list[Check] = []
 
     def run_b() -> float:
@@ -388,8 +393,8 @@ def bernstein_checks(config: SuiteConfig) -> list[Check]:
 # suite: main-identity
 
 
-def main_identity_checks(config: SuiteConfig, samples: int = 50) -> list[Check]:
-    alg = _algebra_for(config, "main-identity")
+def main_identity_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor,
+                         samples: int = 50) -> list[Check]:
     dvars = double_vars(alg.vars)
     checks: list[Check] = []
 
@@ -426,8 +431,7 @@ def main_identity_checks(config: SuiteConfig, samples: int = 50) -> list[Check]:
 # suite: fourier-weyl
 
 
-def fourier_weyl_checks(config: SuiteConfig) -> list[Check]:
-    alg = _algebra_for(config, "fourier-weyl")
+def fourier_weyl_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
     dvars = double_vars(alg.vars)
     checks: list[Check] = []
 
@@ -482,8 +486,7 @@ def fourier_weyl_checks(config: SuiteConfig) -> list[Check]:
                         run_est))
 
     if alg.family == "rpq":
-        p, q = alg.key.split(":")[1].split(",")
-        p, q = int(p), int(q)
+        p, q = _rpq_params(alg)
 
         def run_explicit() -> float:
             est = wy.build_Est(alg)
@@ -502,19 +505,27 @@ def fourier_weyl_checks(config: SuiteConfig) -> list[Check]:
 # suite: covariance
 
 
-def _rpq_params(alg: jd.AlgebraDescriptor) -> tuple[int, int]:
-    ps, qs = alg.key.split(":")[1].split(",")
-    return int(ps), int(qs)
-
-
-def covariance_checks(config: SuiteConfig) -> list[Check]:
-    alg = _algebra_for(config, "covariance")
+def covariance_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
     checks: list[Check] = []
+
+    def run_hua() -> float:
+        rng = _rng(config.seed, "hua", alg.key)
+        done = 0
+        while done < 100:
+            x = jd.random_invertible(alg, rng)
+            y = jd.random_invertible(alg, rng)
+            if jd.det(jd.sub(x, y)) == 0:
+                continue
+            if not cf.hua_check(alg, x, y):
+                return 1.0
+            done += 1
+        return 0.0
+
+    hua = Check("inversion-determinant-identity",
+                "det(iota x - iota y) det x det y = det(x - y)", run_hua)
 
     if alg.family == "rpq":
         p, q = _rpq_params(alg)
-        if p < 2:
-            raise ConfigurationError("operator covariance needs p >= 2")
         model = cf.QuadricModel(p, q)
         basis = model.lie_basis()
 
@@ -556,21 +567,7 @@ def covariance_checks(config: SuiteConfig) -> list[Check]:
         checks.append(Check("cocycle-chain-rule",
                             "cocycle of a product splits through the action", run_cocycle))
 
-        def run_hua() -> float:
-            rng = _rng(config.seed, "hua", alg.key)
-            done = 0
-            while done < 100:
-                x = jd.random_invertible(alg, rng)
-                y = jd.random_invertible(alg, rng)
-                if jd.det(jd.sub(x, y)) == 0:
-                    continue
-                if not cf.hua_check(alg, x, y):
-                    return 1.0
-                done += 1
-            return 0.0
-
-        checks.append(Check("inversion-determinant-identity",
-                            "det(iota x - iota y) det x det y = det(x - y)", run_hua))
+        checks.append(hua)
 
         def run_lie_hom() -> float:
             ops = [cf.dpi(model, X).op for X in basis]
@@ -600,31 +597,8 @@ def covariance_checks(config: SuiteConfig) -> list[Check]:
             checks.append(Check(f"covariance-F-X{idx:02d}",
                                 "first-order intertwining of the covariance family",
                                 run_cov))
-
-        chain1 = rq.f_chain(p, q, 1)
-        for idx, X in enumerate(basis):
-            def run_b1(X=X) -> float:
-                return _exact(cf.bracket_covariance_residual(model, chain1, X, 2).is_zero())
-
-            checks.append(Check(f"covariance-B1-X{idx:02d}",
-                                "first bracket intertwines with total weight shift 2",
-                                run_b1))
     else:
-        def run_hua_generic() -> float:
-            rng = _rng(config.seed, "hua", alg.key)
-            done = 0
-            while done < 100:
-                x = jd.random_invertible(alg, rng)
-                y = jd.random_invertible(alg, rng)
-                if jd.det(jd.sub(x, y)) == 0:
-                    continue
-                if not cf.hua_check(alg, x, y):
-                    return 1.0
-                done += 1
-            return 0.0
-
-        checks.append(Check("inversion-determinant-identity",
-                            "det(iota x - iota y) det x det y = det(x - y)", run_hua_generic))
+        checks.append(hua)
 
         def run_word_covdet() -> float:
             rng = _rng(config.seed, "words", alg.key)
@@ -657,13 +631,8 @@ def covariance_checks(config: SuiteConfig) -> list[Check]:
 # suite: brackets
 
 
-def bracket_checks(config: SuiteConfig) -> list[Check]:
-    alg = _algebra_for(config, "brackets")
-    if alg.family != "rpq":
-        raise ConfigurationError("bracket suite runs on quadratic-space algebras")
+def bracket_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
     p, q = _rpq_params(alg)
-    if p < 2:
-        raise ConfigurationError("bracket suite needs p >= 2")
     model = cf.QuadricModel(p, q)
     basis = model.lie_basis()
     checks: list[Check] = []
@@ -721,8 +690,7 @@ def bracket_checks(config: SuiteConfig) -> list[Check]:
 # suite: zeta-matrices
 
 
-def zeta_matrix_checks(config: SuiteConfig) -> list[Check]:
-    alg = _algebra_for(config, "zeta-matrices")
+def zeta_matrix_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
     if alg.family == "rpq":
         p, q = _rpq_params(alg)
     else:
@@ -812,16 +780,8 @@ def zeta_matrix_checks(config: SuiteConfig) -> list[Check]:
 # suite: zeta-numeric
 
 
-def zeta_numeric_checks(config: SuiteConfig) -> list[Check]:
-    alg = _algebra_for(config, "zeta-numeric")
-    if alg.family != "rpq":
-        raise ConfigurationError("numeric zeta suite runs on quadratic-space algebras")
+def zeta_numeric_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
     p, q = _rpq_params(alg)
-    if p + q != 3:
-        raise ConfigurationError(
-            "both sides of the functional equation are absolutely convergent "
-            "only in dimension 3; use rpq:2,1"
-        )
     tol = config.tolerance if config.tolerance is not None else 1e-4
     checks: list[Check] = []
     for s in (-0.6, -0.7, -0.8):
@@ -843,75 +803,76 @@ def zeta_numeric_checks(config: SuiteConfig) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# registry
+
+
+SUITES: dict[str, Suite] = {
+    "leibnitz": Suite(leibnitz_checks),
+    "jordan-axioms": Suite(jordan_checks, "sym:2"),
+    "bernstein": Suite(bernstein_checks, "sym:2"),
+    "main-identity": Suite(main_identity_checks, "sym:2"),
+    "fourier-weyl": Suite(fourier_weyl_checks, "sym:2"),
+    "covariance": Suite(covariance_checks, "rpq:2,1", "p >= 2", lambda p, q: p >= 2),
+    "brackets": Suite(bracket_checks, "rpq:2,1", "p >= 2", lambda p, q: p >= 2,
+                      rpq_only=True),
+    "zeta-matrices": Suite(zeta_matrix_checks, "rpq:2,1"),
+    "zeta-numeric": Suite(
+        zeta_numeric_checks, "rpq:2,1",
+        "p + q = 3, the only dimension where both sides of the functional "
+        "equation converge absolutely",
+        lambda p, q: p + q == 3, rpq_only=True),
+}
+
+# `--suite all`: (suite, algebra, samples) in run order; samples None keeps
+# the builder's default.
+_ALL_PLAN: tuple[tuple[str, str | None, int | None], ...] = (
+    ("leibnitz", None, 25),
+    *(("jordan-axioms", spec, 40) for spec in ("sym:2", "mat:2", "hermc:2", "rpq:2,1")),
+    *(("bernstein", spec, None) for spec in ("sym:2", "sym:3", "mat:2", "rpq:2,1")),
+    *((suite, spec, samples) for spec in ("sym:2", "mat:2", "rpq:2,1")
+      for suite, samples in (("main-identity", 10), ("fourier-weyl", None))),
+    ("covariance", "rpq:2,1", None),
+    ("brackets", "rpq:2,1", None),
+    ("zeta-matrices", "rpq:2,1", None),
+    ("zeta-numeric", "rpq:2,1", None),
+)
+
+# a check id names its algebra when its suite runs on several in the plan
+_PREFIXED = {suite for suite, _, _ in _ALL_PLAN
+             if len({spec for other, spec, _ in _ALL_PLAN if other == suite}) > 1}
+
+
+def _suite_checks(config: SuiteConfig, samples: int | None = None) -> list[Check]:
+    suite = SUITES.get(config.suite)
+    if suite is None:
+        raise ConfigurationError(
+            f"unknown suite {config.suite!r} (choose from {', '.join(SUITES)}, all)")
+    alg = _algebra_for(config, suite)
+    if samples is None:
+        return suite.build(config, alg)
+    return suite.build(config, alg, samples)
 
 
 def build_checks(config: SuiteConfig) -> list[Check]:
-    suite = config.suite
-    if suite == "leibnitz":
-        return leibnitz_checks(config)
-    if suite == "jordan-axioms":
-        return jordan_checks(config)
-    if suite == "bernstein":
-        return bernstein_checks(config)
-    if suite == "main-identity":
-        return main_identity_checks(config)
-    if suite == "fourier-weyl":
-        return fourier_weyl_checks(config)
-    if suite == "covariance":
-        return covariance_checks(config)
-    if suite == "brackets":
-        return bracket_checks(config)
-    if suite == "zeta-matrices":
-        return zeta_matrix_checks(config)
-    if suite == "zeta-numeric":
-        return zeta_numeric_checks(config)
-    if suite == "all":
-        out: list[Check] = []
-        out += leibnitz_checks(config, samples=25)
-        for spec in ("sym:2", "mat:2", "hermc:2", "rpq:2,1"):
-            sub = SuiteConfig("jordan-axioms", spec, config.max_degree, config.seed,
-                              config.tolerance, config.jobs)
-            out += [_prefixed(spec, c) for c in jordan_checks(sub, samples=40)]
-        for spec in ("sym:2", "sym:3", "mat:2", "rpq:2,1"):
-            sub = SuiteConfig("bernstein", spec, config.max_degree, config.seed,
-                              config.tolerance, config.jobs)
-            out += [_prefixed(spec, c) for c in bernstein_checks(sub)]
-        for spec in ("sym:2", "mat:2", "rpq:2,1"):
-            sub = SuiteConfig("main-identity", spec, config.max_degree, config.seed,
-                              config.tolerance, config.jobs)
-            out += [_prefixed(spec, c) for c in main_identity_checks(sub, samples=10)]
-            sub = SuiteConfig("fourier-weyl", spec, config.max_degree, config.seed,
-                              config.tolerance, config.jobs)
-            out += [_prefixed(spec, c) for c in fourier_weyl_checks(sub)]
-        sub = SuiteConfig("covariance", "rpq:2,1", config.max_degree, config.seed,
-                          config.tolerance, config.jobs)
-        out += covariance_checks(sub)
-        sub = SuiteConfig("brackets", "rpq:2,1", config.max_degree, config.seed,
-                          config.tolerance, config.jobs)
-        out += bracket_checks(sub)
-        sub = SuiteConfig("zeta-matrices", "rpq:2,1", config.max_degree, config.seed,
-                          config.tolerance, config.jobs)
-        out += zeta_matrix_checks(sub)
-        sub = SuiteConfig("zeta-numeric", "rpq:2,1", config.max_degree, config.seed,
-                          config.tolerance, config.jobs)
-        out += zeta_numeric_checks(sub)
-        return out
-    raise ConfigurationError(f"unknown suite {suite!r} (choose from {', '.join(SUITE_NAMES)})")
-
-
-def _prefixed(prefix: str, check: Check) -> Check:
-    return Check(f"{prefix.replace(':', '')}-{check.id}", check.identity,
-                 check.run, check.tolerance)
+    if config.suite != "all":
+        return _suite_checks(config)
+    out: list[Check] = []
+    for suite, spec, samples in _ALL_PLAN:
+        for check in _suite_checks(replace(config, suite=suite, algebra=spec), samples):
+            if suite in _PREFIXED:
+                check = replace(check, id=f"{spec.replace(':', '')}-{check.id}")
+            out.append(check)
+    return out
 
 
 def run_suite(config: SuiteConfig) -> dict:
     checks = build_checks(config)
-    results = _execute(checks, config.jobs)
+    results = _execute(checks)
     passed = sum(1 for r in results if r.status == "pass")
+    default = SUITES[config.suite].algebra if config.suite in SUITES else None
     return {
         "suite": config.suite,
-        "algebra": config.algebra or _DEFAULT_ALGEBRA.get(config.suite, ""),
+        "algebra": config.algebra or default or "",
         "seed": config.seed,
         "max_degree": config.max_degree,
         "tolerance": config.tolerance,

@@ -59,12 +59,6 @@ class DiffOp:
         b[index] = order
         return cls(vars, {tuple(b): MPoly.constant(vars, 1)})
 
-    @classmethod
-    def from_symbol(cls, symbol: MPoly) -> "DiffOp":
-        """Constant-coefficient operator p(d) from the polynomial p."""
-        vars = symbol.vars
-        return cls(vars, {m: MPoly.constant(vars, c) for m, c in symbol.terms.items()})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 from scipy.integrate import quad
 
 from .detpower import b_reference
-from .scalars import ParamPoly, S, T
+from .scalars import G_I, G_ONE, Gaussian, ParamPoly, S, T
 
 # ---------------------------------------------------------------------------
 # symbolic gamma-factor descriptors
@@ -537,30 +537,6 @@ def orbit_roundtrip(r: int) -> bool:
 # orbit-coefficient generating polynomials (Gaussian-rational, two formal vars)
 
 
-@dataclass(frozen=True)
-class Gaussian:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __add__(self, o):
-        return Gaussian(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return Gaussian(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        return Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __neg__(self):
-        return Gaussian(-self.re, -self.im)
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-
-G_ONE = Gaussian(Fraction(1))
-G_I = Gaussian(Fraction(0), Fraction(1))
-
 GPoly = dict  # (ex, ey) -> Gaussian
 
 
@@ -863,21 +839,23 @@ def numeric_zeta_check(p: int, q: int, s: float, g: GaussianTest,
 
     # one-sided forms (independent identity shape)
     gs = {}
+    g_plus = pair_power_with(g, p, q, sig2, "+", region_override="plus")
+    g_minus = pair_power_with(g, p, q, sig2, "+", region_override="minus")
     left_p = fscale * pair_power_with(fg, p, q, s, "+", region_override="plus")
     right_p = gam * (
-        -math.sin((q / 2 + s) * math.pi) * pair_power_with(g, p, q, sig2, "+", region_override="plus")
-        + math.sin(p * math.pi / 2) * pair_power_with(g, p, q, sig2, "+", region_override="minus")
+        -math.sin((q / 2 + s) * math.pi) * g_plus
+        + math.sin(p * math.pi / 2) * g_minus
     )
     gs["plus"] = abs(left_p - right_p) / max(abs(left_p), abs(right_p), 1e-30)
     left_m = fscale * pair_power_with(fg, p, q, s, "+", region_override="minus")
     right_m = gam * (
-        math.sin(q * math.pi / 2) * pair_power_with(g, p, q, sig2, "+", region_override="plus")
-        - math.sin((s + p / 2) * math.pi) * pair_power_with(g, p, q, sig2, "+", region_override="minus")
+        math.sin(q * math.pi / 2) * g_plus
+        - math.sin((s + p / 2) * math.pi) * g_minus
     )
     gs["minus"] = abs(left_m - right_m) / max(abs(left_m), abs(right_m), 1e-30)
 
-    # the two quadrature pipelines must agree
-    a_pol = pair_power_with(g, p, q, sig2, "+", pipeline="polar")
+    # the two quadrature pipelines must agree; pair_g["+"] is the polar one
+    a_pol = pair_g["+"]
     a_grd = pair_power_with(g, p, q, sig2, "+", pipeline="grid")
     gap = abs(a_pol - a_grd) / max(abs(a_pol), abs(a_grd), 1e-30)
     if gap > tol_pipeline:

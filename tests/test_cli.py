@@ -5,7 +5,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from covjord import jordan as J
 from covjord.cli import main
+from covjord.suites import SUITES, SuiteConfig, build_checks
 
 ENV = dict(os.environ)
 
@@ -36,6 +40,25 @@ def test_configuration_error_exit_code():
     assert proc.returncode == 2
     proc = run_cli(["--suite", "zeta-numeric", "--algebra", "rpq:2,2"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--suite", "bernstein"], {"COVJORD_SEED": "abc"}),
+    (["--suite", "bernstein"], {"COVJORD_MAX_DEGREE": "abc"}),
+    (["--suite", "bernstein"], {"COVJORD_JOBS": "abc"}),
+    (["--suite", "jordan-axioms", "--algebra", "sym:0"], {}),
+    (["--suite", "covariance", "--algebra", "rpq:1,1"], {}),
+    (["--suite", "zeta-matrices", "--tolerance", "nan"], {}),
+    (["--suite", "zeta-matrices", "--tolerance=-1e-3"], {}),
+    (["--suite", "bernstein", "--report", "{tmp}/missing/report.json"], {}),
+], ids=["env-seed", "env-max-degree", "env-jobs", "sym0", "rpq11-covariance",
+        "tolerance-nan", "tolerance-negative", "report-unwritable"])
+def test_configuration_probes_exit_2(tmp_path, args, env):
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    proc = run_cli(args, env={**ENV, **env})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr.strip().splitlines()[-1]
 
 
 def test_resource_limit_exit_code():
@@ -93,3 +116,44 @@ def test_registry_dump():
 
 def test_main_callable_directly(tmp_path):
     assert main(["--suite", "bernstein", "--algebra", "rpq:2,1"]) == 0
+
+
+def test_registry_resolves_every_suite():
+    documented = {"leibnitz", "jordan-axioms", "bernstein", "main-identity",
+                  "fourier-weyl", "covariance", "brackets", "zeta-matrices",
+                  "zeta-numeric"}
+    assert set(SUITES) == documented
+    for name, suite in SUITES.items():
+        assert callable(suite.build)
+        if name == "leibnitz":
+            assert suite.algebra is None  # the one suite that takes no algebra
+        else:
+            J.algebra_from_spec(suite.algebra)
+        assert build_checks(SuiteConfig(name))
+
+
+def test_all_suite_ids_unique():
+    ids = [check.id for check in build_checks(SuiteConfig("all"))]
+    assert len(ids) == len(set(ids))
+
+
+def test_bracket_certificates_owned_by_bracket_suite():
+    def bracket_ids(suite):
+        return [c.id for c in build_checks(SuiteConfig(suite))
+                if c.id.startswith("covariance-B")]
+
+    assert not bracket_ids("covariance")
+    assert bracket_ids("all") == bracket_ids("brackets")
+
+
+def test_jobs_is_reserved(tmp_path):
+    reports = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.json"
+        assert main(["--suite", "zeta-matrices", "--seed", "3", "--jobs", jobs,
+                     "--report", str(path)]) == 0
+        report = json.loads(path.read_text())
+        for check in report["checks"]:
+            check.pop("millis")
+        reports.append(report)
+    assert reports[0] == reports[1]
