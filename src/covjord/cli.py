@@ -11,6 +11,7 @@ Every flag has an environment-variable override COVJORD_<FLAG>.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -39,16 +40,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"one of: {', '.join(SUITES)}, all")
     parser.add_argument("--algebra", default=_env_default("algebra"),
                         help="algebra spec, e.g. sym:3, mat:2, hermc:2, rpq:2,1")
-    # string defaults (environment values) go through `type` like flags do
-    parser.add_argument("--max-degree", type=int, default=_env_default("max_degree", 3),
+    # typed flags default to None; _typed_defaults fills them after parsing
+    parser.add_argument("--max-degree", type=int,
                         help="polynomial degree budget for sampled checks")
-    parser.add_argument("--seed", type=int, default=_env_default("seed", 0),
+    parser.add_argument("--seed", type=int,
                         help="seed determining every random draw")
-    parser.add_argument("--tolerance", type=float, default=_env_default("tolerance"),
+    parser.add_argument("--tolerance", type=float,
                         help="numeric tolerance override for floating checks")
     parser.add_argument("--report", default=_env_default("report"),
                         help="path for the JSON report (stdout summary either way)")
-    parser.add_argument("--jobs", type=int, default=_env_default("jobs", 1),
+    parser.add_argument("--jobs", type=int,
                         help="reserved: accepted and validated (>= 1); checks "
                              "run in order on one thread")
     parser.add_argument("--registry", action="store_true",
@@ -56,9 +57,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# typed flag -> (type, default when neither the flag nor its variable is set)
+_TYPED = {"max_degree": (int, 3), "seed": (int, 0), "tolerance": (float, None), "jobs": (int, 1)}
+
+
+def _typed_defaults(args: argparse.Namespace) -> None:
+    """Give each typed flag left unset its environment value, else its
+    default; a malformed environment value is reported by its variable."""
+    for name, (convert, fallback) in _TYPED.items():
+        if getattr(args, name) is not None:
+            continue
+        raw = _env_default(name)
+        if raw is None:
+            setattr(args, name, fallback)
+            continue
+        try:
+            setattr(args, name, convert(raw))
+        except ValueError:
+            raise ConfigurationError(
+                f"{_ENV_PREFIX}{name.upper()}: invalid {convert.__name__} value {raw!r}"
+            ) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _typed_defaults(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIGURATION
 
     if args.registry:
         from .jordan import registry_json
@@ -79,31 +107,37 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
     )
+    # the report is opened before any check runs, so a bad path fails at once
     try:
-        report = run_suite(config)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        sink = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION
-
-    for check in report["checks"]:
-        status = check["status"].upper()
-        residual = check["residual"]
-        print(f"[{status:4}] {check['id']:34} residual={residual:.3e} "
-              f"({check['millis']:.0f} ms)  {check['identity']}")
-    print(f"suite={report['suite']} algebra={report['algebra']} seed={report['seed']}: "
-          f"{report['passed']} passed, {report['failed']} failed")
-
-    if args.report:
+    with sink or contextlib.nullcontext():
         try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            report = run_suite(config)
+        except ResourceLimitError as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE_LIMIT
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIGURATION
+
+        for check in report["checks"]:
+            status = check["status"].upper()
+            residual = check["residual"]
+            print(f"[{status:4}] {check['id']:34} residual={residual:.3e} "
+                  f"({check['millis']:.0f} ms)  {check['identity']}")
+        print(f"suite={report['suite']} algebra={report['algebra']} seed={report['seed']}: "
+              f"{report['passed']} passed, {report['failed']} failed")
+
+        if sink is not None:
+            try:
+                json.dump(report, sink, indent=2, sort_keys=True)
+                sink.write("\n")
+            except OSError as exc:
+                print(f"error: cannot write the report: {exc}", file=sys.stderr)
+                return EXIT_CONFIGURATION
 
     return EXIT_PASS if report["failed"] == 0 else EXIT_CHECK_FAILURE
 

@@ -70,6 +70,14 @@ def _pair_det(algebra: AlgebraDescriptor, slot: int) -> MPoly:
 
 
 @lru_cache(maxsize=None)
+def _pair_det_power(algebra: AlgebraDescriptor, slot: int, k: int) -> MPoly:
+    """det^k in one slot of the doubled chart, one product from det^(k-1)."""
+    if k == 0:
+        return MPoly.constant(double_vars(algebra.vars), 1)
+    return _pair_det_power(algebra, slot, k - 1) * _pair_det(algebra, slot)
+
+
+@lru_cache(maxsize=None)
 def _pair_det_partials(algebra: AlgebraDescriptor, slot: int) -> tuple[MPoly, ...]:
     det = _pair_det(algebra, slot)
     n = algebra.n
@@ -243,21 +251,25 @@ def extract_Dst(algebra: AlgebraDescriptor, f: MPoly) -> MPoly:
         ) from exc
 
 
+@lru_cache(maxsize=None)
+def _wave_pair_symbol(algebra: AlgebraDescriptor) -> MPoly:
+    """wave(dx - dy) as a polynomial symbol on the doubled chart."""
+    dvars = double_vars(algebra.vars)
+    n = algebra.n
+    images = [
+        MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i])
+        for i in range(n)
+    ]
+    return algebra.wave_poly.compose(images)
+
+
 def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
     """Integer-power oracle: wave(dx-dy) applied to det(x)^k det(y)^l f by
     plain polynomial differentiation."""
     if k < 0 or l < 0:
         raise ValueError("integer powers must be nonnegative")
-    dvars = double_vars(algebra.vars)
-    n = algebra.n
-    # wave(dx - dy) as a polynomial symbol on the doubled chart
-    images = [
-        MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i])
-        for i in range(n)
-    ]
-    symbol = algebra.wave_poly.compose(images)
-    target = _pair_det(algebra, 0) ** k * _pair_det(algebra, 1) ** l * f
-    return apply_diffop(symbol, target)
+    target = _pair_det_power(algebra, 0, k) * _pair_det_power(algebra, 1, l) * f
+    return apply_diffop(_wave_pair_symbol(algebra), target)
 
 
 @lru_cache(maxsize=None)
@@ -310,14 +322,12 @@ def dst_grid_check(algebra: AlgebraDescriptor, f: MPoly, s_values: Sequence[int]
     brute-force oracle on a grid (powers >= rank keep both sides polynomial)."""
     r = algebra.r
     symbolic = extract_Dst(algebra, f)
-    detx = _pair_det(algebra, 0)
-    dety = _pair_det(algebra, 1)
     for k in s_values:
         for l in t_values:
             if k < r or l < r:
                 raise ValueError("grid powers must be >= rank")
             lhs = brute_force_wave(algebra, k, l, f)
-            rhs_factor = detx ** (k - 1) * dety ** (l - 1)
+            rhs_factor = _pair_det_power(algebra, 0, k - 1) * _pair_det_power(algebra, 1, l - 1)
             action = symbolic.subs_params({"s": ParamPoly.of(k), "t": ParamPoly.of(l)})
             if lhs != rhs_factor * action:
                 return False

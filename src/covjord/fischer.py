@@ -22,12 +22,31 @@ class EmptySpaceError(ValueError):
 
 
 def apply_diffop(p: MPoly, q: MPoly) -> MPoly:
-    """Apply p(d/dx) to q, substituting d/dx_i for x_i in p literally."""
+    """Apply p(d/dx) to q, substituting d/dx_i for x_i in p literally.
+
+    Each partial derivative of q is taken once.  Like MPoly.diff_multi, the
+    derivative of order mono differentiates in increasing coordinate order,
+    so it is d/dx_i, i the last coordinate mono raises, of the derivative
+    of order mono - e_i; monomials of p sharing that prefix share its work."""
     if p.vars != q.vars:
         raise VariableMismatchError(f"variable lists differ: {p.vars} vs {q.vars}")
+    partials: dict[Monomial, MPoly] = {(0,) * len(q.vars): q}
+
+    def partial(mono: Monomial) -> MPoly:
+        d = partials.get(mono)
+        if d is None:
+            i = len(mono) - 1
+            while not mono[i]:
+                i -= 1
+            d = partial(mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
+            if not d.is_zero():
+                d = d.diff(i)
+            partials[mono] = d
+        return d
+
     out = MPoly.zero(q.vars)
     for mono, coeff in p.terms.items():
-        d = q.diff_multi(mono)
+        d = partial(mono)
         if not d.is_zero():
             out = out + d.scale(coeff)
     return out

@@ -9,6 +9,7 @@ monomial order used for division and printing is graded lexicographic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Sequence, Union
 
 from .scalars import ParamPoly, RatLike
@@ -143,7 +144,7 @@ class MPoly:
             res = MPoly.__new__(MPoly)
             res.vars = self.vars
             res.terms = {
-                tuple(a + b for a, b in zip(m1, m2)): c1 * c2
+                tuple(map(add, m1, m2)): c1 * c2
                 for m1, c1 in self.terms.items()
             }
             return res
@@ -152,7 +153,7 @@ class MPoly:
         out: dict[Monomial, ParamPoly] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 c = c1 * c2
                 nc = out.get(m)
                 nc = c if nc is None else nc + c
@@ -165,12 +166,15 @@ class MPoly:
         return res
 
     def scale(self, c: Coeff) -> "MPoly":
+        if isinstance(c, ParamPoly) and c.is_constant():
+            c = c.constant_value()
         if isinstance(c, (int, Fraction)):
-            c = Fraction(c)
             if not c:
                 return MPoly.zero(self.vars)
             if c == 1:
                 return self
+            if c.denominator == 1:
+                c = c.numerator  # an integral Fraction scales as an int
             res = MPoly.__new__(MPoly)
             res.vars = self.vars
             res.terms = {m: v.scale_rat(c) for m, v in self.terms.items()}
@@ -208,15 +212,15 @@ class MPoly:
 
     def diff(self, var: str | int) -> "MPoly":
         i = var if isinstance(var, int) else self.vars.index(var)
+        # m -> m - e_i is injective, so no two terms meet and none cancels
         out: dict[Monomial, ParamPoly] = {}
         for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            nm = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            nc = c * m[i]
-            prev = out.get(nm)
-            out[nm] = nc if prev is None else prev + nc
-        return MPoly(self.vars, out)
+            e = m[i]
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = c.scale_rat(e)
+        res = MPoly.__new__(MPoly)
+        res.vars, res.terms = self.vars, out
+        return res
 
     def diff_multi(self, orders: Monomial) -> "MPoly":
         out = self
@@ -292,7 +296,7 @@ class MPoly:
             res = res + MPoly(self.vars, {m: c.substitute(images)})
         return res
 
-    def fold_tau(self, tau_squared: RatLike = Fraction(-1)) -> "MPoly":
+    def fold_tau(self, tau_squared: RatLike = -1) -> "MPoly":
         return MPoly(self.vars, {m: c.fold_tau(tau_squared) for m, c in self.terms.items()})
 
     # -- exact division --------------------------------------------------------
@@ -312,13 +316,13 @@ class MPoly:
         quo: dict[Monomial, ParamPoly] = {}
         while rem:
             m = max(rem, key=_grlex)
-            qm = tuple(a - b for a, b in zip(m, dm))
+            qm = tuple(map(sub, m, dm))
             if any(e < 0 for e in qm):
                 raise InexactDivisionError("leading monomial not divisible")
             qc = rem[m] / dval
             quo[qm] = qc
             for m2, c2 in divisor.terms.items():
-                mm = tuple(a + b for a, b in zip(qm, m2))
+                mm = tuple(map(add, qm, m2))
                 nc = rem.get(mm)
                 nc = -(qc * c2) if nc is None else nc - qc * c2
                 if nc.is_zero():

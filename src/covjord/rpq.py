@@ -211,7 +211,7 @@ def proportionality(a: RestrictedOp, b: RestrictedOp):
             (e0, c0), (e1, c1) = next(iter(scal)), next(iter(other))
             if e0 != e1:
                 return None
-            ratios.add(c1 / c0)
+            ratios.add(Fraction(c1, c0))
             break
     if len(ratios) != 1:
         return None

@@ -3,12 +3,18 @@
 A scalar is a sparse polynomial in the formal parameters s, t, lam, mu and
 the formal constant tau (with its formal inverse; tau*tau^-1 = 1 reduces to
 exponent addition).  Represented as a dict mapping exponent tuples to
-Fraction coefficients:
+rational coefficients:
 
   Exponent = (e_s, e_t, e_lam, e_mu, e_tau)
 
 with e_tau allowed to be negative (Laurent in tau) and the others >= 0.
 Zero coefficients are never stored, so equality is dict equality.
+
+A coefficient is stored as an int when it is an integer and as a Fraction
+otherwise: construction, sums, products and division all hand back an int
+for an integral value, so integer work never builds a Fraction.  Rational
+values leave the ring (constant_value, evaluate) as Fraction, so that `/`
+on them stays exact.
 
 Exact Gaussian rationals re + im*i (`Gaussian`) live here too: the
 hermitian multiplication tables and the orbit-coefficient polynomials of
@@ -30,15 +36,24 @@ Exponent = tuple[int, int, int, int, int]
 RatLike = Union[int, Fraction]
 
 _ZERO_EXP: Exponent = (0, 0, 0, 0, 0)
-_F0 = Fraction(0)
 
 
-def _as_fraction(value: RatLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value: RatLike) -> RatLike:
+    """The stored form of an exact rational: int if integral, else Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _div(a: RatLike, b: RatLike) -> RatLike:
+    """Exact quotient of stored rationals (int / int would be a float)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _as_rational(Fraction(a, b))
 
 
 class ParamPoly:
@@ -46,9 +61,9 @@ class ParamPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Exponent, RatLike] | None = None):
         if terms:
-            self.terms = {e: c for e, c in terms.items() if c != 0}
+            self.terms = {e: _as_rational(c) for e, c in terms.items() if c != 0}
         else:
             self.terms = {}
 
@@ -60,8 +75,10 @@ class ParamPoly:
 
     @classmethod
     def of(cls, value: RatLike) -> "ParamPoly":
-        c = _as_fraction(value)
-        return cls({_ZERO_EXP: c}) if c else cls()
+        c = _as_rational(value)
+        res = cls.__new__(cls)
+        res.terms = {_ZERO_EXP: c} if c else {}
+        return res
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "ParamPoly":
@@ -71,7 +88,7 @@ class ParamPoly:
             raise ValueError(f"negative power only allowed for tau, got {name}^{power}")
         exp = [0] * _NPARAMS
         exp[_INDEX[name]] = power
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -86,7 +103,7 @@ class ParamPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant scalar: {self}")
-        return self.terms[_ZERO_EXP]
+        return Fraction(self.terms[_ZERO_EXP])
 
     def total_degree(self) -> int:
         """Total degree in s, t, lam, mu (tau ignored)."""
@@ -112,9 +129,9 @@ class ParamPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            nc = out.get(e, Fraction(0)) + c
+            nc = out.get(e, 0) + c
             if nc:
-                out[e] = nc
+                out[e] = nc if type(nc) is int else _as_rational(nc)
             else:
                 out.pop(e, None)
         res = ParamPoly.__new__(ParamPoly)
@@ -134,11 +151,16 @@ class ParamPoly:
     def __rsub__(self, other) -> "ParamPoly":
         return self._coerce(other) + (-self)
 
-    def scale_rat(self, c: Fraction) -> "ParamPoly":
+    def scale_rat(self, c: RatLike) -> "ParamPoly":
+        if type(c) is not int:
+            c = _as_rational(c)
+            if type(c) is not int:
+                return ParamPoly({e: v * c for e, v in self.terms.items()})
         if not c:
             return ParamPoly()
         res = ParamPoly.__new__(ParamPoly)
-        res.terms = {e: v * c for e, v in self.terms.items()}
+        res.terms = {e: v * c if type(v) is int else _as_rational(v * c)
+                     for e, v in self.terms.items()}
         return res
 
     def __mul__(self, other) -> "ParamPoly":
@@ -152,19 +174,20 @@ class ParamPoly:
                 return self.scale_rat(c2)
             res = ParamPoly.__new__(ParamPoly)
             res.terms = {
-                (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4]): c1 * c2
+                (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4]):
+                _as_rational(c1 * c2)
                 for e1, c1 in self.terms.items()
             }
             return res
         if len(self.terms) == 1:
             return other * self
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, RatLike] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
-                nc = out.get(e, _F0) + c1 * c2
+                nc = out.get(e, 0) + c1 * c2
                 if nc:
-                    out[e] = nc
+                    out[e] = nc if type(nc) is int else _as_rational(nc)
                 else:
                     out.pop(e, None)
         res = ParamPoly.__new__(ParamPoly)
@@ -186,10 +209,12 @@ class ParamPoly:
         return out
 
     def __truediv__(self, other: RatLike) -> "ParamPoly":
-        c = _as_fraction(other)
+        c = _as_rational(other)
         if c == 0:
             raise ZeroDivisionError("division of scalar polynomial by zero")
-        return ParamPoly({e: v / c for e, v in self.terms.items()})
+        res = ParamPoly.__new__(ParamPoly)
+        res.terms = {e: _div(v, c) for e, v in self.terms.items()}
+        return res
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -218,9 +243,9 @@ class ParamPoly:
             out = out + term
         return out
 
-    def fold_tau(self, tau_squared: RatLike = Fraction(-1)) -> "ParamPoly":
+    def fold_tau(self, tau_squared: RatLike = -1) -> "ParamPoly":
         """Reduce tau^2 to the given rational value (tau^(2m+b) -> v^m tau^b)."""
-        v = _as_fraction(tau_squared)
+        v = Fraction(_as_rational(tau_squared))  # m < 0 for negative tau powers
         out = ParamPoly()
         for e, c in self.terms.items():
             m, b = divmod(e[_TAU], 2)
@@ -238,7 +263,7 @@ class ParamPoly:
                     continue
                 if name not in values:
                     raise KeyError(f"parameter {name} unassigned")
-                base = _as_fraction(values[name])
+                base = Fraction(_as_rational(values[name]))  # tau may occur to a negative power
                 term *= base ** e[i]
             total += term
         return total
@@ -255,7 +280,7 @@ class ParamPoly:
 
     # -- display -----------------------------------------------------------
 
-    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exponent, RatLike]]:
         return iter(sorted(self.terms.items(), reverse=True))
 
     def __str__(self) -> str:

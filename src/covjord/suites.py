@@ -135,6 +135,9 @@ class Suite:
 
 
 def _algebra_for(config: SuiteConfig, suite: Suite) -> jd.AlgebraDescriptor | None:
+    if config.max_degree > _MAX_DEGREE:
+        raise ResourceLimitError(
+            f"degree {config.max_degree} beyond the guarded budget (degree <= {_MAX_DEGREE})")
     if suite.algebra is None:
         return None
     spec = config.algebra or suite.algebra
@@ -142,11 +145,9 @@ def _algebra_for(config: SuiteConfig, suite: Suite) -> jd.AlgebraDescriptor | No
         alg = jd.algebra_from_spec(spec)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
-    if alg.n > _MAX_DIMENSION or config.max_degree > _MAX_DEGREE:
+    if alg.n > _MAX_DIMENSION:
         raise ResourceLimitError(
-            f"dimension {alg.n} / degree {config.max_degree} beyond the "
-            f"guarded budget (n <= {_MAX_DIMENSION}, degree <= {_MAX_DEGREE})"
-        )
+            f"dimension {alg.n} beyond the guarded budget (n <= {_MAX_DIMENSION})")
     if alg.family != "rpq":
         if suite.rpq_only:
             raise ConfigurationError(

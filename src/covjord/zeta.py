@@ -17,10 +17,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from scipy.integrate import quad
-
 from .detpower import b_reference
 from .scalars import G_I, G_ONE, Gaussian, ParamPoly, S, T
+
+
+def quad(f, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use: importing scipy takes
+    most of the package's import time, and only the quadrature needs it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, a, b, **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # symbolic gamma-factor descriptors

@@ -67,6 +67,34 @@ def test_resource_limit_exit_code():
     proc = run_cli(["--suite", "jordan-axioms", "--algebra", "sym:2",
                     "--max-degree", "9"])
     assert proc.returncode == 3
+    # the degree budget binds suites that take no algebra too
+    proc = run_cli(["--suite", "leibnitz", "--max-degree", "9"])
+    assert proc.returncode == 3
+
+
+def test_unwritable_report_fails_before_any_check(tmp_path, monkeypatch):
+    def run_suite(config):
+        raise AssertionError("a check ran although the report cannot be written")
+
+    monkeypatch.setattr("covjord.cli.run_suite", run_suite)
+    assert main(["--suite", "bernstein", "--report", str(tmp_path / "missing" / "r.json")]) == 2
+
+
+def test_environment_error_names_variable(monkeypatch, capsys):
+    monkeypatch.setenv("COVJORD_SEED", "abc")
+    assert main(["--suite", "bernstein"]) == 2
+    err = capsys.readouterr().err
+    assert "COVJORD_SEED" in err and "--seed" not in err
+    # a flag on the command line wins over the environment value
+    assert main(["--suite", "bernstein", "--seed", "2"]) == 0
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, covjord.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_check_failure_exit_code(tmp_path):

@@ -183,3 +183,41 @@ def test_deltafgh(rng):
 def test_deltafgh_domain():
     with pytest.raises(ValueError):
         D.deltafgh_check(J.mat_algebra(2), None, None, None)
+
+
+def _to_sympy(p: MPoly, symbols, sp):
+    out = sp.Integer(0)
+    for mono, coeff in p.terms.items():
+        c = coeff.constant_value()
+        term = sp.Rational(c.numerator, c.denominator)
+        for sym, e in zip(symbols, mono):
+            term *= sym**e
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("spec", ["sym:2", "rpq:2,1"])
+def test_brute_force_wave_against_sympy(spec, rng):
+    # the integer-power oracle against sympy's own differentiation: wave(dx - dy)
+    # applied monomial by monomial as products of (d/dx_i - d/dy_i)
+    sp = pytest.importorskip("sympy")
+    alg = J.algebra_from_spec(spec)
+    n = alg.n
+    dvars = double_vars(alg.vars)
+    xs, ys = sp.symbols(dvars[:n]), sp.symbols(dvars[n:])
+    det_x = _to_sympy(alg.det_poly, xs, sp)
+    det_y = det_x.subs(dict(zip(xs, ys)), simultaneous=True)
+    f = random_poly(dvars, rng, 2, terms=3)
+    f_sym = _to_sympy(f, xs + ys, sp)
+    for k, l in [(0, 1), (1, 2), (2, 2)]:
+        target = det_x**k * det_y**l * f_sym
+        expected = sp.Integer(0)
+        for mono, coeff in alg.wave_poly.terms.items():
+            term = target
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    term = sp.diff(term, xs[i]) - sp.diff(term, ys[i])
+            c = coeff.constant_value()
+            expected += sp.Rational(c.numerator, c.denominator) * term
+        got = _to_sympy(D.brute_force_wave(alg, k, l, f), xs + ys, sp)
+        assert sp.expand(got - expected) == 0

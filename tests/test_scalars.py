@@ -5,6 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covjord import conformal as C
+from covjord import detpower as D
+from covjord import jordan as J
+from covjord import rpq as R
+from covjord.fischer import LeibnitzExpansion
 from covjord.scalars import LAM, MU, S, T, TAU, TAU_INV, ParamPoly
 
 
@@ -65,3 +70,46 @@ def test_degree_bookkeeping():
     assert p.degree_in("s") == 2
     assert p.degree_in("mu") == 0
     assert (S * TAU).tau_degrees() == {1}
+
+
+def _stored(obj):
+    """Every stored coefficient under a DiffOp, an MPoly or a ParamPoly."""
+    if isinstance(obj, ParamPoly):
+        yield from obj.terms.values()
+    else:
+        for c in obj.terms.values():
+            yield from _stored(c)
+
+
+def _stored_form(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_integer_work_stays_int():
+    assert type(ParamPoly.of(Fraction(6, 3)).terms[(0,) * 5]) is int
+    assert type((ParamPoly.of(6) / 3).terms[(0,) * 5]) is int
+    assert (ParamPoly.of(3) / 2).terms == {(0,) * 5: Fraction(3, 2)}
+    # rationals leave the ring as Fraction, so `/` on them stays exact
+    assert type(ParamPoly.of(2).constant_value() / 4) is Fraction
+    assert type(TAU_INV.evaluate({"tau": 2})) is Fraction
+
+
+def test_no_float_in_symbolic_layers():
+    sym2 = J.sym_algebra(2)
+    for op in (D.dst_operator(sym2), R.explicit_F(2, 1), R.f_chain(2, 1, 2)):
+        coeffs = list(_stored(op))
+        assert coeffs and all(_stored_form(c) for c in coeffs)
+    norms = LeibnitzExpansion(sym2.det_poly).norms
+    inverse = J.fraction_matrix_inverse([[2, 1], [1, 1]])
+    for value in (*norms, *(v for row in inverse for v in row)):
+        assert type(value) in (int, Fraction)
+    F = R.explicit_F(2, 1)
+    ratio = R.proportionality(C.restrict(F.scale(3), 3), C.restrict(F.scale(2), 3))
+    assert type(ratio) is Fraction and ratio == Fraction(3, 2)
+
+
+@given(scalars(), scalars())
+@settings(max_examples=40, deadline=None)
+def test_ring_operations_keep_stored_form(a, b):
+    for c in (a + b, a - b, a * b, a.scale_rat(2), a.scale_rat(Fraction(1, 2)), a / 3):
+        assert all(_stored_form(v) for v in c.terms.values())
