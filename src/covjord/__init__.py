@@ -3,9 +3,11 @@ real Jordan algebras, with symbolic certificates and numeric cross-checks.
 
 Layers, bottom up:
 
-  scalars      exact coefficient ring Q[s,t,lam,mu][tau,tau^-1], Gaussian rationals
+  scalars      exact coefficient ring Q[s,t,lam,mu][tau,tau^-1], Gaussian rationals,
+               exact linear algebra (rref, inverse, matrix product)
   polynomials  sparse multivariate polynomials over it, exact division
-  fischer      derivative pairing, derivative spaces, product-rule expansion
+  fischer      derivative pairing, derivative spaces, orthogonal bases
+               (Gram-Schmidt over Q), product-rule expansion
   jordan       concrete simple real Jordan algebras + classification registry
   detpower     det-power calculus: factorization identities, operator family
   weyl         normal-ordered differential operators, Fourier conjugation

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import jordan as jd
 from .polynomials import MPoly, Monomial, double_vars
-from .scalars import LAM, MU, ParamPoly
+from .scalars import LAM, MU, ParamPoly, fraction_matrix_inverse, mat_mul
 from .weyl import DiffOp
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -39,15 +39,6 @@ class SingularityError(ArithmeticError):
 
 def _freeze(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    m = len(A)
-    k = len(B[0])
-    return tuple(
-        tuple(sum(A[i][l] * B[l][j] for l in range(len(B))) for j in range(k))
-        for i in range(m)
-    )
 
 
 def mat_transpose(A: Matrix) -> Matrix:
@@ -79,7 +70,7 @@ class QuadricModel:
         for i in range(self.n):
             J[i + 1][i + 1] = self.signs[i]
         self.J = _freeze(J)
-        self.Jinv = _freeze(jd.fraction_matrix_inverse(J))
+        self.Jinv = _freeze(fraction_matrix_inverse(J))
         self.dim_g = (m - 1) * m // 2
 
     # -- membership checks ---------------------------------------------------
@@ -398,31 +389,6 @@ def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> Restricte
     lhs = restrict(src, model.n)
     rhs = restrict(dpi_diagonal_lift(model, X, LAM + MU), model.n)
     return lhs.sub(rhs)
-
-
-def covariance_apply_check(model: QuadricModel, op: DiffOp, X: Matrix,
-                           source: tuple[ParamPoly, ParamPoly],
-                           target: tuple[ParamPoly, ParamPoly], max_deg: int) -> bool:
-    """Application form: both sides agree on all monomials up to max_deg."""
-    residual = covariance_residual(model, op, X, source, target)
-    dvars = double_vars(model.algebra.vars)
-    nv = len(dvars)
-    out: list[Monomial] = []
-
-    def walk(prefix, pos, budget):
-        if pos == nv:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            prefix.append(e)
-            walk(prefix, pos + 1, budget - e)
-            prefix.pop()
-
-    walk([], 0, max_deg)
-    for m in out:
-        if not residual.apply(MPoly.monomial(dvars, m)).is_zero():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

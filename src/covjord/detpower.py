@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .fischer import LeibnitzExpansion, apply_diffop, derivative_space_graded
+from .fischer import LeibnitzExpansion, apply_diffop, derivative_space_graded, orthogonal_basis
 from .jordan import AlgebraDescriptor, dual_polynomial, sharp
 from .polynomials import InexactDivisionError, MPoly, Monomial, double_vars
 from .scalars import ParamPoly, S, T
@@ -77,110 +77,92 @@ def _pair_det_power(algebra: AlgebraDescriptor, slot: int, k: int) -> MPoly:
     return _pair_det_power(algebra, slot, k - 1) * _pair_det(algebra, slot)
 
 
-@lru_cache(maxsize=None)
-def _pair_det_partials(algebra: AlgebraDescriptor, slot: int) -> tuple[MPoly, ...]:
-    det = _pair_det(algebra, slot)
-    n = algebra.n
-    offset = 0 if slot == 0 else n
-    return tuple(det.diff(offset + i) for i in range(n))
+_SLOT_PARAMS = (S, T)
 
 
-def diff_single(expr: DetPowerExpr, i: int) -> DetPowerExpr:
-    """d/dx_i of det(x)^(s+a) q  ->  shift a-1 with the exact product rule."""
-    alg = expr.algebra
-    s_plus_a = S + expr.shift_x
-    body = expr.body.scale(s_plus_a) * alg.det_partials[i] + alg.det_poly * expr.body.diff(i)
-    return DetPowerExpr(alg, expr.shift_x - 1, None, body)
+def _shifts(expr: DetPowerExpr) -> list[int]:
+    """The det shifts of the expression's slots, x-slot first."""
+    return [expr.shift_x] if expr.shift_y is None else [expr.shift_x, expr.shift_y]
 
 
-def diff_pair(expr: DetPowerExpr, index: int) -> DetPowerExpr:
-    """Derivative in doubled-chart coordinate `index` (x-slot then y-slot)."""
-    alg = expr.algebra
-    n = alg.n
-    if index < n:
-        det = _pair_det(alg, 0)
-        part = _pair_det_partials(alg, 0)[index]
-        factor = S + expr.shift_x
-        return DetPowerExpr(
-            alg, expr.shift_x - 1, expr.shift_y,
-            expr.body.scale(factor) * part + det * expr.body.diff(index),
-        )
-    det = _pair_det(alg, 1)
-    part = _pair_det_partials(alg, 1)[index - n]
-    factor = T + expr.shift_y
-    return DetPowerExpr(
-        alg, expr.shift_x, expr.shift_y - 1,
-        expr.body.scale(factor) * part + det * expr.body.diff(index),
-    )
+def _with_shifts(expr: DetPowerExpr, shifts: Sequence[int], body: MPoly) -> DetPowerExpr:
+    return DetPowerExpr(expr.algebra, shifts[0], shifts[1] if expr.paired else None, body)
 
 
 @lru_cache(maxsize=None)
-def wave_monomials_single(algebra: AlgebraDescriptor) -> tuple[tuple[ParamPoly, Monomial], ...]:
-    return tuple((c, m) for m, c in algebra.wave_poly.terms.items())
+def _slot_det(algebra: AlgebraDescriptor, paired: bool, slot: int) -> tuple[MPoly, tuple[MPoly, ...]]:
+    """det of one slot on the single or the doubled chart, and its partials
+    in that slot's coordinates."""
+    det = _pair_det(algebra, slot) if paired else algebra.det_poly
+    offset = slot * algebra.n
+    return det, tuple(det.diff(offset + i) for i in range(algebra.n))
 
 
-@lru_cache(maxsize=None)
-def wave_monomials_pair(algebra: AlgebraDescriptor) -> tuple[tuple[Fraction, Monomial], ...]:
-    """Expansion of wave(dx - dy) into doubled-chart derivative monomials."""
-    n = algebra.n
+def diff(expr: DetPowerExpr, index: int) -> DetPowerExpr:
+    """Derivative in chart coordinate `index` by the exact product rule.
+
+    The index picks the slot (the x-slot, then the y-slot of a pair): the
+    derivative of det^(s+a) (or det^(t+b)) q has that slot's shift a - 1."""
+    slot, i = divmod(index, expr.algebra.n)
+    shifts = _shifts(expr)
+    det, partials = _slot_det(expr.algebra, expr.paired, slot)
+    factor = _SLOT_PARAMS[slot] + shifts[slot]
+    body = expr.body.scale(factor) * partials[i] + det * expr.body.diff(index)
+    shifts[slot] -= 1
+    return _with_shifts(expr, shifts, body)
+
+
+def derivative_monomials(p: MPoly, paired: bool) -> dict[Monomial, Fraction]:
+    """p(dx) on the chart of p, or p(dx - dy) on its doubled chart, expanded
+    binomially into derivative monomials with rational coefficients."""
+    n = len(p.vars)
     out: dict[Monomial, Fraction] = {}
-    for mono, coeff in algebra.wave_poly.terms.items():
-        c0 = coeff.constant_value()
-        # expand prod_i (dx_i - dy_i)^(m_i) binomially
-        parts: list[tuple[Monomial, Fraction]] = [((0,) * (2 * n), c0)]
+    for mono, coeff in p.terms.items():
+        parts: list[tuple[Monomial, Fraction]] = [((0,) * (2 * n if paired else n),
+                                                   coeff.constant_value())]
         for i, e in enumerate(mono):
             if not e:
                 continue
             new: list[tuple[Monomial, Fraction]] = []
-            for kx in range(e + 1):
-                ky = e - kx
-                coef = Fraction(comb(e, kx)) * Fraction(-1) ** ky
+            # (dx_i - dy_i)^e = sum_ky C(e, ky) (-1)^ky dx_i^(e-ky) dy_i^ky
+            for ky in (range(e + 1) if paired else (0,)):
+                coef = comb(e, ky) * (-1) ** ky
                 for base, c in parts:
                     b = list(base)
-                    b[i] += kx
-                    b[n + i] += ky
+                    b[i] += e - ky
+                    if ky:
+                        b[n + i] += ky
                     new.append((tuple(b), c * coef))
             parts = new
         for b, c in parts:
-            out[b] = out.get(b, Fraction(0)) + c
-    return tuple((c, m) for m, c in out.items() if c)
+            out[b] = out.get(b, 0) + c
+    return {b: c for b, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _wave_monomials(algebra: AlgebraDescriptor, paired: bool) -> dict[Monomial, Fraction]:
+    return derivative_monomials(algebra.wave_poly, paired)
 
 
 def det_wave_apply(expr: DetPowerExpr) -> DetPowerExpr:
     """Apply the algebra's wave operator (single slot) or wave(dx - dy)."""
     alg = expr.algebra
     r = alg.r
-    if not expr.paired:
-        acc = MPoly.zero(alg.vars)
-        for coeff, mono in wave_monomials_single(alg):
-            cur = expr
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    cur = diff_single(cur, i)
-            # re-express at the common shift a - r
-            deficit = cur.shift_x - (expr.shift_x - r)
-            body = cur.body if deficit == 0 else cur.body * alg.det_poly**deficit
-            acc = acc + body.scale(coeff)
-        return DetPowerExpr(alg, expr.shift_x - r, None, acc)
-    n = alg.n
-    dvars = double_vars(alg.vars)
-    acc = MPoly.zero(dvars)
-    detx = _pair_det(alg, 0)
-    dety = _pair_det(alg, 1)
-    for coeff, mono in wave_monomials_pair(alg):
+    start = _shifts(expr)
+    acc = MPoly.zero(expr.body.vars)
+    for mono, coeff in _wave_monomials(alg, expr.paired).items():
         cur = expr
         for i, e in enumerate(mono):
             for _ in range(e):
-                cur = diff_pair(cur, i)
-        dx = cur.shift_x - (expr.shift_x - r)
-        dy = cur.shift_y - (expr.shift_y - r)
+                cur = diff(cur, i)
+        # re-express at the common shifts a - r
         body = cur.body
-        if dx:
-            body = body * detx**dx
-        if dy:
-            body = body * dety**dy
+        for slot, (a, a0) in enumerate(zip(_shifts(cur), start)):
+            deficit = a - (a0 - r)
+            if deficit:
+                body = body * _slot_det(alg, expr.paired, slot)[0] ** deficit
         acc = acc + body.scale(coeff)
-    return DetPowerExpr(alg, expr.shift_x - r, expr.shift_y - r, acc)
+    return _with_shifts(expr, [a - r for a in start], acc)
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +387,7 @@ def graded_bases(algebra: AlgebraDescriptor):
         raise ValueError("graded route lives on euclidean algebras")
     tf = _TraceFischer(algebra)
     graded = derivative_space_graded(algebra.det_poly)
-    out: dict[int, tuple[list[MPoly], list[Fraction]]] = {}
-    for deg, polys in graded.items():
-        basis: list[MPoly] = []
-        norms: list[Fraction] = []
-        for p in polys:
-            w = p
-            for bpol, nb in zip(basis, norms):
-                c = tf.inner(w, bpol)
-                if c:
-                    w = w - bpol.scale(c / nb)
-            if not w.is_zero():
-                nn = tf.inner(w, w)
-                basis.append(w)
-                norms.append(nn)
-        out[deg] = (basis, norms)
+    out = {deg: orthogonal_basis(polys, tf.inner) for deg, polys in graded.items()}
     return out, tf
 
 
@@ -473,28 +441,8 @@ def dst_operator_graded(algebra: AlgebraDescriptor) -> DiffOp:
 
     # operator part: dual(p)(dx - dy)
     def delta_op(p: MPoly) -> DiffOp:
-        dual = tf._dual(p)
-        terms: dict[Monomial, MPoly] = {}
-        for mono, coeff in dual.terms.items():
-            parts: list[tuple[Monomial, Fraction]] = [((0,) * (2 * n), coeff.constant_value())]
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                new = []
-                for kx in range(e + 1):
-                    ky = e - kx
-                    cc = Fraction(comb(e, kx)) * Fraction(-1) ** ky
-                    for base, c in parts:
-                        b = list(base)
-                        b[i] += kx
-                        b[n + i] += ky
-                        new.append((tuple(b), c * cc))
-                parts = new
-            for b, c in parts:
-                cur = terms.get(b)
-                add = MPoly.constant(dvars, c)
-                terms[b] = add if cur is None else cur + add
-        return DiffOp(dvars, terms)
+        terms = derivative_monomials(tf._dual(p), paired=True)
+        return DiffOp(dvars, {b: MPoly.constant(dvars, c) for b, c in terms.items()})
 
     out = DiffOp.zero(dvars)
     for i, (li, pi, _) in enumerate(flat_basis):

@@ -13,8 +13,10 @@ diagonal instead of assuming orthonormality.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Sequence
+
 from .polynomials import MPoly, Monomial, VariableMismatchError
-from .scalars import ParamPoly
+from .scalars import ParamPoly, rref
 
 
 class EmptySpaceError(ValueError):
@@ -75,23 +77,6 @@ def _poly_vector(p: MPoly, index: dict[Monomial, int], size: int) -> list[Fracti
     return v
 
 
-def _independent(vecs: list[list[Fraction]], cand: list[Fraction]) -> list[Fraction] | None:
-    """Reduce cand against the row-echelon rows in vecs; return the reduced
-    row if independent, else None.  vecs rows are kept pivot-normalized."""
-    row = list(cand)
-    for basis in vecs:
-        pivot = next(i for i, x in enumerate(basis) if x != 0)
-        if row[pivot] != 0:
-            f = row[pivot]
-            for i in range(len(row)):
-                row[i] -= f * basis[i]
-    for i, x in enumerate(row):
-        if x != 0:
-            inv = Fraction(1) / x
-            return [y * inv for y in row]
-    return None
-
-
 def derivative_space(p: MPoly) -> list[MPoly]:
     """Basis of the smallest subspace containing p that is closed under all
     partial derivatives (order-0 included, so p itself is in the span).
@@ -120,14 +105,10 @@ def derivative_space(p: MPoly) -> list[MPoly]:
             if not d.is_zero():
                 queue.append(d)
 
-    size = len(seen_monos)
-    echelon: list[list[Fraction]] = []
-    basis: list[MPoly] = []
-    for q in collected:
-        row = _independent(echelon, _poly_vector(q, seen_monos, size))
-        if row is not None:
-            echelon.append(row)
-            basis.append(q)
+    # the first independent derivatives: pivot columns, one column each
+    vectors = [_poly_vector(q, seen_monos, len(seen_monos)) for q in collected]
+    _, pivots = rref(list(zip(*vectors)))
+    basis = [collected[j] for j in pivots]
     basis.sort(key=lambda q: (-q.total_degree(), sorted(q.terms)))
     return basis
 
@@ -140,6 +121,25 @@ def derivative_space_graded(p: MPoly) -> dict[int, list[MPoly]]:
     for q in derivative_space(p):
         graded.setdefault(q.total_degree(), []).append(q)
     return graded
+
+
+def orthogonal_basis(polys: Sequence[MPoly], inner: Callable[[MPoly, MPoly], Fraction]
+                     ) -> tuple[list[MPoly], list[Fraction]]:
+    """Gram-Schmidt over Q: an orthogonal (not orthonormal) basis of the
+    span of polys under a positive-definite rational inner product, and its
+    squared norms, so every coefficient stays rational."""
+    basis: list[MPoly] = []
+    norms: list[Fraction] = []
+    for q in polys:
+        w = q
+        for b, nb in zip(basis, norms):
+            c = inner(w, b)
+            if c:
+                w = w - b.scale(c / nb)
+        if not w.is_zero():
+            basis.append(w)
+            norms.append(inner(w, w))
+    return basis, norms
 
 
 def flat(p: MPoly, generator: MPoly) -> MPoly:
@@ -158,23 +158,8 @@ class LeibnitzExpansion:
 
     def __init__(self, generator: MPoly):
         self.generator = generator
-        raw = derivative_space(generator)
-        # Gram-Schmidt over Q, keeping squared norms instead of normalizing.
-        basis: list[MPoly] = []
-        norms: list[Fraction] = []
-        for q in raw:
-            w = q
-            for b, nb in zip(basis, norms):
-                c = fischer_inner(w, b).constant_value()
-                if c:
-                    w = w - b.scale(c / nb)
-            if not w.is_zero():
-                n = fischer_inner(w, w).constant_value()
-                if n:
-                    basis.append(w)
-                    norms.append(n)
-        self.basis = basis
-        self.norms = norms
+        self.basis, self.norms = orthogonal_basis(
+            derivative_space(generator), lambda p, q: fischer_inner(p, q).constant_value())
         self._pair: dict[tuple[int, int], Fraction] = {}
 
     @property
@@ -240,8 +225,3 @@ class LeibnitzExpansion:
                     if c:
                         out = out + (fg * dh).scale(c)
         return out
-
-
-def leibnitz_expand(generator: MPoly, f: MPoly, g: MPoly) -> MPoly:
-    """Generator(d/dx)(f*g) rebuilt through the derivative-space expansion."""
-    return LeibnitzExpansion(generator).expand(f, g)

@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from .polynomials import InexactDivisionError, MPoly
-from .scalars import G_I, G_ONE, Gaussian, ParamPoly
+from .scalars import G_I, G_ONE, Gaussian, ParamPoly, fraction_matrix_inverse, mat_mul, rref
 
 Rat = Fraction
 Coords = tuple  # entries are Fraction or MPoly
@@ -63,31 +63,6 @@ class InternalInconsistencyError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# small exact helpers
-
-
-def _mat_mul(A, B):
-    m = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(m)), Gaussian()) for j in range(m)] for i in range(m)]
-
-
-def fraction_matrix_inverse(G: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of an invertible rational matrix, by Gauss-Jordan."""
-    m = len(G)
-    aug = [[Fraction(G[i][j]) for j in range(m)] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
-
-
-# ---------------------------------------------------------------------------
 # descriptor
 
 
@@ -117,14 +92,6 @@ class AlgebraDescriptor:
 
     def __repr__(self):
         return f"<algebra {self.key}>"
-
-    @property
-    def det_partials(self) -> tuple[MPoly, ...]:
-        cached = getattr(self, "_det_partials", None)
-        if cached is None:
-            cached = tuple(self.det_poly.diff(i) for i in range(self.n))
-            object.__setattr__(self, "_det_partials", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -198,8 +165,8 @@ def _mult_table_from_basis(basis, m: int, to_coords):
     for i in range(n):
         row = []
         for j in range(n):
-            prod = _mat_mul(basis[i], basis[j])
-            prod2 = _mat_mul(basis[j], basis[i])
+            prod = mat_mul(basis[i], basis[j])
+            prod2 = mat_mul(basis[j], basis[i])
             sym = [[(prod[a][b] + prod2[a][b]) * half for b in range(m)] for a in range(m)]
             row.append(tuple(to_coords(sym)))
         table.append(tuple(row))
@@ -219,7 +186,7 @@ def _pairing_from_table(mult, trace_vec, n):
 def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
     """p composed with G^{-1}: realizes the pairing-adapted operator of p
     through literal derivative substitution."""
-    Ginv = fraction_matrix_inverse([list(map(Fraction, row)) for row in G])
+    Ginv = fraction_matrix_inverse(G)
     vars = p.vars
     images = []
     for i in range(len(vars)):
@@ -661,18 +628,9 @@ def L_matrix(x: JordanElement) -> list[list[Fraction]]:
 
 def quad_rep(x: JordanElement) -> list[list[Fraction]]:
     """P(x) = 2 L(x)^2 - L(x^2) as an exact matrix on the chart."""
-    alg = x.algebra
-    n = alg.n
     L = L_matrix(x)
-    L2el = L_matrix(jordan_mul(x, x))
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += L[i][k] * L[k][j]
-            out[i][j] = 2 * acc - L2el[i][j]
-    return out
+    return [[2 * a - b for a, b in zip(row, row2)]
+            for row, row2 in zip(mat_mul(L, L), L_matrix(jordan_mul(x, x)))]
 
 
 def apply_matrix(M: Sequence[Sequence[Fraction]], x: JordanElement) -> JordanElement:
@@ -709,35 +667,14 @@ def generic_min_poly(x: JordanElement) -> list[Fraction]:
     powers = [unit(alg)]
     for _ in range(r):
         powers.append(jordan_mul(powers[-1], x))
-    cols = [p.coords for p in powers]
-    # row-reduce the first r columns; they must be independent
-    rows = [[cols[j][i] for j in range(r + 1)] for i in range(n)]
-    pivots = []
-    ri = 0
+    # x^r = sum c_j x^j: reduce [1, x, ..., x^r] with the powers as columns
+    rows, pivots = rref([[p.coords[i] for p in powers] for i in range(n)])
     for col in range(r):
-        piv = None
-        for rr in range(ri, n):
-            if rows[rr][col] != 0:
-                piv = rr
-                break
-        if piv is None:
+        if col not in pivots:
             raise RankDeficiencyError(col, r)
-        rows[ri], rows[piv] = rows[piv], rows[ri]
-        inv = Fraction(1) / rows[ri][col]
-        rows[ri] = [v * inv for v in rows[ri]]
-        for rr in range(n):
-            if rr != ri and rows[rr][col]:
-                f = rows[rr][col]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[ri])]
-        pivots.append(ri)
-        ri += 1
-    # solve x^r = sum c_j x^j from the echelon form
-    c = [Fraction(0)] * r
-    for col, rr in enumerate(pivots):
-        c[col] = rows[rr][r]
-    for rr in range(ri, n):
-        if rows[rr][r] != 0:
-            raise InternalInconsistencyError("power sequence inconsistent")
+    if r in pivots:
+        raise InternalInconsistencyError("power sequence inconsistent")
+    c = [rows[col][r] for col in range(r)]
     return [(-1) ** (j - 1) * c[r - j] for j in range(1, r + 1)]
 
 

@@ -290,7 +290,6 @@ class MPoly:
         return MPoly(new_vars, out)
 
     def subs_params(self, images: Mapping[str, ParamPoly]) -> "MPoly":
-        out: dict[Monomial, ParamPoly] = {}
         res = MPoly.zero(self.vars)
         for m, c in self.terms.items():
             res = res + MPoly(self.vars, {m: c.substitute(images)})

@@ -10,10 +10,10 @@ lam + mu + 2N, exactly over Q[lam, mu].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from .conformal import QuadricModel, RestrictedOp, restrict
+from functools import lru_cache
+
+from .conformal import RestrictedOp, restrict
 from .jordan import rpq_algebra
 from .polynomials import MPoly, Monomial, double_vars
 from .scalars import LAM, MU, ParamPoly, S, T
@@ -170,6 +170,7 @@ def explicit_B1(p: int, q: int) -> RestrictedOp:
     return restrict(op, n)
 
 
+@lru_cache(maxsize=None)
 def f_chain(p: int, q: int, N: int) -> DiffOp:
     """F_(lam+N-1, mu+N-1) . ... . F_(lam, mu) in the Weyl algebra."""
     if N < 1:
@@ -219,37 +220,3 @@ def proportionality(a: RestrictedOp, b: RestrictedOp):
     if a.sub(b.scale(c)).is_zero():
         return c
     return None
-
-
-@dataclass(eq=False)
-class RpqOperators:
-    """Cached operator bundle for one signature (p >= 2, q >= 1)."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 2 or self.q < 1:
-            raise ValueError("operator bundle needs p >= 2 and q >= 1")
-        self.n = self.p + self.q
-        self.algebra = rpq_algebra(self.p, self.q)
-        self.model = QuadricModel(self.p, self.q)
-
-    @cached_property
-    def dst(self) -> DiffOp:
-        return explicit_Dst(self.p, self.q)
-
-    @cached_property
-    def est(self) -> DiffOp:
-        return explicit_Est(self.p, self.q)
-
-    @cached_property
-    def f_op(self) -> DiffOp:
-        return explicit_F(self.p, self.q)
-
-    @cached_property
-    def b1(self) -> RestrictedOp:
-        return explicit_B1(self.p, self.q)
-
-    def bracket(self, N: int) -> RestrictedOp:
-        return build_BN(self.p, self.q, N)

@@ -19,13 +19,19 @@ on them stays exact.
 Exact Gaussian rationals re + im*i (`Gaussian`) live here too: the
 hermitian multiplication tables and the orbit-coefficient polynomials of
 the zeta layer are built over them.
+
+So does the exact linear algebra every layer above shares: Gauss-Jordan
+reduction over Q (`rref`), the inverse built on it, and the matrix
+product for rational and Gaussian entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from functools import reduce
+from operator import add
+from typing import Iterator, Mapping, Sequence, Union
 
 PARAM_NAMES = ("s", "t", "lam", "mu", "tau")
 _NPARAMS = len(PARAM_NAMES)
@@ -344,3 +350,53 @@ class Gaussian:
 
 G_ONE = Gaussian(Fraction(1))
 G_I = Gaussian(Fraction(0), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+
+
+class SingularMatrixError(ArithmeticError):
+    """Inverse of a singular matrix requested."""
+
+
+def rref(rows: Sequence[Sequence[RatLike]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q by Gauss-Jordan elimination: the
+    reduced rows (zero rows last) and the pivot column of each nonzero row.
+    The pivot columns are the first columns independent of those before."""
+    M = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][col]
+        M[r] = [v * inv for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col]:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+        if len(pivots) == len(M):
+            break
+    return M, pivots
+
+
+def fraction_matrix_inverse(G: Sequence[Sequence[RatLike]]) -> list[list[Fraction]]:
+    """Exact inverse of a square rational matrix, by Gauss-Jordan on [G | 1]."""
+    m = len(G)
+    reduced, pivots = rref([list(G[i]) + [int(i == j) for j in range(m)] for i in range(m)])
+    if pivots[:m] != list(range(m)):
+        raise SingularMatrixError("singular matrix has no inverse")
+    return [row[m:] for row in reduced]
+
+
+def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """Exact matrix product; entries Fraction or Gaussian."""
+    inner = range(len(B))
+    return tuple(
+        tuple(reduce(add, (A[i][k] * B[k][j] for k in inner)) for j in range(len(B[0])))
+        for i in range(len(A))
+    )

@@ -17,7 +17,8 @@ from . import jordan as jd
 from . import rpq as rq
 from . import weyl as wy
 from . import zeta as zt
-from .fischer import LeibnitzExpansion, apply_diffop, derivative_space, fischer_inner
+from .fischer import (LeibnitzExpansion, apply_diffop, derivative_space, fischer_inner,
+                      orthogonal_basis)
 from .polynomials import MPoly, double_vars
 from .scalars import LAM, MU, ParamPoly
 
@@ -100,14 +101,15 @@ def _rng(*parts) -> random.Random:
 
 
 def random_mpoly(vars: Sequence[str], rng: random.Random, max_deg: int,
-                 terms: int = 4, nonzero: bool = True) -> MPoly:
+                 terms: int = 4) -> MPoly:
+    """A random polynomial with integer coefficients in -3..3, never zero."""
     out = MPoly.zero(vars)
     for _ in range(terms):
         mono = [0] * len(vars)
         for _ in range(rng.randint(0, max_deg)):
             mono[rng.randrange(len(vars))] += 1
         out = out + MPoly.monomial(vars, tuple(mono), Fraction(rng.randint(-3, 3)))
-    if nonzero and out.is_zero():
+    if out.is_zero():
         out = MPoly.constant(vars, 1)
     return out
 
@@ -185,16 +187,22 @@ def leibnitz_checks(config: SuiteConfig, alg: None, samples: int = 100) -> list[
 
         def run_closure(n=n, vars=vars) -> float:
             rng = _rng(config.seed, "closure", n)
+            inner = lambda p, q: fischer_inner(p, q).constant_value()
             for _ in range(10):
                 p = random_mpoly(vars, rng, 3)
                 basis = derivative_space(p)
-                # every derivative of every basis element stays in the span
+                ortho, norms = orthogonal_basis(basis, inner)
+                # every derivative of every basis element is its own
+                # projection onto the span
                 for b in basis:
                     for i in range(n):
                         d = b.diff(i)
                         if d.is_zero():
                             continue
-                        if not _in_span(d, basis):
+                        proj = MPoly.zero(vars)
+                        for o, nn in zip(ortho, norms):
+                            proj = proj + o.scale(inner(d, o) / nn)
+                        if proj != d:
                             return 1.0
             return 0.0
 
@@ -241,25 +249,6 @@ def leibnitz_checks(config: SuiteConfig, alg: None, samples: int = 100) -> list[
                         "monomial self-pairing equals the factorial",
                         run_monomial_duality))
     return checks
-
-
-def _in_span(p: MPoly, basis: list[MPoly]) -> bool:
-    # orthogonalize first, then project; exact membership test
-    ortho: list[tuple[MPoly, Fraction]] = []
-    for b in basis:
-        w = b
-        for o, nn in ortho:
-            c = fischer_inner(w, o).constant_value()
-            if c:
-                w = w - o.scale(c / nn)
-        if not w.is_zero():
-            ortho.append((w, fischer_inner(w, w).constant_value()))
-    work = p
-    for o, nn in ortho:
-        c = fischer_inner(work, o).constant_value()
-        if c:
-            work = work - o.scale(c / nn)
-    return work.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +579,9 @@ def covariance_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Ch
         checks.append(Check("restriction-covariance",
                             "diagonal restriction intertwines the tensor action", run_restriction))
 
-        F = rq.explicit_F(p, q)
         for idx, X in enumerate(basis):
             def run_cov(X=X) -> float:
-                return _exact(cf.covariance_residual_F(model, F, X).is_zero())
+                return _exact(cf.covariance_residual_F(model, rq.explicit_F(p, q), X).is_zero())
 
             checks.append(Check(f"covariance-F-X{idx:02d}",
                                 "first-order intertwining of the covariance family",
@@ -655,9 +643,9 @@ def bracket_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check
                         "first bracket sends 1 to 0", run_b1_constant_kill))
 
     for N in (1, 2):
-        chain = rq.f_chain(p, q, N)
         for idx, X in enumerate(basis):
-            def run_bn(X=X, chain=chain, N=N) -> float:
+            def run_bn(X=X, N=N) -> float:
+                chain = rq.f_chain(p, q, N)
                 return _exact(
                     cf.bracket_covariance_residual(model, chain, X, 2 * N).is_zero()
                 )

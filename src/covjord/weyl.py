@@ -200,8 +200,7 @@ class DiffOp:
     def shift_tau(self, k: int) -> "DiffOp":
         if k == 0:
             return self
-        tau_k = ParamPoly({(0, 0, 0, 0, k): Fraction(1)})
-        return self.scale(tau_k)
+        return self.scale(ParamPoly.var("tau", k))
 
     # -- display ---------------------------------------------------------------
 
@@ -228,10 +227,6 @@ class DiffOp:
 # Fourier conjugation
 
 
-def _tau_power(k: int) -> ParamPoly:
-    return ParamPoly({(0, 0, 0, 0, k): Fraction(1)})
-
-
 def fourier_conjugate(op: DiffOp, inverse: bool = False) -> DiffOp:
     """Conjugation by the Fourier transform as a Weyl-algebra automorphism.
 
@@ -248,14 +243,14 @@ def fourier_conjugate(op: DiffOp, inverse: bool = False) -> DiffOp:
         co_terms: dict[Monomial, MPoly] = {}
         for mono, c in coeff.terms.items():
             deg = sum(mono)
-            scalar = c * _tau_power(-deg) * (x_sign ** deg)
+            scalar = c * ParamPoly.var("tau", -deg) * (x_sign ** deg)
             prev = co_terms.get(mono)
             add = MPoly(vars, {(0,) * n: scalar})
             co_terms[mono] = add if prev is None else prev + add
         coeff_image = DiffOp(vars, co_terms)
         # image of the derivative part: product of (-+tau x_j)^(beta_j)
         deg = sum(beta)
-        mult_poly = MPoly(vars, {beta: _tau_power(deg) * (d_sign ** deg)})
+        mult_poly = MPoly(vars, {beta: ParamPoly.var("tau", deg) * (d_sign ** deg)})
         term_image = coeff_image.compose(DiffOp.multiplication(mult_poly))
         out = out + term_image
     return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .detpower import b_reference
-from .scalars import G_I, G_ONE, Gaussian, ParamPoly, S, T
+from .scalars import G_I, G_ONE, Gaussian, ParamPoly, S, SingularMatrixError, T, fraction_matrix_inverse
 
 
 def quad(f, a, b, **kwargs):
@@ -458,15 +458,20 @@ def euclidean_matrices(case: str, r: int, d: int, n: int) -> EuclideanFE:
     raise CaseConfigurationError(f"unknown case {case!r}")
 
 
-def flip_residual_pm(fe: EuclideanFE, s: float) -> float:
-    """a_(eps,eta)(s) = -a_(-eps,-eta)(s+1) for the rank-2 matrix cases."""
-    A0 = fe.matrix(s)
-    A1 = fe.matrix(s + 1)
+def _flip_residual(matrix: Callable[[float], list[list]], s: float) -> float:
+    """a_(eps,eta)(s) = -a_(-eps,-eta)(s+1) for a 2x2 transform matrix."""
+    A0 = matrix(s)
+    A1 = matrix(s + 1)
     res = 0.0
     for i in range(2):
         for j in range(2):
             res = max(res, abs(A0[i][j] + A1[1 - i][1 - j]))
     return res
+
+
+def flip_residual_pm(fe: EuclideanFE, s: float) -> float:
+    """The shift flip of the rank-2 euclidean matrix cases."""
+    return _flip_residual(fe.matrix, s)
 
 
 def flip_residual_eo(fe: EuclideanFE, s: float) -> float:
@@ -481,13 +486,8 @@ def flip_residual_eo(fe: EuclideanFE, s: float) -> float:
 
 
 def flip_residual_quad(p: int, q: int, s: float) -> float:
-    A1 = A_matrix_pq(p, q, s + 1)
-    A0 = A_matrix_pq(p, q, s)
-    res = 0.0
-    for i in range(2):
-        for j in range(2):
-            res = max(res, abs(A1[i][j] + A0[1 - i][1 - j]))
-    return res
+    """The shift flip of the quadratic-space transform matrix."""
+    return _flip_residual(lambda x: A_matrix_pq(p, q, x), s)
 
 
 # ---------------------------------------------------------------------------
@@ -519,20 +519,10 @@ def orbit_roundtrip(r: int) -> bool:
     rows = orbit_to_pm(r) + orbit_to_eo(r)
     rows = rows[: r + 1]
     m = len(rows)
-    # invert the square system over Q
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        piv = next((rr for rr in range(col, m) if aug[rr][col] != 0), None)
-        if piv is None:
-            return False
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for rr in range(m):
-            if rr != col and aug[rr][col]:
-                f = aug[rr][col]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[col])]
-    inv_rows = [row[m:] for row in aug]
+    try:
+        inv_rows = fraction_matrix_inverse(rows)
+    except SingularMatrixError:
+        return False
     # round trip: functional values of a random exact orbit vector
     orbit = [Fraction(3 * i - 2, i + 1) for i in range(r + 1)]
     vals = [sum(rows[i][j] * orbit[j] for j in range(r + 1)) for i in range(m)]
@@ -709,6 +699,7 @@ def _sphere_moment(exponents: Sequence[int]) -> float:
 
 
 _QUAD_TOL = 1e-8
+_PIPELINE_TOL = 1e-6  # relative gap allowed between the polar and grid pipelines
 
 
 def _angular_integral(A: int, B: int, sigma: float, region: str) -> float:
@@ -813,8 +804,7 @@ class ZetaCheckReport:
         return max(self.rel_errors.values())
 
 
-def numeric_zeta_check(p: int, q: int, s: float, g: GaussianTest,
-                       tol_pipeline: float = 1e-6) -> ZetaCheckReport:
+def numeric_zeta_check(p: int, q: int, s: float, g: GaussianTest) -> ZetaCheckReport:
     """Verify the quadratic-space Fourier functional equation by pairing
     against the test function, in the absolutely convergent strip."""
     n = p + q
@@ -865,7 +855,7 @@ def numeric_zeta_check(p: int, q: int, s: float, g: GaussianTest,
     a_pol = pair_g["+"]
     a_grd = pair_power_with(g, p, q, sig2, "+", pipeline="grid")
     gap = abs(a_pol - a_grd) / max(abs(a_pol), abs(a_grd), 1e-30)
-    if gap > tol_pipeline:
+    if gap > _PIPELINE_TOL:
         raise ArithmeticError(f"quadrature pipelines disagree: {gap:.2e}")
 
     return ZetaCheckReport(p, q, s, lhs, rhs, rel, gs, gap)

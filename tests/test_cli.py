@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from covjord import jordan as J
+from covjord import rpq as R
 from covjord.cli import main
 from covjord.suites import SUITES, SuiteConfig, build_checks
 
@@ -172,6 +173,18 @@ def test_bracket_certificates_owned_by_bracket_suite():
 
     assert not bracket_ids("covariance")
     assert bracket_ids("all") == bracket_ids("brackets")
+
+
+@pytest.mark.parametrize("suite", ["covariance", "brackets"])
+def test_build_checks_defers_operator_builds(suite, monkeypatch):
+    # explicit_F and f_chain are built inside the checks, where their cost
+    # counts in a check's millis, not while the checks are being built
+    def refuse(*args):
+        raise AssertionError("operator built while building the checks")
+
+    monkeypatch.setattr(R, "explicit_F", refuse)
+    monkeypatch.setattr(R, "f_chain", refuse)
+    assert build_checks(SuiteConfig(suite))
 
 
 def test_jobs_is_reserved(tmp_path):

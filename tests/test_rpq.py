@@ -161,17 +161,16 @@ def test_bracket_covariance_single_sample():
 
 
 def test_parameter_validation():
+    # the operator families need p >= 2 and q >= 1, enforced by the quadric model
     with pytest.raises(ValueError):
-        R.RpqOperators(1, 2)
+        C.QuadricModel(1, 2)
     with pytest.raises(ValueError):
-        R.RpqOperators(2, 0)
+        C.QuadricModel(2, 0)
     with pytest.raises(ValueError):
         R.build_BN(2, 1, 0)
 
 
-def test_operator_bundle_caching():
-    ops = R.RpqOperators(2, 1)
-    assert ops.dst is ops.dst
-    assert ops.est.apply(MPoly.constant(double_vars(ops.algebra.vars), 1)).is_zero()
-    assert ops.b1.terms == R.explicit_B1(2, 1).terms
-    assert ops.bracket(1).terms == R.build_BN(2, 1, 1).terms
+def test_operator_displays():
+    alg = J.rpq_algebra(2, 1)
+    assert R.explicit_Est(2, 1).apply(MPoly.constant(double_vars(alg.vars), 1)).is_zero()
+    assert R.build_BN(2, 1, 1).terms == R.explicit_B1(2, 1).terms
