@@ -372,14 +372,23 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
                                 total_shift: int) -> RestrictedOp:
     """res(chain . d(pi_lam (x) pi_mu)(X)) - res(d(pi_(lam+mu+shift))(X) . chain).
 
-    The diagonal substitution is a ring homomorphism, so it is pushed into
-    the compositions (coefficients restrict before the products form)."""
+    Both sides compose res(chain), the chain restricted once, in place of
+    the full chain, and the result is the same RestrictedOp:
+    - in chain . d(pi)(X) the chain is the left factor, whose coefficients
+      are never differentiated, and the diagonal substitution is a ring
+      homomorphism;
+    - in lift . chain the lifted operator differentiates only along the
+      diagonal (d_i -> dx_i + dy_i), and by the chain rule
+      diag(dx_i c + dy_i c) = d_i diag(c).
+    The substitution is also pushed into the compositions (coefficients
+    restrict before the products form)."""
     n = model.n
     diag = lambda f: diagonal_substitute(f, n)
+    res = DiffOp(chain.vars, dict(restrict(chain, n).terms))
     src = dpi_tensor(model, X, LAM, MU)
-    lhs = restrict(chain.compose(src, coeff_map=diag), n)
+    lhs = restrict(res.compose(src, coeff_map=diag), n)
     lifted = dpi_diagonal_lift(model, X, LAM + MU + total_shift)
-    rhs = restrict(lifted.compose(chain, coeff_map=diag), n)
+    rhs = restrict(lifted.compose(res, coeff_map=diag), n)
     return lhs.sub(rhs)
 
 

@@ -91,12 +91,18 @@ def derivative_space(p: MPoly) -> list[MPoly]:
         if not c.is_constant():
             raise ValueError("derivative_space needs a parameter-free polynomial")
 
-    # Collect all iterated partial derivatives (finitely many are nonzero).
+    # Collect the distinct iterated partial derivatives (finitely many are
+    # nonzero).  The search is depth-first, so when a repeat is popped its
+    # whole subtree has been collected already and it is skipped.
     queue = [p]
     collected: list[MPoly] = []
+    seen: set[MPoly] = set()
     seen_monos: dict[Monomial, int] = {}
     while queue:
         q = queue.pop()
+        if q in seen:
+            continue
+        seen.add(q)
         collected.append(q)
         for m in q.terms:
             seen_monos.setdefault(m, len(seen_monos))

@@ -347,6 +347,9 @@ class Gaussian:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
+    def __bool__(self):
+        return not self.is_zero()
+
 
 G_ONE = Gaussian(Fraction(1))
 G_I = Gaussian(Fraction(0), Fraction(1))
@@ -394,9 +397,14 @@ def fraction_matrix_inverse(G: Sequence[Sequence[RatLike]]) -> list[list[Fractio
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:
-    """Exact matrix product; entries Fraction or Gaussian."""
-    inner = range(len(B))
-    return tuple(
-        tuple(reduce(add, (A[i][k] * B[k][j] for k in inner)) for j in range(len(B[0])))
-        for i in range(len(A))
-    )
+    """Exact matrix product; entries Fraction or Gaussian.  Zero entries of
+    the left factor are skipped; an all-zero row gives zeros of the entry type."""
+    cols = range(len(B[0]))
+    out = []
+    for row in A:
+        nonzero = [(a, B[k]) for k, a in enumerate(row) if a]
+        if nonzero:
+            out.append(tuple(reduce(add, (a * Bk[j] for a, Bk in nonzero)) for j in cols))
+        else:
+            out.append((row[0] * B[0][0],) * len(cols))
+    return tuple(out)

@@ -1,0 +1,32 @@
+"""The benchmark's covariance workload against the program's API.
+
+The workload and its independent check in bench/ call the program by name;
+this runs them on R^(2,1), so that a change of those names or signatures
+fails here.  The files are loaded read-only, without adding bench/ to
+sys.path."""
+
+import importlib.util
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_covariance_workload_on_rpq21():
+    workloads, checks = _load("workloads"), _load("checks")
+    seed = 3
+    inputs = [row for row in workloads.setup_covariance(seed) if row[:2] == (2, 1)]
+    ops = workloads.Ops()
+    built = workloads.run_covariance(inputs, ops)
+    # 10 F, 10 bracket N = 1, 1 bracket N = 2 and 45 Lie-bracket certificates
+    assert len(ops.ids) == 66
+    assert ops.failed == []
+    # the check includes the wrong-weight test against vacuous certificates
+    ok, detail = checks.check_covariance(inputs, built, seed)
+    assert ok is True, detail

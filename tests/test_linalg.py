@@ -1,5 +1,6 @@
 """The exact linear-algebra kernel against sympy, which shares no code
-with it: Gauss-Jordan reduction, the inverse, and Gram-Schmidt."""
+with it: Gauss-Jordan reduction, the inverse, and Gram-Schmidt; and the
+matrix product against a plain triple loop."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from covjord.fischer import derivative_space, fischer_inner, orthogonal_basis
 from covjord.jordan import fraction_matrix_inverse
-from covjord.scalars import SingularMatrixError, rref
+from covjord.scalars import Gaussian, SingularMatrixError, mat_mul, rref
 from covjord.suites import random_mpoly
 
 sp = pytest.importorskip("sympy")
@@ -85,3 +86,40 @@ def test_orthogonal_basis_properties():
             vectors = [[p.terms[m].constant_value() if m in p.terms else 0 for m in monos]
                        for p in polys]
             assert len(basis) == len(rref(vectors)[1]) == _sympy(vectors).rank()
+
+
+def _triple_loop(A, B, zero):
+    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), zero)
+                       for j in range(len(B[0]))) for i in range(len(A)))
+
+
+def _sparse(rng: random.Random, rows: int, cols: int, entry, zero) -> list[list]:
+    """Seeded matrix with about two thirds zero entries and an all-zero first row."""
+    M = [[entry() if rng.random() < 1 / 3 else zero for _ in range(cols)]
+         for _ in range(rows)]
+    M[0] = [zero] * cols
+    return M
+
+
+@pytest.mark.parametrize("kind", ["fraction", "gaussian"])
+def test_mat_mul_matches_triple_loop(kind):
+    rng = random.Random(f"mat_mul:{kind}")
+
+    def fraction():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    def entry():
+        return fraction() if kind == "fraction" else Gaussian(fraction(), fraction())
+
+    zero, cls = (Fraction(0), Fraction) if kind == "fraction" else (Gaussian(), Gaussian)
+    shapes = [(1, 1, 1), (3, 3, 3), (4, 2, 5), (2, 5, 3), (6, 6, 6)]
+    for rows, inner, cols in shapes:
+        for _ in range(4):
+            A = _sparse(rng, rows, inner, entry, zero)
+            B = _sparse(rng, inner, cols, entry, zero)
+            zero_left = [[zero] * inner for _ in range(rows)]
+            zero_right = [[zero] * cols for _ in range(inner)]
+            for L, R in [(A, B), (zero_left, B), (A, zero_right)]:
+                got = mat_mul(L, R)
+                assert got == _triple_loop(L, R, zero)
+                assert all(type(v) is cls for row in got for v in row)

@@ -1,6 +1,7 @@
 """Explicit quadratic-space operators against the generic machinery, and
 the bracket family."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from covjord import jordan as J
 from covjord import rpq as R
 from covjord import weyl as W
 from covjord.polynomials import MPoly, double_vars
-from covjord.scalars import MU, ParamPoly, S, T
+from covjord.scalars import LAM, MU, ParamPoly, S, T
 
 from conftest import random_poly
 
@@ -158,6 +159,69 @@ def test_bracket_covariance_single_sample():
     X = model.lie_basis()[2]
     chain = R.f_chain(p, q, 2)
     assert C.bracket_covariance_residual(model, chain, X, 4).is_zero()
+
+
+def _full_chain_residual(model, chain, X, shift):
+    """The bracket residual composed on the full chain, restricted afterwards."""
+    n = model.n
+    src = C.dpi_tensor(model, X, LAM, MU)
+    lifted = C.dpi_diagonal_lift(model, X, LAM + MU + shift)
+    return C.restrict(chain.compose(src), n).sub(C.restrict(lifted.compose(chain), n))
+
+
+@pytest.mark.parametrize("N, elements", [(1, range(10)), (2, (3, 6))], ids=["N1", "N2"])
+def test_bracket_residual_matches_full_chain_route(N, elements):
+    # the right weight shift 2N gives zero; 2N + 1 gives nonzero residuals too
+    model = C.QuadricModel(2, 1)
+    basis = model.lie_basis()
+    chain = R.f_chain(2, 1, N)
+    nonzero = 0
+    for i in elements:
+        for shift in (2 * N, 2 * N + 1):
+            got = C.bracket_covariance_residual(model, chain, basis[i], shift)
+            assert got == _full_chain_residual(model, chain, basis[i], shift)
+            if shift == 2 * N:
+                assert got.is_zero()
+            nonzero += not got.is_zero()
+    assert nonzero >= 2
+
+
+def _random_doubled_op(rng, dvars, n):
+    """Operator of order <= 2 on the doubled chart whose coefficients involve y."""
+    terms = {}
+    for _ in range(4):
+        beta = [0] * (2 * n)
+        for _ in range(rng.randint(0, 2)):
+            beta[rng.randrange(2 * n)] += 1
+        coeff = random_poly(dvars, rng, 3) + MPoly.variable(dvars, dvars[n + rng.randrange(n)])
+        terms[tuple(beta)] = coeff.scale(LAM) if rng.random() < 0.5 else coeff
+    return W.DiffOp(dvars, terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lifted_composition_sees_only_the_restriction(seed):
+    # res(L . A) = res(L . res(A)) for the lifted L (chain rule along the
+    # diagonal) and res(A . B) = res(res(A) . B) for any B (the left
+    # coefficients are not differentiated); dx_i alone, on the left, tells
+    # A from res(A)
+    rng = random.Random(f"lift:{seed}")
+    model = C.QuadricModel(2, 1)
+    n = model.n
+    dvars = double_vars(model.algebra.vars)
+    basis = model.lie_basis()
+    coeffs = [rng.randint(-2, 2) for _ in basis]
+    X = tuple(tuple(sum(c * B[i][j] for c, B in zip(coeffs, basis)) for j in range(n + 2))
+              for i in range(n + 2))
+    A = _random_doubled_op(rng, dvars, n)
+    resA = W.DiffOp(dvars, dict(C.restrict(A, n).terms))
+    assert any(any(m[n:]) for c in A.terms.values() for m in c.terms)
+    assert A != resA
+    lifted = C.dpi_diagonal_lift(model, X, LAM + MU + rng.randint(0, 3))
+    src = C.dpi_tensor(model, X, LAM, MU)
+    assert C.restrict(lifted.compose(A), n) == C.restrict(lifted.compose(resA), n)
+    assert C.restrict(A.compose(src), n) == C.restrict(resA.compose(src), n)
+    dx = W.DiffOp.derivative(dvars, rng.randrange(n))
+    assert C.restrict(dx.compose(A), n) != C.restrict(dx.compose(resA), n)
 
 
 def test_parameter_validation():
