@@ -7,13 +7,20 @@ Four families carry full arithmetic:
   hermc:m  complex hermitian m x m matrices as a real vector space
   rpq:p,q  R x R^{n-1} with the quadratic-form product (n = p+q, p,q >= 1)
 
-Every algebra is presented in a chart x1..xn.  The descriptor carries the
-multiplication table, unit, trace form (pairing matrix), determinant and
-trace polynomials, the generic-minimal-polynomial coefficients a_1..a_r as
-polynomials, the adjugate vector (so inversion and sharp are division by
-det only), and the wave polynomial realizing the determinant operator in
-the algebra's pairing convention.  The remaining rows of the
-classification table are registry metadata without arithmetic.
+Every algebra is presented in a chart x1..xn and built from its
+multiplication table alone: a family gives a basis with its table (the
+matrix families a basis of matrices and a chart map, the table being the
+symmetrized matrix product), the unit and the trace functional.  One
+product routine multiplies coordinate tuples, rational or polynomial,
+through the table.  The generic-minimal-polynomial coefficients a_1..a_r
+come from the traces p_k = tr(x^k) of the powers of the generic element
+by Newton's identities, k a_k = sum_{i=1..k} (-1)^(i-1) a_(k-i) p_i; a_1
+is the trace polynomial and a_r the determinant.  The descriptor carries
+the table, unit, trace form (pairing matrix), these polynomials, the
+adjugate vector (so inversion and sharp are division by det only), and
+the wave polynomial realizing the determinant operator in the algebra's
+pairing convention.  The remaining rows of the classification table are
+registry metadata without arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
 from typing import Sequence
 
 from .polynomials import InexactDivisionError, MPoly
@@ -118,69 +124,34 @@ def generic_element(algebra: AlgebraDescriptor) -> JordanElement:
 
 
 # ---------------------------------------------------------------------------
-# chart builders
+# construction from a multiplication table
 
 
-def _sym_index_pairs(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i, m)]
+def _product(mult, x: Coords, y: Coords, zero) -> Coords:
+    """Coordinates of x o y through the multiplication table.  The entries of
+    x and y are all rational or all MPoly, and `zero` is the zero of that type."""
+    out = [zero] * len(x)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = mult[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            prod = xi * yj
+            for k, c in enumerate(row[j]):
+                if c:
+                    out[k] = out[k] + prod * c
+    return tuple(out)
 
 
-def _det_trace_minors(entries, m: int, vars: tuple[str, ...]):
-    """Determinant, trace and principal-minor sums a_j of an m x m matrix of
-    MPoly entries (entries given as nested list)."""
-    zero = MPoly.zero(vars)
-
-    def det_of(rows: Sequence[int]) -> MPoly:
-        k = len(rows)
-        total = zero
-        for perm in permutations(range(k)):
-            sign = 1
-            seen = list(perm)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = MPoly.constant(vars, sign)
-            for i in range(k):
-                term = term * entries[rows[i]][rows[perm[i]]]
-            total = total + term
-        return total
-
-    a = []
-    for j in range(1, m + 1):
-        s = zero
-        for rows in combinations(range(m), j):
-            s = s + det_of(rows)
-        a.append(s)
-    trace = a[0]
-    det = a[m - 1]
-    return det, trace, a
-
-
-def _mult_table_from_basis(basis, m: int, to_coords):
-    """Multiplication table from matrix basis elements over the Gaussian rationals."""
-    n = len(basis)
-    half = Gaussian(Fraction(1, 2))
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = mat_mul(basis[i], basis[j])
-            prod2 = mat_mul(basis[j], basis[i])
-            sym = [[(prod[a][b] + prod2[a][b]) * half for b in range(m)] for a in range(m)]
-            row.append(tuple(to_coords(sym)))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _pairing_from_table(mult, trace_vec, n):
-    G = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(sum(trace_vec[k] * mult[i][j][k] for k in range(n)))
-        G.append(tuple(row))
-    return tuple(G)
+def _trace(trace_vec, coords: Coords, zero):
+    """tr(x) as the trace functional applied to the coordinates of x."""
+    total = zero
+    for t, c in zip(trace_vec, coords):
+        if t:
+            total = total + c * t
+    return total
 
 
 def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
@@ -198,77 +169,74 @@ def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
     return p.compose(images)
 
 
-def _symbolic_powers(algebra_stub, coords, count):
-    """Powers 1, x, ..., x^count of a symbolic element via the mult table."""
-    n = algebra_stub["n"]
-    mult = algebra_stub["mult"]
-    vars = algebra_stub["vars"]
-    one = [MPoly.constant(vars, c) for c in algebra_stub["unit"]]
-    powers = [one, list(coords)]
-    while len(powers) <= count:
-        prev = powers[-1]
-        nxt = [MPoly.zero(vars) for _ in range(n)]
-        for i in range(n):
-            xi = coords[i]
-            if xi.is_zero():
-                continue
-            for j in range(n):
-                yj = prev[j]
-                if yj.is_zero():
-                    continue
-                prod = xi * yj
-                for k in range(n):
-                    c = mult[i][j][k]
-                    if c:
-                        nxt[k] = nxt[k] + prod.scale(c)
-        powers.append(nxt)
-    return powers
-
-
-def _adjugate_from_minpoly(stub, a_polys):
-    """adj(x) = (-1)^(r-1) [x^(r-1) - a1 x^(r-2) + ... + (-1)^(r-1) a_(r-1) 1],
-    so that x o adj(x) = det(x) 1 exactly."""
-    n, r, vars = stub["n"], stub["r"], stub["vars"]
-    coords = [MPoly.variable(vars, v) for v in vars]
-    powers = _symbolic_powers(stub, coords, r - 1)
-    one = [MPoly.constant(vars, c) for c in stub["unit"]]
-    acc = [MPoly.zero(vars) for _ in range(n)]
-    for k in range(r):
-        # term (-1)^k a_k x^(r-1-k), a_0 = 1
-        coeff_poly = MPoly.constant(vars, 1) if k == 0 else a_polys[k - 1]
-        base = powers[r - 1 - k]
-        for i in range(n):
-            term = coeff_poly * base[i]
-            acc[i] = acc[i] + (term if k % 2 == 0 else -term)
-    sign = 1 if (r - 1) % 2 == 0 else -1
-    return tuple(p.scale(sign) for p in acc)
-
-
-def _finish(stub, det, trace, a_polys, wave, fourier_tau, euclidean) -> AlgebraDescriptor:
-    adj = _adjugate_from_minpoly(stub, a_polys)
+def _algebra(key: str, label: str, r: int, d: int, d_plus: int, mult, unit_coords,
+             trace_vec, fourier_tau: str, euclidean: bool) -> AlgebraDescriptor:
+    """Every field of the descriptor from the multiplication table, the unit
+    and the trace functional.  The families with arithmetic are split (e = 0)
+    with r_plus = r."""
+    n = len(mult)
+    vars = tuple(f"x{i + 1}" for i in range(n))
+    zero = MPoly.zero(vars)
+    pairing = tuple(tuple(_trace(trace_vec, e_ij, Fraction(0)) for e_ij in row) for row in mult)
+    # generic powers x^0 .. x^r and their traces p_k = tr(x^k)
+    x = tuple(MPoly.variable(vars, v) for v in vars)
+    powers = [tuple(MPoly.constant(vars, c) for c in unit_coords), x]
+    while len(powers) <= r:
+        powers.append(_product(mult, x, powers[-1], zero))
+    p = [_trace(trace_vec, xk, zero) for xk in powers]
+    # Newton's identities: k a_k = sum_{i=1..k} (-1)^(i-1) a_(k-i) p_i, a_0 = 1
+    a = [MPoly.constant(vars, 1)]
+    for k in range(1, r + 1):
+        total = zero
+        for i in range(1, k + 1):
+            term = a[k - i] * p[i]
+            total = total + term if i % 2 else total - term
+        a.append(total * Fraction(1, k))
+    # adj(x) = sum_{j<r} (-1)^j a_(r-1-j) x^j, so that x o adj(x) = det(x) 1
+    adjugate = []
+    for i in range(n):
+        acc = zero
+        for j in range(r):
+            term = a[r - 1 - j] * powers[j][i]
+            acc = acc - term if j % 2 else acc + term
+        adjugate.append(acc)
+    det = a[r]
+    # the general kernel pairs through the trace form; the quadratic-space
+    # kernel ("i") takes the wave operator as det(d) literally
+    wave = dual_polynomial(det, pairing) if fourier_tau == "2pii" else det
     return AlgebraDescriptor(
-        key=stub["key"],
-        family=stub["family"],
-        label=stub["label"],
-        n=stub["n"],
-        r=stub["r"],
-        d=stub["d"],
-        e=stub["e"],
-        r_plus=stub["r_plus"],
-        d_plus=stub["d_plus"],
-        vars=stub["vars"],
-        unit=stub["unit"],
-        mult=stub["mult"],
-        trace_vec=stub["trace_vec"],
-        pairing=stub["pairing"],
-        det_poly=det,
-        trace_poly=trace,
-        minpoly_coeffs=tuple(a_polys),
-        adjugate_vec=adj,
-        wave_poly=wave,
-        fourier_tau=fourier_tau,
-        euclidean=euclidean,
+        key=key, family=key.partition(":")[0], label=label, n=n, r=r, d=d, e=0,
+        r_plus=r, d_plus=d_plus, vars=vars, unit=tuple(unit_coords), mult=mult,
+        trace_vec=tuple(trace_vec), pairing=pairing, det_poly=det, trace_poly=a[1],
+        minpoly_coeffs=tuple(a[1:]), adjugate_vec=tuple(adjugate), wave_poly=wave,
+        fourier_tau=fourier_tau, euclidean=euclidean,
     )
+
+
+def _matrix(m: int, entries: dict) -> list[list[Gaussian]]:
+    """The m x m Gaussian matrix with the given nonzero entries."""
+    return [[entries.get((i, j), Gaussian()) for j in range(m)] for i in range(m)]
+
+
+def _matrix_algebra(key: str, label: str, m: int, basis, to_coords, d: int, d_plus: int,
+                    euclidean: bool) -> AlgebraDescriptor:
+    """A Jordan algebra of m x m matrices under the symmetrized product
+    (ab + ba)/2, given by a basis over R and the chart map back to coordinates."""
+    half = Gaussian(Fraction(1, 2))
+
+    def product(A, B):
+        AB, BA = mat_mul(A, B), mat_mul(B, A)
+        sym = [[(AB[i][j] + BA[i][j]) * half for j in range(m)] for i in range(m)]
+        return tuple(to_coords(sym))
+
+    mult = tuple(tuple(product(A, B) for B in basis) for A in basis)
+    unit_coords = to_coords(_matrix(m, {(i, i): G_ONE for i in range(m)}))
+    trace_vec = [sum((B[i][i] for i in range(m)), Gaussian()).re for B in basis]
+    return _algebra(key, label, m, d, d_plus, mult, unit_coords, trace_vec, "2pii", euclidean)
+
+
+def _sym_index_pairs(m: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(m) for j in range(i, m)]
 
 
 @lru_cache(maxsize=None)
@@ -276,35 +244,10 @@ def sym_algebra(m: int) -> AlgebraDescriptor:
     if m < 1:
         raise ValueError("sym:m needs m >= 1")
     pairs = _sym_index_pairs(m)
-    n = len(pairs)
-    vars = tuple(f"x{i+1}" for i in range(n))
-    basis = []
-    for (i, j) in pairs:
-        B = [[Gaussian() for _ in range(m)] for _ in range(m)]
-        B[i][j] = B[i][j] + G_ONE
-        if i != j:
-            B[j][i] = B[j][i] + G_ONE
-        basis.append(B)
-
-    def to_coords(M):
-        out = []
-        for (i, j) in pairs:
-            assert M[i][j].im == 0
-            out.append(M[i][j].re)
-        return out
-
-    mult = _mult_table_from_basis(basis, m, to_coords)
-    unit_coords = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in pairs)
-    trace_vec = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in pairs)
-    idx = {p: k for k, p in enumerate(pairs)}
-    entries = [[MPoly.variable(vars, vars[idx[(min(i, j), max(i, j))]]) for j in range(m)] for i in range(m)]
-    det, trace, a_polys = _det_trace_minors(entries, m, vars)
-    stub = dict(key=f"sym:{m}", family="sym", label=f"Sym({m},R)", n=n, r=m, d=1, e=0,
-                r_plus=m, d_plus=1, vars=vars, unit=unit_coords, mult=mult,
-                trace_vec=trace_vec, pairing=None)
-    stub["pairing"] = _pairing_from_table(mult, trace_vec, n)
-    wave = dual_polynomial(det, stub["pairing"])
-    return _finish(stub, det, trace, a_polys, wave, "2pii", euclidean=True)
+    basis = [_matrix(m, {(i, j): G_ONE, (j, i): G_ONE}) for (i, j) in pairs]
+    return _matrix_algebra(f"sym:{m}", f"Sym({m},R)", m, basis,
+                           lambda M: [M[i][j].re for (i, j) in pairs],
+                           d=1, d_plus=1, euclidean=True)
 
 
 @lru_cache(maxsize=None)
@@ -312,29 +255,10 @@ def mat_algebra(m: int) -> AlgebraDescriptor:
     if m < 1:
         raise ValueError("mat:m needs m >= 1")
     cells = [(i, j) for i in range(m) for j in range(m)]
-    n = len(cells)
-    vars = tuple(f"x{i+1}" for i in range(n))
-    basis = []
-    for (i, j) in cells:
-        B = [[Gaussian() for _ in range(m)] for _ in range(m)]
-        B[i][j] = B[i][j] + G_ONE
-        basis.append(B)
-
-    def to_coords(M):
-        return [M[i][j].re for (i, j) in cells]
-
-    mult = _mult_table_from_basis(basis, m, to_coords)
-    unit_coords = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in cells)
-    trace_vec = tuple(Fraction(1) if i == j else Fraction(0) for (i, j) in cells)
-    idx = {c: k for k, c in enumerate(cells)}
-    entries = [[MPoly.variable(vars, vars[idx[(i, j)]]) for j in range(m)] for i in range(m)]
-    det, trace, a_polys = _det_trace_minors(entries, m, vars)
-    stub = dict(key=f"mat:{m}", family="mat", label=f"Mat({m},R)", n=n, r=m, d=2, e=0,
-                r_plus=m, d_plus=1, vars=vars, unit=unit_coords, mult=mult,
-                trace_vec=trace_vec, pairing=None)
-    stub["pairing"] = _pairing_from_table(mult, trace_vec, n)
-    wave = dual_polynomial(det, stub["pairing"])
-    return _finish(stub, det, trace, a_polys, wave, "2pii", euclidean=False)
+    basis = [_matrix(m, {(i, j): G_ONE}) for (i, j) in cells]
+    return _matrix_algebra(f"mat:{m}", f"Mat({m},R)", m, basis,
+                           lambda M: [M[i][j].re for (i, j) in cells],
+                           d=2, d_plus=1, euclidean=False)
 
 
 @lru_cache(maxsize=None)
@@ -343,22 +267,10 @@ def hermc_algebra(m: int) -> AlgebraDescriptor:
         raise ValueError("hermc:m needs m >= 1")
     # chart: m diagonal entries, then (re, im) per off-diagonal pair i<j
     offs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    n = m + 2 * len(offs)
-    vars = tuple(f"x{i+1}" for i in range(n))
-    basis = []
-    for i in range(m):
-        B = [[Gaussian() for _ in range(m)] for _ in range(m)]
-        B[i][i] = G_ONE
-        basis.append(B)
+    basis = [_matrix(m, {(i, i): G_ONE}) for i in range(m)]
     for (i, j) in offs:
-        U = [[Gaussian() for _ in range(m)] for _ in range(m)]
-        U[i][j] = G_ONE
-        U[j][i] = G_ONE
-        basis.append(U)
-        W = [[Gaussian() for _ in range(m)] for _ in range(m)]
-        W[i][j] = G_I
-        W[j][i] = -G_I
-        basis.append(W)
+        basis.append(_matrix(m, {(i, j): G_ONE, (j, i): G_ONE}))
+        basis.append(_matrix(m, {(i, j): G_I, (j, i): -G_I}))
 
     def to_coords(M):
         out = [M[i][i].re for i in range(m)]
@@ -367,51 +279,8 @@ def hermc_algebra(m: int) -> AlgebraDescriptor:
             out.append(M[i][j].im)
         return out
 
-    mult = _mult_table_from_basis(basis, m, to_coords)
-    unit_coords = tuple([Fraction(1)] * m + [Fraction(0)] * (2 * len(offs)))
-    trace_vec = tuple([Fraction(1)] * m + [Fraction(0)] * (2 * len(offs)))
-
-    # determinant through complex entries with MPoly real/imag parts
-    zero = MPoly.zero(vars)
-    ent = [[None] * m for _ in range(m)]
-    for i in range(m):
-        ent[i][i] = (MPoly.variable(vars, vars[i]), zero)
-    for k, (i, j) in enumerate(offs):
-        u = MPoly.variable(vars, vars[m + 2 * k])
-        w = MPoly.variable(vars, vars[m + 2 * k + 1])
-        ent[i][j] = (u, w)
-        ent[j][i] = (u, -w)
-
-    def cdet(rows, cols):
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        total = (zero, zero)
-        for idx, c in enumerate(cols):
-            sub = cdet(rows[1:], cols[:idx] + cols[idx + 1 :])
-            a, b = ent[rows[0]][c]
-            re = a * sub[0] - b * sub[1]
-            im = a * sub[1] + b * sub[0]
-            if idx % 2:
-                re, im = -re, -im
-            total = (total[0] + re, total[1] + im)
-        return total
-
-    a_polys = []
-    for jsize in range(1, m + 1):
-        s_re = zero
-        for rows in combinations(range(m), jsize):
-            re, im = cdet(list(rows), list(rows))
-            if not im.is_zero():
-                raise InternalInconsistencyError("hermitian minor with nonzero imaginary part")
-            s_re = s_re + re
-        a_polys.append(s_re)
-    det, trace = a_polys[m - 1], a_polys[0]
-    stub = dict(key=f"hermc:{m}", family="hermc", label=f"Herm({m},C)", n=n, r=m, d=2, e=0,
-                r_plus=m, d_plus=2, vars=vars, unit=unit_coords, mult=mult,
-                trace_vec=trace_vec, pairing=None)
-    stub["pairing"] = _pairing_from_table(mult, trace_vec, n)
-    wave = dual_polynomial(det, stub["pairing"])
-    return _finish(stub, det, trace, a_polys, wave, "2pii", euclidean=True)
+    return _matrix_algebra(f"hermc:{m}", f"Herm({m},C)", m, basis, to_coords,
+                           d=2, d_plus=2, euclidean=True)
 
 
 @lru_cache(maxsize=None)
@@ -421,38 +290,23 @@ def rpq_algebra(p: int, q: int) -> AlgebraDescriptor:
     n = p + q
     if n < 3:
         raise ValueError("rpq needs dimension >= 3")
-    vars = tuple(f"x{i+1}" for i in range(n))
     signs = [Fraction(1)] * p + [Fraction(-1)] * q  # sign of x_i^2 in det
 
-    mult_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            out = [Fraction(0)] * n
-            if i == 0 and j == 0:
-                out[0] = Fraction(1)
-            elif i == 0:
-                out[j] = Fraction(1)
-            elif j == 0:
-                out[i] = Fraction(1)
-            else:
-                # e_i o e_j = -beta(e_i, e_j) e_1 with beta carrying signs
-                if i == j:
-                    out[0] = -signs[i]
-            row.append(tuple(out))
-        mult_rows.append(tuple(row))
-    mult = tuple(mult_rows)
-    unit_coords = tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
-    trace_vec = tuple([Fraction(2)] + [Fraction(0)] * (n - 1))
-    det = MPoly(vars, {tuple(2 if k == i else 0 for k in range(n)): signs[i] for i in range(n)})
-    trace = MPoly.variable(vars, vars[0]).scale(2)
-    a_polys = [trace, det]
-    stub = dict(key=f"rpq:{p},{q}", family="rpq", label=f"R^({p},{q})", n=n, r=2,
-                d=n - 2, e=0, r_plus=2, d_plus=q - 1, vars=vars, unit=unit_coords,
-                mult=mult, trace_vec=trace_vec, pairing=None)
-    stub["pairing"] = _pairing_from_table(mult, trace_vec, n)
-    # quadratic-space convention: the wave operator is P(d) literally
-    return _finish(stub, det, trace, a_polys, det, "i", euclidean=(q == 0))
+    def product(i: int, j: int) -> tuple[Fraction, ...]:
+        out = [Fraction(0)] * n
+        if i == 0:
+            out[j] = Fraction(1)  # e_1 is the unit
+        elif j == 0:
+            out[i] = Fraction(1)
+        elif i == j:
+            out[0] = -signs[i]  # e_i o e_j = -beta(e_i, e_j) e_1
+        return tuple(out)
+
+    mult = tuple(tuple(product(i, j) for j in range(n)) for i in range(n))
+    unit_coords = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    trace_vec = [Fraction(2)] + [Fraction(0)] * (n - 1)
+    return _algebra(f"rpq:{p},{q}", f"R^({p},{q})", 2, n - 2, q - 1, mult, unit_coords,
+                    trace_vec, "i", euclidean=(q == 0))
 
 
 _FAMILIES = {"sym": sym_algebra, "mat": mat_algebra, "hermc": hermc_algebra}
@@ -552,40 +406,18 @@ def _is_symbolic(x: JordanElement) -> bool:
     return any(isinstance(c, MPoly) for c in x.coords)
 
 
+def _lift(x: JordanElement) -> Coords:
+    """The coordinates of x as polynomials on the algebra's chart."""
+    vars = x.algebra.vars
+    return tuple(c if isinstance(c, MPoly) else MPoly.constant(vars, c) for c in x.coords)
+
+
 def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
     _check_same(x, y)
     alg = x.algebra
-    n = alg.n
     if _is_symbolic(x) or _is_symbolic(y):
-        vars = alg.vars
-        out = [MPoly.zero(vars) for _ in range(n)]
-        xc = [c if isinstance(c, MPoly) else MPoly.constant(vars, c) for c in x.coords]
-        yc = [c if isinstance(c, MPoly) else MPoly.constant(vars, c) for c in y.coords]
-        for i in range(n):
-            if xc[i].is_zero():
-                continue
-            for j in range(n):
-                if yc[j].is_zero():
-                    continue
-                prod = xc[i] * yc[j]
-                for k in range(n):
-                    c = alg.mult[i][j][k]
-                    if c:
-                        out[k] = out[k] + prod.scale(c)
-        return JordanElement(alg, tuple(out))
-    out = [Fraction(0)] * n
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        for j, yj in enumerate(y.coords):
-            if not yj:
-                continue
-            prod = xi * yj
-            row = alg.mult[i][j]
-            for k in range(n):
-                if row[k]:
-                    out[k] += row[k] * prod
-    return JordanElement(alg, tuple(out))
+        return JordanElement(alg, _product(alg.mult, _lift(x), _lift(y), MPoly.zero(alg.vars)))
+    return JordanElement(alg, _product(alg.mult, x.coords, y.coords, Fraction(0)))
 
 
 def add(x: JordanElement, y: JordanElement) -> JordanElement:
@@ -611,19 +443,12 @@ def power(x: JordanElement, k: int) -> JordanElement:
 
 
 def L_matrix(x: JordanElement) -> list[list[Fraction]]:
-    """Matrix of left multiplication by x in the chart basis."""
+    """Matrix of left multiplication by x in the chart basis: column j is x o e_j."""
     alg = x.algebra
     n = alg.n
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        for j in range(n):
-            row = alg.mult[i][j]
-            for k in range(n):
-                if row[k]:
-                    M[k][j] += xi * row[k]
-    return M
+    columns = [_product(alg.mult, x.coords, tuple(int(i == j) for i in range(n)), Fraction(0))
+               for j in range(n)]
+    return [list(row) for row in zip(*columns)]
 
 
 def quad_rep(x: JordanElement) -> list[list[Fraction]]:
@@ -640,7 +465,7 @@ def apply_matrix(M: Sequence[Sequence[Fraction]], x: JordanElement) -> JordanEle
 
 
 def trace(x: JordanElement) -> Fraction:
-    return sum(t * c for t, c in zip(x.algebra.trace_vec, x.coords))
+    return _trace(x.algebra.trace_vec, x.coords, Fraction(0))
 
 
 def det(x: JordanElement):
@@ -731,22 +556,17 @@ def signature_class(x: JordanElement) -> int:
 
 
 def principal_minor(algebra: AlgebraDescriptor, k: int) -> MPoly:
-    """Leading k x k minor of the generic symmetric matrix (Sym(m,R))."""
+    """Leading k x k minor of the generic symmetric matrix (Sym(m,R)): the
+    determinant of sym:k on the chart coordinates of the leading block."""
     if algebra.family != "sym":
         raise UnsupportedKindError("principal minors implemented for sym:m")
     if k < 0 or k > algebra.r:
         raise ValueError(f"minor index {k} outside 0..{algebra.r}")
     if k == 0:
         return MPoly.constant(algebra.vars, 1)
-    m = algebra.r
-    pairs = _sym_index_pairs(m)
-    idx = {p: i for i, p in enumerate(pairs)}
-    entries = [
-        [MPoly.variable(algebra.vars, algebra.vars[idx[(min(i, j), max(i, j))]]) for j in range(k)]
-        for i in range(k)
-    ]
-    detk, _, _ = _det_trace_minors(entries, k, algebra.vars)
-    return detk
+    idx = {p: i for i, p in enumerate(_sym_index_pairs(algebra.r))}
+    block = [MPoly.variable(algebra.vars, algebra.vars[idx[p]]) for p in _sym_index_pairs(k)]
+    return sym_algebra(k).det_poly.compose(block)
 
 
 # ---------------------------------------------------------------------------

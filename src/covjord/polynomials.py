@@ -76,6 +76,9 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         zero = (0,) * len(self.vars)
         return not self.terms or (len(self.terms) == 1 and zero in self.terms)
@@ -135,7 +138,9 @@ class MPoly:
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
-    def __mul__(self, other: "MPoly") -> "MPoly":
+    def __mul__(self, other: "MPoly | Coeff") -> "MPoly":
+        if not isinstance(other, MPoly):
+            return self.scale(other)
         self._check(other)
         if len(other.terms) == 1:
             (m2, c2), = other.terms.items()

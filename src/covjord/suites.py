@@ -82,9 +82,9 @@ def _execute(checks: Sequence[Check]) -> list[CheckResult]:
             residual = float(check.run())
             status = "pass" if residual <= check.tolerance else "fail"
             detail = ""
-        except Exception as exc:  # a failed identity is a result, not a crash
+        except Exception as exc:  # a crashed check is a result, not a crash of the run
             residual = float("inf")
-            status = "fail"
+            status = "error"
             detail = f"{type(exc).__name__}: {exc}"
         millis = (time.perf_counter() - t0) * 1000.0
         results.append(CheckResult(check.id, check.identity, status, residual, millis, detail))

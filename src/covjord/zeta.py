@@ -13,6 +13,7 @@ split at the light cone in bipolar radii.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -23,10 +24,15 @@ from .scalars import G_I, G_ONE, Gaussian, ParamPoly, S, SingularMatrixError, T,
 
 def quad(f, a, b, **kwargs):
     """scipy.integrate.quad, imported on first use: importing scipy takes
-    most of the package's import time, and only the quadrature needs it."""
-    from scipy.integrate import quad as scipy_quad
+    most of the package's import time, and only the quadrature needs it.
+    Its IntegrationWarning (a requested tolerance not met) is suppressed:
+    the accuracy evidence is the gap between the two quadrature pipelines,
+    which `numeric_zeta_check` bounds by _PIPELINE_TOL."""
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
-    return scipy_quad(f, a, b, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return scipy_quad(f, a, b, **kwargs)
 
 
 # ---------------------------------------------------------------------------

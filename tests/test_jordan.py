@@ -174,6 +174,70 @@ def test_principal_minors():
         J.principal_minor(s3, 4)
 
 
+@pytest.mark.parametrize("spec", ("sym:2", "hermc:2", "rpq:2,1"))
+def test_scale_symbolic(spec):
+    alg = J.algebra_from_spec(spec)
+    g = J.generic_element(alg)
+    half = Fraction(1, 2)
+    assert J.jordan_mul(J.scale(g, half), g) == J.scale(J.jordan_mul(g, g), half)
+
+
+def _sympy_generic_matrix(alg, sp):
+    """The generic element of sym:m, mat:m or hermc:m as a sympy matrix,
+    written from the chart convention of each family."""
+    m = alg.r
+    xs = sp.symbols(alg.vars)
+    if alg.family == "mat":
+        return sp.Matrix(m, m, xs), xs
+    M = sp.zeros(m, m)
+    if alg.family == "sym":
+        pairs = [(i, j) for i in range(m) for j in range(i, m)]
+        for x, (i, j) in zip(xs, pairs):
+            M[i, j] = M[j, i] = x
+        return M, xs
+    for i in range(m):  # hermc: diagonal, then (re, im) per pair i < j
+        M[i, i] = xs[i]
+    offs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for k, (i, j) in enumerate(offs):
+        re, im = xs[m + 2 * k], xs[m + 2 * k + 1]
+        M[i, j] = re + sp.I * im
+        M[j, i] = re - sp.I * im
+    return M, xs
+
+
+def _to_sympy(p: MPoly, xs, sp):
+    terms = []
+    for mono, c in p.terms.items():
+        c = c.constant_value()
+        terms.append(sp.Rational(c.numerator, c.denominator)
+                     * sp.Mul(*[x ** e for x, e in zip(xs, mono)]))
+    return sp.Add(*terms)
+
+
+@pytest.mark.parametrize("spec", [f"{family}:{m}" for family in ("sym", "mat", "hermc")
+                                  for m in (1, 2, 3)])
+def test_minpoly_against_sympy_characteristic_polynomial(spec):
+    # det(lam 1 - M) = sum_k (-1)^k a_k lam^(m-k) for the generic matrix M
+    sp = pytest.importorskip("sympy")
+    alg = J.algebra_from_spec(spec)
+    M, xs = _sympy_generic_matrix(alg, sp)
+    lam = sp.Symbol("lam")
+    char = sp.Poly(sp.expand((lam * sp.eye(alg.r) - M).det()), lam)
+    for k, a_k in enumerate(alg.minpoly_coeffs, start=1):
+        expected = sp.expand((-1) ** k * char.coeff_monomial(lam ** (alg.r - k)))
+        assert sp.expand(_to_sympy(a_k, xs, sp)) == expected
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1), (1, 2), (3, 2)])
+def test_rpq_det_against_sympy_quadratic_form(p, q):
+    sp = pytest.importorskip("sympy")
+    alg = J.rpq_algebra(p, q)
+    xs = sp.symbols(alg.vars)
+    signs = [1] * p + [-1] * q
+    form = sum(s * x ** 2 for s, x in zip(signs, xs))
+    assert sp.expand(_to_sympy(alg.det_poly, xs, sp) - form) == 0
+
+
 def test_det_homogeneity_symbolic():
     from covjord.scalars import ParamPoly
 

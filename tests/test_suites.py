@@ -1,0 +1,27 @@
+"""Suite execution: how each check's outcome becomes its report status."""
+
+import json
+import math
+
+from covjord import suites
+from covjord.cli import main
+from covjord.suites import Check, Suite
+
+
+def _raise() -> float:
+    raise ZeroDivisionError("broken check")
+
+
+def test_raising_check_reports_error(tmp_path, monkeypatch):
+    checks = [Check("holds", "0 = 0", lambda: 0.0),
+              Check("false", "1 = 0", lambda: 1.0),
+              Check("raises", "1 / 0", _raise)]
+    monkeypatch.setitem(suites.SUITES, "leibnitz", Suite(lambda config, alg: checks))
+    report = tmp_path / "report.json"
+    assert main(["--suite", "leibnitz", "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert [c["status"] for c in data["checks"]] == ["pass", "fail", "error"]
+    assert "detail" not in data["checks"][1]
+    assert data["checks"][2]["detail"] == "ZeroDivisionError: broken check"
+    assert math.isinf(data["checks"][2]["residual"])
+    assert (data["passed"], data["failed"]) == (1, 2)

@@ -3,6 +3,7 @@ and the numeric verification of the quadratic-space equation."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,14 @@ def test_convolution_kernel_pairing_at_origin():
     origin = Jd.element(alg, [0, 0, 0])
     val = Cf.knapp_stein_kernel(alg, lam, "-", origin, y)
     assert val < 0  # det(0 - y) = -4 on the negative side
+
+
+def test_quadrature_warning_does_not_escape():
+    # g = (3 - 2 x1^2 - x3^2) exp(-|x|^2): scipy cannot meet the requested
+    # tolerance on one piece, while the functional equation still holds
+    g = Z.GaussianTest.make(3, 1, {(0, 0, 0): (3, 0), (2, 0, 0): (-2, 0), (0, 0, 2): (-1, 0)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = Z.numeric_zeta_check(2, 1, -0.6504, g)
+    assert caught == []
+    assert rep.max_rel_error <= 1e-9
