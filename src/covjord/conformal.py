@@ -7,7 +7,10 @@ rationally on V through this embedding, with the cocycle
 a(g, x) = alpha(g kappa(x)).  Everything here is exact: matrices are
 Fraction-valued, the infinitesimal operators live in the Weyl algebra over
 the scalar ring, and covariance residuals are certified as the zero
-operator.
+operator.  Restriction to the diagonal x = y stays in the same Weyl
+algebra: it returns the doubled-chart operator whose coefficients have y
+replaced by x, so a bracket res . F . ... . F is a DiffOp with y-free
+coefficients.
 
 For the matrix families the full group is not built; the determinant
 covariance and cocycle chain rule are checked directly on words of
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from . import jordan as jd
@@ -298,57 +302,13 @@ def diagonal_substitute(f: MPoly, n: int) -> MPoly:
     return MPoly(f.vars, out)
 
 
-@dataclass(frozen=True)
-class RestrictedOp:
-    """Operator from functions on V x V to functions on V: restriction of a
-    doubled-chart operator, with diagonal-substituted coefficients and the
-    dx/dy slots kept distinct.  This canonical form is faithful."""
-
-    vars: tuple[str, ...]
-    n: int
-    terms: tuple  # sorted ((beta, coeff MPoly) ...)
-
-    @classmethod
-    def from_op(cls, op: DiffOp, n: int) -> "RestrictedOp":
-        items = []
-        for b, c in op.terms.items():
-            cc = diagonal_substitute(c, n)
-            if not cc.is_zero():
-                items.append((b, cc))
-        items.sort(key=lambda bc: bc[0])
-        return cls(op.vars, n, tuple(items))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def apply(self, f: MPoly) -> MPoly:
-        """Action: differentiate on the doubled chart, then set y = x (the
-        result is returned on the doubled chart with empty y-slot)."""
-        out = MPoly.zero(self.vars)
-        for b, c in self.terms:
-            d = f.diff_multi(b)
-            if not d.is_zero():
-                out = out + c * diagonal_substitute(d, self.n)
-        return out
-
-    def sub(self, other: "RestrictedOp") -> "RestrictedOp":
-        a = dict(self.terms)
-        for b, c in other.terms:
-            prev = a.get(b)
-            nc = -c if prev is None else prev - c
-            if nc.is_zero():
-                a.pop(b, None)
-            else:
-                a[b] = nc
-        return RestrictedOp(self.vars, self.n, tuple(sorted(a.items(), key=lambda bc: bc[0])))
-
-    def scale(self, c) -> "RestrictedOp":
-        return RestrictedOp(self.vars, self.n,
-                            tuple((b, co.scale(c)) for b, co in self.terms))
-
-
-def restrict(op: DiffOp, n: int) -> RestrictedOp:
-    return RestrictedOp.from_op(op, n)
+def restrict(op: DiffOp, n: int) -> DiffOp:
+    """Restriction to the diagonal: the operator f -> (op f)(x, x), written
+    as the doubled-chart operator with y -> x in every coefficient and the
+    dx/dy slots kept distinct.  This form is faithful, restricting it again
+    changes nothing, and diagonal_substitute(restrict(op, n).apply(f), n)
+    equals diagonal_substitute(op.apply(f), n)."""
+    return DiffOp(op.vars, {b: diagonal_substitute(c, n) for b, c in op.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -369,35 +329,33 @@ def covariance_residual_F(model: QuadricModel, F: DiffOp, X: Matrix) -> DiffOp:
 
 
 def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
-                                total_shift: int) -> RestrictedOp:
+                                total_shift: int) -> DiffOp:
     """res(chain . d(pi_lam (x) pi_mu)(X)) - res(d(pi_(lam+mu+shift))(X) . chain).
 
-    Both sides compose res(chain), the chain restricted once, in place of
-    the full chain, and the result is the same RestrictedOp:
+    Only res(chain) is read: both sides compose the chain restricted once
+    in place of the full chain, and the result is the same:
     - in chain . d(pi)(X) the chain is the left factor, whose coefficients
       are never differentiated, and the diagonal substitution is a ring
-      homomorphism;
+      homomorphism, so it is pushed into the composition (coefficients
+      restrict before the products form);
     - in lift . chain the lifted operator differentiates only along the
       diagonal (d_i -> dx_i + dy_i), and by the chain rule
       diag(dx_i c + dy_i c) = d_i diag(c).
-    The substitution is also pushed into the compositions (coefficients
-    restrict before the products form)."""
+    The lift and res(chain) have coefficients free of y, so their
+    composition is already restricted.  Passing a restricted chain gives
+    the same residual."""
     n = model.n
-    diag = lambda f: diagonal_substitute(f, n)
-    res = DiffOp(chain.vars, dict(restrict(chain, n).terms))
+    res = restrict(chain, n)
     src = dpi_tensor(model, X, LAM, MU)
-    lhs = restrict(res.compose(src, coeff_map=diag), n)
+    lhs = res.compose(src, coeff_map=lambda f: diagonal_substitute(f, n))
     lifted = dpi_diagonal_lift(model, X, LAM + MU + total_shift)
-    rhs = restrict(lifted.compose(res, coeff_map=diag), n)
-    return lhs.sub(rhs)
+    return lhs - lifted.compose(res)
 
 
-def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> RestrictedOp:
+def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:
     """res . d(pi_lam (x) pi_mu)(X) - d(pi_(lam+mu))(X) . res, exactly."""
     src = dpi_tensor(model, X, LAM, MU)
-    lhs = restrict(src, model.n)
-    rhs = restrict(dpi_diagonal_lift(model, X, LAM + MU), model.n)
-    return lhs.sub(rhs)
+    return restrict(src, model.n) - dpi_diagonal_lift(model, X, LAM + MU)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +398,8 @@ def dilation_generator(algebra: jd.AlgebraDescriptor, t: Fraction) -> Dilation:
 def _exact_sqrt(k: int) -> int | None:
     if k < 0:
         return None
-    r = int(k**0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == k:
-            return c
-    return None
+    r = isqrt(k)
+    return r if r * r == k else None
 
 
 class ConformalWord:

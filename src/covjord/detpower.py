@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .fischer import LeibnitzExpansion, apply_diffop, derivative_space_graded, orthogonal_basis
+from .fischer import apply_diffop, derivative_space_graded, orthogonal_basis
 from .jordan import AlgebraDescriptor, dual_polynomial, sharp
 from .polynomials import InexactDivisionError, MPoly, Monomial, double_vars
 from .scalars import ParamPoly, S, T
@@ -463,14 +463,3 @@ def dst_operator_graded(algebra: AlgebraDescriptor) -> DiffOp:
                 coeff_total = coeff_total + (sx * sy).scale(scal)
         out = out + DiffOp.multiplication(coeff_total).compose(opplate)
     return out
-
-
-def deltafgh_check(algebra: AlgebraDescriptor, f: MPoly, g: MPoly, h: MPoly) -> bool:
-    """Triple product-rule expansion of the determinant operator against the
-    direct application (dot-product convention on both sides)."""
-    if algebra.family != "sym" or algebra.r > 3:
-        raise ValueError("triple expansion check runs on sym:m, m <= 3")
-    expansion = LeibnitzExpansion(algebra.det_poly)
-    lhs = expansion.expand3(f, g, h)
-    rhs = apply_diffop(algebra.det_poly, f * g * h)
-    return lhs == rhs

@@ -148,11 +148,6 @@ def orthogonal_basis(polys: Sequence[MPoly], inner: Callable[[MPoly, MPoly], Fra
     return basis, norms
 
 
-def flat(p: MPoly, generator: MPoly) -> MPoly:
-    """p-flat with respect to the generator: p(d/dx) applied to it."""
-    return apply_diffop(p, generator)
-
-
 class LeibnitzExpansion:
     """Expansion machinery for one generator polynomial.
 

@@ -511,11 +511,6 @@ def inverse(x: JordanElement) -> JordanElement:
     return JordanElement(x.algebra, tuple(a / d for a in adj))
 
 
-def adjugate(x: JordanElement) -> JordanElement:
-    adj = [p.subs_point(x.coords).constant_value() for p in x.algebra.adjugate_vec]
-    return JordanElement(x.algebra, tuple(adj))
-
-
 def sharp(algebra: AlgebraDescriptor, p: MPoly, k: int) -> MPoly:
     """det(x)^k p(x^{-1}) as a polynomial, built through the adjugate."""
     if not algebra.euclidean:

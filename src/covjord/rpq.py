@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .conformal import RestrictedOp, restrict
+from .conformal import restrict
 from .jordan import rpq_algebra
 from .polynomials import MPoly, Monomial, double_vars
 from .scalars import LAM, MU, ParamPoly, S, T
@@ -150,7 +150,7 @@ def explicit_F(p: int, q: int) -> DiffOp:
 
 
 @lru_cache(maxsize=None)
-def explicit_B1(p: int, q: int) -> RestrictedOp:
+def explicit_B1(p: int, q: int) -> DiffOp:
     """First bracket, transcribed:
 
     4 res { mu(-mu+n/2-1) P(dx) + lam(-lam+n/2-1) P(dy)
@@ -183,40 +183,7 @@ def f_chain(p: int, q: int, N: int) -> DiffOp:
     return chain
 
 
-def build_BN(p: int, q: int, N: int) -> RestrictedOp:
+@lru_cache(maxsize=None)
+def build_BN(p: int, q: int, N: int) -> DiffOp:
     """Bracket family: restriction of the length-N chain; total order 2N."""
     return restrict(f_chain(p, q, N), p + q)
-
-
-def proportionality(a: RestrictedOp, b: RestrictedOp):
-    """Scalar c with a = c*b (as exact scalar), or None when not
-    proportional; used to report the bracket normalizations, never to
-    assert them."""
-    if b.is_zero():
-        return None
-    ratios = set()
-    bt = dict(b.terms)
-    at = dict(a.terms)
-    if set(at) != set(bt):
-        return None
-    for key, cb in bt.items():
-        ca = at[key]
-        # compare leading coefficients monomial by monomial
-        for mono, scal in cb.terms.items():
-            other = ca.terms.get(mono)
-            if other is None:
-                return None
-            # scalar ratio must be rational: match term sets
-            if not scal.terms or not other.terms:
-                return None
-            (e0, c0), (e1, c1) = next(iter(scal)), next(iter(other))
-            if e0 != e1:
-                return None
-            ratios.add(Fraction(c1, c0))
-            break
-    if len(ratios) != 1:
-        return None
-    c = ratios.pop()
-    if a.sub(b.scale(c)).is_zero():
-        return c
-    return None

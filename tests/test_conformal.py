@@ -254,6 +254,11 @@ def test_dilation_generator_odd_rank():
     assert gen.cocycle_value == Fraction(1, 8)
     with pytest.raises(ValueError):
         C.dilation_generator(s3, Fraction(2))
+    # squares too large for a float square root are still recognized
+    big = 10**17 + 3
+    assert C.dilation_generator(s3, Fraction(big**2)).cocycle_value == Fraction(1, big**3)
+    assert C.dilation_generator(s3, Fraction(10**400)).cocycle_value == Fraction(1, 10**600)
+    assert C.dilation_generator(s3, Fraction(1, 10**400)).cocycle_value == 10**600
 
 
 # ---------------------------------------------------------------------------

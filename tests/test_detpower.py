@@ -7,7 +7,7 @@ import pytest
 
 from covjord import detpower as D
 from covjord import jordan as J
-from covjord.fischer import apply_diffop
+from covjord.fischer import LeibnitzExpansion, apply_diffop
 from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import ParamPoly, S, T
 
@@ -165,24 +165,21 @@ def test_graded_route_sym3_action(rng):
 
 
 def test_deltafgh(rng):
+    # Delta(fgh) expanded by the Leibnitz rule agrees with applying det(d/dx) to the product
     alg = J.sym_algebra(2)
     v = alg.vars
+    exp = LeibnitzExpansion(alg.det_poly)
     one = MPoly.constant(v, 1)
     a = MPoly.variable(v, "x1")
     c = MPoly.variable(v, "x3")
-    assert D.deltafgh_check(alg, one, one, one)
+    assert exp.expand3(one, one, one) == apply_diffop(alg.det_poly, one)
     assert apply_diffop(alg.det_poly, a * c) == one
-    assert D.deltafgh_check(alg, a, c, one)
+    assert exp.expand3(a, c, one) == one
     for _ in range(5):
         f = random_poly(v, rng, 3)
         g = random_poly(v, rng, 3)
         h = random_poly(v, rng, 3)
-        assert D.deltafgh_check(alg, f, g, h)
-
-
-def test_deltafgh_domain():
-    with pytest.raises(ValueError):
-        D.deltafgh_check(J.mat_algebra(2), None, None, None)
+        assert exp.expand3(f, g, h) == apply_diffop(alg.det_poly, f * g * h)
 
 
 def _to_sympy(p: MPoly, symbols, sp):

@@ -110,10 +110,10 @@ def test_b1_displays():
     n = p + q
     b1 = R.explicit_B1(p, q)
     resF = R.restrict(R.explicit_F(p, q), n)
-    assert R.proportionality(resF, b1) == 1
+    assert resF == b1
     # lam = mu = 0: only the mixed part survives, coefficient 8(n/2-1)^2
     sub = [(beta, c.subs_params({"lam": ParamPoly.of(0), "mu": ParamPoly.of(0)}))
-           for beta, c in b1.terms]
+           for beta, c in b1.terms.items()]
     expect = 8 * Fraction(n - 2, 2) ** 2
     signs = [Fraction(1)] * p + [Fraction(-1)] * q
     seen = 0
@@ -127,7 +127,7 @@ def test_b1_displays():
     assert seen == n
     # lam = n/2 - 1: result is 4 mu (-mu + n/2 - 1) res P(dx)
     c0 = Fraction(n, 2) - 1
-    sub2 = {beta: c.subs_params({"lam": ParamPoly.of(c0)}) for beta, c in b1.terms}
+    sub2 = {beta: c.subs_params({"lam": ParamPoly.of(c0)}) for beta, c in b1.terms.items()}
     coeff = MU * (ParamPoly.of(c0) - MU) * 4
     for beta, c in sub2.items():
         if c.is_zero():
@@ -150,7 +150,7 @@ def test_bracket_applies_to_constants():
 
 def test_bracket_order():
     b2 = R.build_BN(2, 1, 2)
-    assert max(sum(beta) for beta, _ in b2.terms) == 4
+    assert max(sum(beta) for beta, _ in b2.terms.items()) == 4
 
 
 def test_bracket_covariance_single_sample():
@@ -166,20 +166,23 @@ def _full_chain_residual(model, chain, X, shift):
     n = model.n
     src = C.dpi_tensor(model, X, LAM, MU)
     lifted = C.dpi_diagonal_lift(model, X, LAM + MU + shift)
-    return C.restrict(chain.compose(src), n).sub(C.restrict(lifted.compose(chain), n))
+    return C.restrict(chain.compose(src), n) - C.restrict(lifted.compose(chain), n)
 
 
 @pytest.mark.parametrize("N, elements", [(1, range(10)), (2, (3, 6))], ids=["N1", "N2"])
 def test_bracket_residual_matches_full_chain_route(N, elements):
-    # the right weight shift 2N gives zero; 2N + 1 gives nonzero residuals too
+    # the right weight shift 2N gives zero; 2N + 1 gives nonzero residuals too;
+    # the residual reads only res(chain), so the restricted chain gives it too
     model = C.QuadricModel(2, 1)
     basis = model.lie_basis()
     chain = R.f_chain(2, 1, N)
+    bracket = R.build_BN(2, 1, N)
     nonzero = 0
     for i in elements:
         for shift in (2 * N, 2 * N + 1):
             got = C.bracket_covariance_residual(model, chain, basis[i], shift)
             assert got == _full_chain_residual(model, chain, basis[i], shift)
+            assert got == C.bracket_covariance_residual(model, bracket, basis[i], shift)
             if shift == 2 * N:
                 assert got.is_zero()
             nonzero += not got.is_zero()
@@ -213,7 +216,7 @@ def test_lifted_composition_sees_only_the_restriction(seed):
     X = tuple(tuple(sum(c * B[i][j] for c, B in zip(coeffs, basis)) for j in range(n + 2))
               for i in range(n + 2))
     A = _random_doubled_op(rng, dvars, n)
-    resA = W.DiffOp(dvars, dict(C.restrict(A, n).terms))
+    resA = C.restrict(A, n)
     assert any(any(m[n:]) for c in A.terms.values() for m in c.terms)
     assert A != resA
     lifted = C.dpi_diagonal_lift(model, X, LAM + MU + rng.randint(0, 3))
@@ -222,6 +225,23 @@ def test_lifted_composition_sees_only_the_restriction(seed):
     assert C.restrict(A.compose(src), n) == C.restrict(resA.compose(src), n)
     dx = W.DiffOp.derivative(dvars, rng.randrange(n))
     assert C.restrict(dx.compose(A), n) != C.restrict(dx.compose(resA), n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_restrict_acts_as_the_operator_on_the_diagonal(seed):
+    # res(A) f agrees with A f on the diagonal, restricting twice changes
+    # nothing, and no coefficient of res(A) depends on y
+    rng = random.Random(f"restrict:{seed}")
+    n = 3
+    dvars = double_vars(J.rpq_algebra(2, 1).vars)
+    A = _random_doubled_op(rng, dvars, n)
+    resA = C.restrict(A, n)
+    assert A != resA
+    assert C.restrict(resA, n) == resA
+    assert not any(any(m[n:]) for c in resA.terms.values() for m in c.terms)
+    for _ in range(5):
+        f = MPoly.monomial(dvars, tuple(rng.randint(0, 2) for _ in dvars), 1)
+        assert C.diagonal_substitute(resA.apply(f), n) == C.diagonal_substitute(A.apply(f), n)
 
 
 def test_parameter_validation():

@@ -5,7 +5,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covjord import conformal as C
 from covjord import detpower as D
 from covjord import jordan as J
 from covjord import rpq as R
@@ -103,9 +102,6 @@ def test_no_float_in_symbolic_layers():
     inverse = J.fraction_matrix_inverse([[2, 1], [1, 1]])
     for value in (*norms, *(v for row in inverse for v in row)):
         assert type(value) in (int, Fraction)
-    F = R.explicit_F(2, 1)
-    ratio = R.proportionality(C.restrict(F.scale(3), 3), C.restrict(F.scale(2), 3))
-    assert type(ratio) is Fraction and ratio == Fraction(3, 2)
 
 
 @given(scalars(), scalars())
