@@ -6,11 +6,14 @@ Layers, bottom up:
   scalars      exact coefficient ring Q[s,t,lam,mu][tau,tau^-1], Gaussian rationals,
                exact linear algebra (rref, inverse, matrix product)
   polynomials  sparse multivariate polynomials over it, exact division
-  fischer      derivative pairing, derivative spaces, orthogonal bases
-               (Gram-Schmidt over Q), product-rule expansion
+  fischer      derivative pairing, dual polynomials of a Gram matrix, derivative
+               spaces, orthogonal bases (Gram-Schmidt over Q), the product-rule
+               expansion in the coordinate or a given pairing
   jordan       concrete simple real Jordan algebras + classification registry
-  detpower     det-power calculus: factorization identities, operator family
-  weyl         normal-ordered differential operators, Fourier conjugation
+  detpower     det-power calculus: factorization identities, operator family,
+               the graded cross-check route on the product-rule expansion
+  weyl         normal-ordered differential operators (constant-coefficient
+               ones from their symbol), Fourier conjugation
   conformal    quadric model, cocycles, infinitesimal action, covariance
   rpq          explicit quadratic-space operators and the bracket family
   zeta         gamma factors, functional-equation matrices, numeric checks

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed,
 2 configuration error (bad flags or environment values, unknown/unsupported
-algebra, unwritable report), 3 resource limit (dimension or degree beyond
-the guarded budget).
+algebra or one the suite cannot use, unwritable report), 3 resource limit
+(dimension or degree beyond the guarded budget; the dimension is read from
+the spec before the algebra is built).
 
 Every flag has an environment-variable override COVJORD_<FLAG>.
 """

@@ -336,8 +336,7 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     in place of the full chain, and the result is the same:
     - in chain . d(pi)(X) the chain is the left factor, whose coefficients
       are never differentiated, and the diagonal substitution is a ring
-      homomorphism, so it is pushed into the composition (coefficients
-      restrict before the products form);
+      homomorphism, so res(chain) . d(pi)(X) restricts to the same operator;
     - in lift . chain the lifted operator differentiates only along the
       diagonal (d_i -> dx_i + dy_i), and by the chain rule
       diag(dx_i c + dy_i c) = d_i diag(c).
@@ -347,9 +346,8 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     n = model.n
     res = restrict(chain, n)
     src = dpi_tensor(model, X, LAM, MU)
-    lhs = res.compose(src, coeff_map=lambda f: diagonal_substitute(f, n))
     lifted = dpi_diagonal_lift(model, X, LAM + MU + total_shift)
-    return lhs - lifted.compose(res)
+    return restrict(res.compose(src), n) - lifted.compose(res)
 
 
 def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:

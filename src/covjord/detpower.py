@@ -20,8 +20,8 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .fischer import apply_diffop, derivative_space_graded, orthogonal_basis
-from .jordan import AlgebraDescriptor, dual_polynomial, sharp
+from .fischer import LeibnitzExpansion, apply_diffop
+from .jordan import AlgebraDescriptor, sharp
 from .polynomials import InexactDivisionError, MPoly, Monomial, double_vars
 from .scalars import ParamPoly, S, T
 from .weyl import DiffOp
@@ -365,101 +365,41 @@ def eps_flip_check(algebra: AlgebraDescriptor, point: Sequence[Fraction], k: int
 # graded construction (cross-check route on small euclidean algebras)
 
 
-class _TraceFischer:
-    """Fischer machinery in the trace-form pairing of a euclidean algebra."""
+def dst_operator_graded(algebra: AlgebraDescriptor) -> DiffOp:
+    """Operator form of the main identity built from the triple product-rule
+    coefficients of det in the trace-form pairing; equals dst_operator on
+    euclidean algebras.
 
-    def __init__(self, algebra: AlgebraDescriptor):
-        self.algebra = algebra
-        self._dual = lambda p: dual_polynomial(p, algebra.pairing)
-
-    def op(self, p: MPoly, q: MPoly) -> MPoly:
-        return apply_diffop(self._dual(p), q)
-
-    def inner(self, p: MPoly, q: MPoly) -> Fraction:
-        return self.op(p, q).constant_coeff().constant_value()
-
-
-@lru_cache(maxsize=None)
-def graded_bases(algebra: AlgebraDescriptor):
-    """Orthogonal bases (trace Fischer) of the homogeneous layers of the
-    determinant's derivative space, with squared norms."""
+    The expansion's basis is homogeneous (the degree layers of the
+    derivative space are mutually orthogonal), and a coefficient a_ijk
+    contributes only when the degrees of p_i, p_j, p_k add up to the rank."""
     if not algebra.euclidean:
         raise ValueError("graded route lives on euclidean algebras")
-    tf = _TraceFischer(algebra)
-    graded = derivative_space_graded(algebra.det_poly)
-    out = {deg: orthogonal_basis(polys, tf.inner) for deg, polys in graded.items()}
-    return out, tf
-
-
-def dst_operator_graded(algebra: AlgebraDescriptor) -> DiffOp:
-    """Operator form of the main identity built through the graded
-    derivative-space layers and the triple product-rule coefficients, in the
-    trace-form convention; equals dst_operator on euclidean algebras."""
-    bases, tf = graded_bases(algebra)
+    expansion = LeibnitzExpansion(algebra.det_poly, algebra.pairing)
     r = algebra.r
     d = algebra.d
     n = algebra.n
     dvars = double_vars(algebra.vars)
-    det = algebra.det_poly
-
-    flat_basis: list[tuple[int, MPoly, Fraction]] = []
-    for deg, (polys, norms) in sorted(bases.items()):
-        for p, nn in zip(polys, norms):
-            flat_basis.append((deg, p, nn))
-    dim = len(flat_basis)
-
-    pair = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            di, pi, _ = flat_basis[i]
-            dj, pj, _ = flat_basis[j]
-            if di + dj != r:
-                continue
-            v = tf.inner(det, pi * pj)
-            if v:
-                pair[(i, j)] = v
-                pair[(j, i)] = v
-
-    def triple(i: int, j: int, k: int) -> Fraction:
-        total = Fraction(0)
-        gi = flat_basis[i][2]
-        for l in range(dim):
-            c1 = pair.get((i, l))
-            if not c1:
-                continue
-            dl, pl, gl = flat_basis[l]
-            dj, pj, gj = flat_basis[j]
-            dk, pk, gk = flat_basis[k]
-            if dj + dk != dl:
-                continue
-            c2 = tf.inner(pl, pj * pk)
-            if c2:
-                total += c1 * c2 / (gi * gl * gj * gk)
-        return total
-
-    sharps = [sharp(algebra, p, deg) for deg, p, _ in flat_basis]
-
-    # operator part: dual(p)(dx - dy)
-    def delta_op(p: MPoly) -> DiffOp:
-        terms = derivative_monomials(tf._dual(p), paired=True)
-        return DiffOp(dvars, {b: MPoly.constant(dvars, c) for b, c in terms.items()})
+    degrees = [p.total_degree() for p in expansion.basis]
+    sharps = [sharp(algebra, p, deg) for p, deg in zip(expansion.basis, degrees)]
 
     out = DiffOp.zero(dvars)
-    for i, (li, pi, _) in enumerate(flat_basis):
-        opplate = delta_op(pi)
+    for i, symbol in enumerate(expansion.symbols):
         coeff_total = MPoly.zero(dvars)
-        for j, (mj, pj, _) in enumerate(flat_basis):
-            for k, (nk, pk, _) in enumerate(flat_basis):
-                if li + mj + nk != r:
+        for j in range(expansion.dim):
+            for k in range(expansion.dim):
+                if degrees[i] + degrees[j] + degrees[k] != r:
                     continue
-                a = triple(i, j, k)
+                a = expansion.coeff3(i, j, k)
                 if not a:
                     continue
-                bm = b_reference(mj, d)
-                bn = b_reference(nk, d).substitute({"s": T})
-                scal = bm * bn * (Fraction(-1) ** nk) * a
+                bm = b_reference(degrees[j], d)
+                bn = b_reference(degrees[k], d).substitute({"s": T})
+                scal = bm * bn * (Fraction(-1) ** degrees[k]) * a
                 sx = sharps[j].extend_vars(dvars)
                 sy = sharps[k].rename_vars(dvars[n:]).extend_vars(dvars)
                 coeff_total = coeff_total + (sx * sy).scale(scal)
-        out = out + DiffOp.multiplication(coeff_total).compose(opplate)
+        # operator part: dual(p_i)(dx - dy)
+        delta = MPoly(dvars, derivative_monomials(symbol, paired=True))
+        out = out + DiffOp.multiplication(coeff_total).compose(DiffOp.from_symbol(delta))
     return out

@@ -2,7 +2,8 @@
 
 The operator attached to a polynomial p is literal substitution of partial
 derivatives for the coordinates (the chart carries the standard dot
-product; trace-form conventions enter elsewhere through dual polynomials).
+product).  A pairing with Gram matrix G enters through the dual polynomial
+p(G^-1 x), whose literal substitution is the operator of p in that pairing.
 All scalar arithmetic is exact.
 
 Bases of derivative spaces are orthogonalized but not normalized, so every
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .polynomials import MPoly, Monomial, VariableMismatchError
-from .scalars import ParamPoly, rref
+from .scalars import ParamPoly, fraction_matrix_inverse, rref
 
 
 class EmptySpaceError(ValueError):
@@ -52,6 +53,21 @@ def apply_diffop(p: MPoly, q: MPoly) -> MPoly:
         if not d.is_zero():
             out = out + d.scale(coeff)
     return out
+
+
+def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
+    """p composed with G^{-1}: realizes the pairing-adapted operator of p
+    through literal derivative substitution."""
+    Ginv = fraction_matrix_inverse(G)
+    vars = p.vars
+    images = []
+    for i in range(len(vars)):
+        img = MPoly.zero(vars)
+        for j in range(len(vars)):
+            if Ginv[i][j]:
+                img = img + MPoly.variable(vars, vars[j]).scale(Ginv[i][j])
+        images.append(img)
+    return p.compose(images)
 
 
 def fischer_inner(p: MPoly, q: MPoly) -> ParamPoly:
@@ -119,16 +135,6 @@ def derivative_space(p: MPoly) -> list[MPoly]:
     return basis
 
 
-def derivative_space_graded(p: MPoly) -> dict[int, list[MPoly]]:
-    """Derivative-space basis split by homogeneous degree (p homogeneous)."""
-    if not p.is_homogeneous():
-        raise ValueError("graded derivative space needs a homogeneous polynomial")
-    graded: dict[int, list[MPoly]] = {}
-    for q in derivative_space(p):
-        graded.setdefault(q.total_degree(), []).append(q)
-    return graded
-
-
 def orthogonal_basis(polys: Sequence[MPoly], inner: Callable[[MPoly, MPoly], Fraction]
                      ) -> tuple[list[MPoly], list[Fraction]]:
     """Gram-Schmidt over Q: an orthogonal (not orthonormal) basis of the
@@ -151,28 +157,45 @@ def orthogonal_basis(polys: Sequence[MPoly], inner: Callable[[MPoly, MPoly], Fra
 class LeibnitzExpansion:
     """Expansion machinery for one generator polynomial.
 
-    Holds an orthogonal (not orthonormal) Fischer basis of the generator's
+    Holds an orthogonal (not orthonormal) basis of the generator's
     derivative space, the inverse Gram diagonal, and the structure
     coefficients; expand/expand3 rebuild the generator's operator applied to
     a product of two or three factors.
+
+    The pairing is the coordinate Fischer pairing by default.  Given the
+    Gram matrix G of a positive-definite form (a euclidean algebra's trace
+    form, say), the operator of p is dual_polynomial(p, G)(d) and the inner
+    product is (dual_polynomial(p, G)(d) q)(0); the expansions then rebuild
+    the operator of the generator in that pairing.
     """
 
-    def __init__(self, generator: MPoly):
+    def __init__(self, generator: MPoly, pairing: Sequence[Sequence[Fraction]] | None = None):
         self.generator = generator
-        self.basis, self.norms = orthogonal_basis(
-            derivative_space(generator), lambda p, q: fischer_inner(p, q).constant_value())
+        self.pairing = pairing
+        self.basis, self.norms = orthogonal_basis(derivative_space(generator), self.inner)
+        self._generator_symbol = self.symbol(generator)
+        self.symbols = [self.symbol(b) for b in self.basis]
         self._pair: dict[tuple[int, int], Fraction] = {}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def symbol(self, p: MPoly) -> MPoly:
+        """The polynomial whose literal derivative substitution is the
+        operator of p in the pairing."""
+        return p if self.pairing is None else dual_polynomial(p, self.pairing)
+
+    def inner(self, p: MPoly, q: MPoly) -> Fraction:
+        """(p, q) = (operator of p applied to q)(0)."""
+        return fischer_inner(self.symbol(p), q).constant_value()
+
     def pair_coeff(self, i: int, j: int) -> Fraction:
-        """(generator, p_i p_j)_F, cached."""
+        """(generator, p_i p_j), cached."""
         key = (min(i, j), max(i, j))
         c = self._pair.get(key)
         if c is None:
-            c = fischer_inner(self.generator, self.basis[i] * self.basis[j]).constant_value()
+            c = fischer_inner(self._generator_symbol, self.basis[i] * self.basis[j]).constant_value()
             self._pair[key] = c
         return c
 
@@ -187,15 +210,15 @@ class LeibnitzExpansion:
             c1 = self.pair_coeff(i, l)
             if not c1:
                 continue
-            c2 = fischer_inner(self.basis[l], self.basis[j] * self.basis[k]).constant_value()
+            c2 = fischer_inner(self.symbols[l], self.basis[j] * self.basis[k]).constant_value()
             if c2:
                 total += c1 * c2 / (self.norms[i] * self.norms[l] * self.norms[j] * self.norms[k])
         return total
 
     def expand(self, f: MPoly, g: MPoly) -> MPoly:
         out = MPoly.zero(f.vars)
-        derivatives_f = [apply_diffop(b, f) for b in self.basis]
-        derivatives_g = [apply_diffop(b, g) for b in self.basis]
+        derivatives_f = [apply_diffop(b, f) for b in self.symbols]
+        derivatives_g = [apply_diffop(b, g) for b in self.symbols]
         for i, df in enumerate(derivatives_f):
             if df.is_zero():
                 continue
@@ -209,9 +232,9 @@ class LeibnitzExpansion:
 
     def expand3(self, f: MPoly, g: MPoly, h: MPoly) -> MPoly:
         out = MPoly.zero(f.vars)
-        dfs = [apply_diffop(b, f) for b in self.basis]
-        dgs = [apply_diffop(b, g) for b in self.basis]
-        dhs = [apply_diffop(b, h) for b in self.basis]
+        dfs = [apply_diffop(b, f) for b in self.symbols]
+        dgs = [apply_diffop(b, g) for b in self.symbols]
+        dhs = [apply_diffop(b, h) for b in self.symbols]
         for i, df in enumerate(dfs):
             if df.is_zero():
                 continue

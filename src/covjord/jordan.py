@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .fischer import dual_polynomial
 from .polynomials import InexactDivisionError, MPoly
 from .scalars import G_I, G_ONE, Gaussian, ParamPoly, fraction_matrix_inverse, mat_mul, rref
 
@@ -152,21 +153,6 @@ def _trace(trace_vec, coords: Coords, zero):
         if t:
             total = total + c * t
     return total
-
-
-def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
-    """p composed with G^{-1}: realizes the pairing-adapted operator of p
-    through literal derivative substitution."""
-    Ginv = fraction_matrix_inverse(G)
-    vars = p.vars
-    images = []
-    for i in range(len(vars)):
-        img = MPoly.zero(vars)
-        for j in range(len(vars)):
-            if Ginv[i][j]:
-                img = img + MPoly.variable(vars, vars[j]).scale(Ginv[i][j])
-        images.append(img)
-    return p.compose(images)
 
 
 def _algebra(key: str, label: str, r: int, d: int, d_plus: int, mult, unit_coords,
@@ -317,8 +303,19 @@ _METADATA_KINDS = {
 }
 
 
-def algebra_from_spec(spec: str) -> AlgebraDescriptor:
-    """Parse an algebra spec string like sym:3, mat:2, hermc:2, rpq:2,1."""
+# chart dimension of each family from its spec parameters
+_DIMENSIONS = {
+    "sym": lambda m: m * (m + 1) // 2,
+    "mat": lambda m: m * m,
+    "hermc": lambda m: m * m,
+    "rpq": lambda p, q: p + q,
+}
+
+
+def parse_spec(spec: str) -> tuple[str, tuple[int, ...], int]:
+    """The family, the parameters and the chart dimension n of an algebra
+    spec like sym:3, mat:2, hermc:2, rpq:2,1, read without building the
+    algebra."""
     spec = spec.strip().lower()
     if ":" not in spec:
         raise UnsupportedKindError(f"malformed algebra spec {spec!r}")
@@ -329,13 +326,24 @@ def algebra_from_spec(spec: str) -> AlgebraDescriptor:
         params = tuple(int(x) for x in rest.split(","))
     except ValueError as exc:
         raise UnsupportedKindError(f"malformed algebra spec {spec!r}") from exc
+    dimension = _DIMENSIONS.get(kind)
+    if dimension is None:
+        raise UnsupportedKindError(f"unknown algebra kind {kind!r}")
+    if kind == "rpq" and len(params) != 2:
+        raise UnsupportedKindError("rpq needs two parameters, e.g. rpq:2,1")
+    if kind != "rpq" and len(params) != 1:
+        raise UnsupportedKindError(f"{kind} needs one parameter, e.g. {kind}:2")
+    if min(params) < 1:
+        raise UnsupportedKindError(f"{spec} needs parameters >= 1")
+    return kind, params, dimension(*params)
+
+
+def algebra_from_spec(spec: str) -> AlgebraDescriptor:
+    """Build the algebra of a spec string like sym:3, mat:2, hermc:2, rpq:2,1."""
+    kind, params, _ = parse_spec(spec)
     if kind == "rpq":
-        if len(params) != 2:
-            raise UnsupportedKindError("rpq needs two parameters, e.g. rpq:2,1")
         return rpq_algebra(*params)
-    if kind in _FAMILIES and len(params) == 1:
-        return _FAMILIES[kind](params[0])
-    raise UnsupportedKindError(f"unknown algebra kind {kind!r}")
+    return _FAMILIES[kind](params[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Sequence, Union
 
-from .scalars import ParamPoly, RatLike
+from .scalars import ParamPoly
 
 Coeff = Union[int, Fraction, ParamPoly]
 Monomial = tuple[int, ...]
@@ -299,9 +299,6 @@ class MPoly:
         for m, c in self.terms.items():
             res = res + MPoly(self.vars, {m: c.substitute(images)})
         return res
-
-    def fold_tau(self, tau_squared: RatLike = -1) -> "MPoly":
-        return MPoly(self.vars, {m: c.fold_tau(tau_squared) for m, c in self.terms.items()})
 
     # -- exact division --------------------------------------------------------
 

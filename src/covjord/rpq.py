@@ -15,53 +15,30 @@ from functools import lru_cache
 
 from .conformal import restrict
 from .jordan import rpq_algebra
-from .polynomials import MPoly, Monomial, double_vars
+from .polynomials import MPoly, double_vars
 from .scalars import LAM, MU, ParamPoly, S, T
 from .weyl import DiffOp
 
 
-def _signs(p: int, q: int) -> list[Fraction]:
-    return [Fraction(1)] * p + [Fraction(-1)] * q
-
-
 def _quad_syms(p: int, q: int):
-    """P(x), P(y), P(x,y), x_j - y_j and derivative symbols on the chart."""
+    """P(x), P(y), P(x,y), P(x-y) = sum_j s_j (x_j - y_j)^2 and the
+    differences x_j - y_j on the doubled chart."""
     alg = rpq_algebra(p, q)
     n = alg.n
     dvars = double_vars(alg.vars)
-    signs = _signs(p, q)
+    signs = [Fraction(1)] * p + [Fraction(-1)] * q
     Px = alg.det_poly.extend_vars(dvars)
     Py = alg.det_poly.rename_vars(dvars[n:]).extend_vars(dvars)
+    diffs = [MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i]) for i in range(n)]
     Pxy = MPoly.zero(dvars)
-    for i in range(n):
+    Pdiff = MPoly.zero(dvars)
+    for i, sign in enumerate(signs):
         m = [0] * (2 * n)
         m[i] = 1
         m[n + i] = 1
-        Pxy = Pxy + MPoly.monomial(dvars, tuple(m), signs[i])
-    diffs = [MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i]) for i in range(n)]
-    return alg, dvars, signs, Px, Py, Pxy, diffs
-
-
-def _dP(dvars, signs, offset: int) -> DiffOp:
-    """Constant-coefficient operator P(d) acting in one slot."""
-    n = len(signs)
-    terms = {}
-    for i in range(n):
-        b = [0] * len(dvars)
-        b[offset + i] = 2
-        terms[tuple(b)] = MPoly.constant(dvars, signs[i])
-    return DiffOp(dvars, terms)
-
-
-def _dP_mixed(dvars, signs) -> DiffOp:
-    n = len(signs)
-    terms = {}
-    for i in range(n):
-        b = [0] * len(dvars)
-        b[i] = 1
-        b[n + i] = 1
-        terms[tuple(b)] = MPoly.constant(dvars, signs[i])
-    return DiffOp(dvars, terms)
+        Pxy = Pxy + MPoly.monomial(dvars, tuple(m), sign)
+        Pdiff = Pdiff + (diffs[i] * diffs[i]).scale(sign)
+    return alg, dvars, Px, Py, Pxy, Pdiff, diffs
 
 
 def _d(dvars, index: int) -> DiffOp:
@@ -76,23 +53,9 @@ def explicit_Dst(p: int, q: int) -> DiffOp:
       + 4s P(y) sum_j x_j (dx_j - dy_j) + 4t P(x) sum_j y_j (dy_j - dx_j)
       + 2t(2t-2+n) P(x) - 8st P(x,y) + 2s(2s-2+n) P(y).
     """
-    alg, dvars, signs, Px, Py, Pxy, _ = _quad_syms(p, q)
+    alg, dvars, Px, Py, Pxy, Pdiff, _ = _quad_syms(p, q)
     n = alg.n
-    out = DiffOp.zero(dvars)
-
-    # P(dx - dy) expanded
-    wave_terms: dict[Monomial, MPoly] = {}
-    for i in range(n):
-        for (bx, by, c) in ((2, 0, signs[i]), (1, 1, -2 * signs[i]), (0, 2, signs[i])):
-            b = [0] * (2 * n)
-            b[i] = bx
-            b[n + i] = by
-            key = tuple(b)
-            add = MPoly.constant(dvars, c)
-            prev = wave_terms.get(key)
-            wave_terms[key] = add if prev is None else prev + add
-    wave = DiffOp(dvars, wave_terms)
-    out = out + DiffOp.multiplication(Px * Py).compose(wave)
+    out = DiffOp.multiplication(Px * Py).compose(DiffOp.from_symbol(Pdiff))
 
     for j in range(n):
         xj = MPoly.variable(dvars, dvars[j])
@@ -118,23 +81,19 @@ def explicit_Est(p: int, q: int) -> DiffOp:
       + 4(s-1) sum_j (x_j-y_j) dx_j P(dy) + 4(t-1) sum_j (y_j-x_j) dy_j P(dx)
       - 2(s-1)(2s-n) P(dy) + 8(s-1)(t-1) P(dx,dy) - 2(t-1)(2t-n) P(dx).
     """
-    alg, dvars, signs, Px, Py, Pxy, diffs = _quad_syms(p, q)
+    alg, dvars, Px, Py, Pxy, Pdiff, diffs = _quad_syms(p, q)
     n = alg.n
-    Pxy_diff = MPoly.zero(dvars)
-    for i in range(n):
-        Pxy_diff = Pxy_diff + (diffs[i] * diffs[i]).scale(signs[i])
-    dPx = _dP(dvars, signs, 0)
-    dPy = _dP(dvars, signs, n)
-    dPmix = _dP_mixed(dvars, signs)
+    dPx = DiffOp.from_symbol(Px)
+    dPy = DiffOp.from_symbol(Py)
 
-    out = DiffOp.multiplication(Pxy_diff.scale(-1)).compose(dPx.compose(dPy))
+    out = DiffOp.multiplication(Pdiff.scale(-1)).compose(dPx.compose(dPy))
     for j in range(n):
         cx = DiffOp.multiplication(diffs[j].scale((S - 1) * 4))
         out = out + cx.compose(_d(dvars, j).compose(dPy))
         cy = DiffOp.multiplication(diffs[j].scale((T - 1) * (-4)))
         out = out + cy.compose(_d(dvars, n + j).compose(dPx))
     out = out + dPy.scale((S - 1) * (2 * S - n) * (-2))
-    out = out + dPmix.scale((S - 1) * (T - 1) * 8)
+    out = out + DiffOp.from_symbol(Pxy).scale((S - 1) * (T - 1) * 8)
     out = out + dPx.scale((T - 1) * (2 * T - n) * (-2))
     return out
 
@@ -156,16 +115,16 @@ def explicit_B1(p: int, q: int) -> DiffOp:
     4 res { mu(-mu+n/2-1) P(dx) + lam(-lam+n/2-1) P(dy)
             + 2(-lam+n/2-1)(-mu+n/2-1) P(dx,dy) }.
     """
-    alg, dvars, signs, *_ = _quad_syms(p, q)
+    alg, _, Px, Py, Pxy, *_ = _quad_syms(p, q)
     n = alg.n
     c = Fraction(n, 2) - 1
     mu_f = MU * (c - MU)
     lam_f = LAM * (c - LAM)
     cross = (c - LAM) * (c - MU) * 2
     op = (
-        _dP(dvars, signs, 0).scale(mu_f * 4)
-        + _dP(dvars, signs, n).scale(lam_f * 4)
-        + _dP_mixed(dvars, signs).scale(cross * 4)
+        DiffOp.from_symbol(Px).scale(mu_f * 4)
+        + DiffOp.from_symbol(Py).scale(lam_f * 4)
+        + DiffOp.from_symbol(Pxy).scale(cross * 4)
     )
     return restrict(op, n)
 

@@ -118,9 +118,8 @@ def _exact(ok: bool) -> float:
     return 0.0 if ok else 1.0
 
 
-def _rpq_params(alg: jd.AlgebraDescriptor) -> tuple[int, int]:
-    ps, qs = alg.key.split(":")[1].split(",")
-    return int(ps), int(qs)
+def _rpq_params(alg: jd.AlgebraDescriptor) -> tuple[int, ...]:
+    return jd.parse_spec(alg.key)[1]
 
 
 @dataclass(frozen=True)
@@ -141,22 +140,29 @@ def _algebra_for(config: SuiteConfig, suite: Suite) -> jd.AlgebraDescriptor | No
         raise ResourceLimitError(
             f"degree {config.max_degree} beyond the guarded budget (degree <= {_MAX_DEGREE})")
     if suite.algebra is None:
+        if config.algebra:
+            raise ConfigurationError(f"suite {config.suite} takes no algebra")
         return None
     spec = config.algebra or suite.algebra
+    # the guard and the suite's conditions read the parsed spec, so an
+    # unusable algebra is refused before any constructor runs
     try:
-        alg = jd.algebra_from_spec(spec)
+        kind, params, n = jd.parse_spec(spec)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
-    if alg.n > _MAX_DIMENSION:
+    if n > _MAX_DIMENSION:
         raise ResourceLimitError(
-            f"dimension {alg.n} beyond the guarded budget (n <= {_MAX_DIMENSION})")
-    if alg.family != "rpq":
+            f"dimension {n} beyond the guarded budget (n <= {_MAX_DIMENSION})")
+    if kind != "rpq":
         if suite.rpq_only:
             raise ConfigurationError(
                 f"suite {config.suite} runs on quadratic-space algebras rpq:p,q only")
-    elif not suite.rpq_holds(*_rpq_params(alg)):
+    elif not suite.rpq_holds(*params):
         raise ConfigurationError(f"suite {config.suite} needs rpq:p,q with {suite.rpq_rule}")
-    return alg
+    try:
+        return jd.algebra_from_spec(spec)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +679,7 @@ def bracket_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check
 
 
 def zeta_matrix_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
-    if alg.family == "rpq":
-        p, q = _rpq_params(alg)
-    else:
-        p, q = 2, 1
+    p, q = _rpq_params(alg)
     tol = config.tolerance if config.tolerance is not None else 1e-12
     checks: list[Check] = []
 
@@ -797,7 +800,7 @@ SUITES: dict[str, Suite] = {
     "covariance": Suite(covariance_checks, "rpq:2,1", "p >= 2", lambda p, q: p >= 2),
     "brackets": Suite(bracket_checks, "rpq:2,1", "p >= 2", lambda p, q: p >= 2,
                       rpq_only=True),
-    "zeta-matrices": Suite(zeta_matrix_checks, "rpq:2,1"),
+    "zeta-matrices": Suite(zeta_matrix_checks, "rpq:2,1", rpq_only=True),
     "zeta-numeric": Suite(
         zeta_numeric_checks, "rpq:2,1",
         "p + q = 3, the only dimension where both sides of the functional "
@@ -838,6 +841,8 @@ def _suite_checks(config: SuiteConfig, samples: int | None = None) -> list[Check
 def build_checks(config: SuiteConfig) -> list[Check]:
     if config.suite != "all":
         return _suite_checks(config)
+    if config.algebra:
+        raise ConfigurationError("suite all runs a fixed plan of algebras and takes no algebra")
     out: list[Check] = []
     for suite, spec, samples in _ALL_PLAN:
         for check in _suite_checks(replace(config, suite=suite, algebra=spec), samples):

@@ -53,6 +53,11 @@ class DiffOp:
         return cls(f.vars, {(0,) * len(f.vars): f})
 
     @classmethod
+    def from_symbol(cls, p: MPoly) -> "DiffOp":
+        """The constant-coefficient operator p(d): d_i substituted for x_i."""
+        return cls(p.vars, {mono: MPoly.constant(p.vars, c) for mono, c in p.terms.items()})
+
+    @classmethod
     def derivative(cls, vars: Sequence[str], index: int, order: int = 1) -> "DiffOp":
         vars = tuple(vars)
         b = [0] * len(vars)
@@ -116,17 +121,13 @@ class DiffOp:
                 out = out + c * d
         return out
 
-    def compose(self, other: "DiffOp", coeff_map=None) -> "DiffOp":
+    def compose(self, other: "DiffOp") -> "DiffOp":
         """self after other: apply(compose(A,B), f) = A(B(f)).
 
         Normal ordering through d^beta (b(x) d^gamma) =
         sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma);
         the nonzero derivatives of each right-hand coefficient are tabled
-        once, up to the order of the left factor.
-
-        coeff_map, when given, is a ring homomorphism applied to every
-        coefficient before the products are formed (used to compose under
-        the diagonal restriction without building the full operator)."""
+        once, up to the order of the left factor."""
         if self.vars != other.vars:
             raise VariableMismatchError("operators over different charts")
         nvars = len(self.vars)
@@ -150,18 +151,9 @@ class DiffOp:
                 tab.update(nxt)
                 frontier = nxt
                 depth += 1
-            if coeff_map is not None:
-                entries = [(d, coeff_map(p)) for d, p in tab.items()]
-                entries = [(d, p) for d, p in entries if not p.is_zero()]
-            else:
-                entries = list(tab.items())
-            tables.append((gamma, entries))
+            tables.append((gamma, list(tab.items())))
         acc: dict[Monomial, MPoly] = {}
         for beta, a in self.terms.items():
-            if coeff_map is not None:
-                a = coeff_map(a)
-                if a.is_zero():
-                    continue
             for gamma, tab in tables:
                 for delta, db in tab:
                     mult = 1
@@ -186,9 +178,6 @@ class DiffOp:
 
     def subs_params(self, images: Mapping[str, ParamPoly]) -> "DiffOp":
         return DiffOp(self.vars, {b: c.subs_params(images) for b, c in self.terms.items()})
-
-    def fold_tau(self, tau_squared=Fraction(-1)) -> "DiffOp":
-        return DiffOp(self.vars, {b: c.fold_tau(tau_squared) for b, c in self.terms.items()})
 
     def tau_degrees(self) -> set[int]:
         degs: set[int] = set()

@@ -396,15 +396,8 @@ def euclidean_matrices(case: str, r: int, d: int, n: int) -> EuclideanFE:
             f"case {case!r} inconsistent with r={r}, d={d} ({euclidean_case_name(r, d)})"
         )
 
-    def geu(s: float) -> complex:
-        # (2 pi)^(-r sigma) e(r sigma / 4) Gamma_Omega(sigma), sigma = s + n/r
-        sigma = s + n / r
-        val = (2 * math.pi) ** (-r * sigma)
-        val *= complex(math.cos(math.pi * r * sigma / 2), math.sin(math.pi * r * sigma / 2))
-        val *= (2 * math.pi) ** ((n - r) / 2)
-        for j in range(r):
-            val *= math.gamma(sigma - j * d / 2)
-        return val
+    # (2 pi)^(-r sigma) e(r sigma / 4) Gamma_Omega(sigma), sigma = s + n/r
+    geu = gamma_euclid(r, d, n, S + Fraction(n, r)).evaluate
 
     half = math.pi / 2
 

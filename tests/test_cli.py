@@ -15,10 +15,10 @@ from covjord.suites import SUITES, SuiteConfig, build_checks
 ENV = dict(os.environ)
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "covjord.cli", *args],
-        capture_output=True, text=True, env=env or ENV, timeout=600,
+        capture_output=True, text=True, env=env or ENV, timeout=timeout,
     )
 
 
@@ -52,8 +52,12 @@ def test_configuration_error_exit_code():
     (["--suite", "zeta-matrices", "--tolerance", "nan"], {}),
     (["--suite", "zeta-matrices", "--tolerance=-1e-3"], {}),
     (["--suite", "bernstein", "--report", "{tmp}/missing/report.json"], {}),
+    (["--suite", "leibnitz", "--algebra", "sym:99"], {}),
+    (["--suite", "zeta-matrices", "--algebra", "sym:3"], {}),
+    (["--suite", "all"], {"COVJORD_ALGEBRA": "sym:2"}),
 ], ids=["env-seed", "env-max-degree", "env-jobs", "sym0", "rpq11-covariance",
-        "tolerance-nan", "tolerance-negative", "report-unwritable"])
+        "tolerance-nan", "tolerance-negative", "report-unwritable",
+        "leibnitz-takes-no-algebra", "zeta-matrices-sym3", "all-takes-no-algebra"])
 def test_configuration_probes_exit_2(tmp_path, args, env):
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     proc = run_cli(args, env={**ENV, **env})
@@ -65,6 +69,12 @@ def test_configuration_probes_exit_2(tmp_path, args, env):
 def test_resource_limit_exit_code():
     proc = run_cli(["--suite", "jordan-axioms", "--algebra", "rpq:9,9"])
     assert proc.returncode == 3
+    # the dimension guard reads the spec, before the algebra is built
+    # (n = 28 and n = 49 take minutes to build)
+    for spec in ("sym:7", "mat:7"):
+        proc = run_cli(["--suite", "jordan-axioms", "--algebra", spec], timeout=30)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
     proc = run_cli(["--suite", "jordan-axioms", "--algebra", "sym:2",
                     "--max-degree", "9"])
     assert proc.returncode == 3

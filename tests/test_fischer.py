@@ -10,10 +10,10 @@ from covjord.fischer import (
     LeibnitzExpansion,
     apply_diffop,
     derivative_space,
-    derivative_space_graded,
+    dual_polynomial,
     fischer_inner,
 )
-from covjord.jordan import sym_algebra
+from covjord.jordan import algebra_from_spec, sym_algebra
 from covjord.polynomials import MPoly, VariableMismatchError
 
 from conftest import random_poly
@@ -80,7 +80,9 @@ def test_derivative_space_examples():
     assert len(derivative_space(x1 * x2)) == 4     # {x1 x2, x1, x2, 1}
     alg = sym_algebra(2)
     assert len(derivative_space(alg.det_poly)) == 5
-    graded = derivative_space_graded(alg.det_poly)
+    graded = {}
+    for b in derivative_space(alg.det_poly):
+        graded.setdefault(b.total_degree(), []).append(b)
     assert {d: len(b) for d, b in graded.items()} == {0: 1, 1: 3, 2: 1}
 
 
@@ -145,3 +147,19 @@ def test_triple_expansion_matches_direct():
         g = random_poly(vars, rng, 3)
         h = random_poly(vars, rng, 2)
         assert exp.expand3(f, g, h) == apply_diffop(sym_algebra(2).det_poly, f * g * h)
+
+
+@pytest.mark.parametrize("spec", ["sym:2", "hermc:2", "sym:3"])
+def test_expansion_in_trace_pairing(spec):
+    # in the trace-form pairing the expansions rebuild dual(det)(d), the
+    # determinant operator of the algebra, on products of two and three factors
+    alg = algebra_from_spec(spec)
+    exp = LeibnitzExpansion(alg.det_poly, alg.pairing)
+    wave = dual_polynomial(alg.det_poly, alg.pairing)
+    rng = random.Random(f"trace-{spec}")
+    for _ in range(3):
+        f = random_poly(alg.vars, rng, 3)
+        g = random_poly(alg.vars, rng, 3)
+        h = random_poly(alg.vars, rng, 2)
+        assert exp.expand(f, g) == apply_diffop(wave, f * g)
+        assert exp.expand3(f, g, h) == apply_diffop(wave, f * g * h)
