@@ -5,7 +5,8 @@ Layers, bottom up:
 
   scalars      exact coefficient ring Q[s,t,lam,mu][tau,tau^-1], Gaussian rationals,
                exact linear algebra (rref, inverse, matrix product)
-  polynomials  sparse multivariate polynomials over it, exact division
+  polynomials  sparse multivariate polynomials over it (or over bare rationals
+               when parameter-free), exact division
   fischer      derivative pairing, dual polynomials of a Gram matrix, derivative
                spaces, orthogonal bases (Gram-Schmidt over Q), the product-rule
                expansion in the coordinate or a given pairing

@@ -71,10 +71,11 @@ def _pair_det(algebra: AlgebraDescriptor, slot: int) -> MPoly:
 
 @lru_cache(maxsize=None)
 def _pair_det_power(algebra: AlgebraDescriptor, slot: int, k: int) -> MPoly:
-    """det^k in one slot of the doubled chart, one product from det^(k-1)."""
+    """det^k in one slot of the doubled chart, one product from det^(k-1),
+    over bare rationals (the oracle's form)."""
     if k == 0:
-        return MPoly.constant(double_vars(algebra.vars), 1)
-    return _pair_det_power(algebra, slot, k - 1) * _pair_det(algebra, slot)
+        return MPoly.constant(double_vars(algebra.vars), 1).over_q()
+    return _pair_det_power(algebra, slot, k - 1) * _pair_det(algebra, slot).over_q()
 
 
 _SLOT_PARAMS = (S, T)
@@ -235,23 +236,30 @@ def extract_Dst(algebra: AlgebraDescriptor, f: MPoly) -> MPoly:
 
 @lru_cache(maxsize=None)
 def _wave_pair_symbol(algebra: AlgebraDescriptor) -> MPoly:
-    """wave(dx - dy) as a polynomial symbol on the doubled chart."""
+    """wave(dx - dy) as a polynomial symbol on the doubled chart, over bare
+    rationals."""
     dvars = double_vars(algebra.vars)
     n = algebra.n
     images = [
         MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i])
         for i in range(n)
     ]
-    return algebra.wave_poly.compose(images)
+    return algebra.wave_poly.compose(images).over_q()
 
 
-def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
-    """Integer-power oracle: wave(dx-dy) applied to det(x)^k det(y)^l f by
-    plain polynomial differentiation."""
+def _oracle_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
+    """wave(dx-dy) of det(x)^k det(y)^l f over bare rationals (f lowered)."""
     if k < 0 or l < 0:
         raise ValueError("integer powers must be nonnegative")
     target = _pair_det_power(algebra, 0, k) * _pair_det_power(algebra, 1, l) * f
     return apply_diffop(_wave_pair_symbol(algebra), target)
+
+
+def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
+    """Integer-power oracle: wave(dx-dy) applied to det(x)^k det(y)^l f by
+    plain polynomial differentiation.  f must be parameter-free."""
+    result = _oracle_wave(algebra, k, l, f.over_q())
+    return MPoly(result.vars, result.terms)
 
 
 @lru_cache(maxsize=None)
@@ -301,16 +309,18 @@ def dst_operator(algebra: AlgebraDescriptor) -> DiffOp:
 def dst_grid_check(algebra: AlgebraDescriptor, f: MPoly, s_values: Sequence[int],
                    t_values: Sequence[int]) -> bool:
     """Integer-substitution agreement between the symbolic action and the
-    brute-force oracle on a grid (powers >= rank keep both sides polynomial)."""
+    brute-force oracle on a grid (powers >= rank keep both sides polynomial).
+    f must be parameter-free; the oracle side runs over bare rationals."""
     r = algebra.r
     symbolic = extract_Dst(algebra, f)
+    f = f.over_q()
     for k in s_values:
         for l in t_values:
             if k < r or l < r:
                 raise ValueError("grid powers must be >= rank")
-            lhs = brute_force_wave(algebra, k, l, f)
+            lhs = _oracle_wave(algebra, k, l, f)
             rhs_factor = _pair_det_power(algebra, 0, k - 1) * _pair_det_power(algebra, 1, l - 1)
-            action = symbolic.subs_params({"s": ParamPoly.of(k), "t": ParamPoly.of(l)})
+            action = symbolic.subs_params({"s": ParamPoly.of(k), "t": ParamPoly.of(l)}).over_q()
             if lhs != rhs_factor * action:
                 return False
     return True

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .fischer import dual_polynomial
 from .polynomials import InexactDivisionError, MPoly
-from .scalars import G_I, G_ONE, Gaussian, ParamPoly, fraction_matrix_inverse, mat_mul, rref
+from .scalars import G_I, G_ONE, Gaussian, ParamPoly, mat_mul, rref
 
 Rat = Fraction
 Coords = tuple  # entries are Fraction or MPoly

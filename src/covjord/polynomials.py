@@ -2,14 +2,22 @@
 
 An MPoly has an ordered tuple of coordinate names (the chart of an algebra,
 or its doubling x-slot + y-slot) and a dict mapping exponent tuples to
-ParamPoly coefficients.  Canonical form stores no zero coefficients; the
-monomial order used for division and printing is graded lexicographic.
+coefficients.  Canonical form stores no zero coefficients; the monomial
+order used for division and printing is graded lexicographic.
+
+The constructor stores ParamPoly coefficients.  A parameter-free polynomial
+can be lowered (`over_q`) to bare rationals: int, or Fraction when not
+integral.  The integer-power oracle of the main identity runs in that form,
+which skips the scalar wrapper.  Sums, products, derivatives and scalings
+are written once for both forms through +, * and truthiness; a polynomial
+holds one form throughout, and contact with a parameter promotes bare
+rationals to ParamPoly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence, Union
 
 from .scalars import ParamPoly
@@ -36,6 +44,27 @@ def _grlex(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
+def _param_form(terms: Mapping[Monomial, Coeff]) -> bool:
+    """Whether the coefficients are ParamPoly (the zero polynomial: no)."""
+    for c in terms.values():
+        return type(c) is ParamPoly
+    return False
+
+
+def _settle(terms: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
+    """Store the integral Fractions of a bare-rational term dict as int."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
+
+
+def _poly(vars: tuple[str, ...], terms: dict[Monomial, Coeff]) -> "MPoly":
+    res = MPoly.__new__(MPoly)
+    res.vars, res.terms = vars, terms
+    return res
+
+
 class MPoly:
     __slots__ = ("vars", "terms")
 
@@ -45,7 +74,7 @@ class MPoly:
         if terms:
             for m, c in terms.items():
                 c = _as_scalar(c)
-                if not c.is_zero():
+                if c:
                     out[tuple(m)] = c
         self.terms = out
 
@@ -83,7 +112,7 @@ class MPoly:
         zero = (0,) * len(self.vars)
         return not self.terms or (len(self.terms) == 1 and zero in self.terms)
 
-    def constant_coeff(self) -> ParamPoly:
+    def constant_coeff(self) -> Coeff:
         return self.terms.get((0,) * len(self.vars), ParamPoly.zero())
 
     def total_degree(self) -> int:
@@ -95,13 +124,7 @@ class MPoly:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self) -> dict[int, "MPoly"]:
-        comps: dict[int, dict[Monomial, ParamPoly]] = {}
-        for m, c in self.terms.items():
-            comps.setdefault(sum(m), {})[m] = c
-        return {d: MPoly(self.vars, t) for d, t in sorted(comps.items())}
-
-    def leading(self) -> tuple[Monomial, ParamPoly]:
+    def leading(self) -> tuple[Monomial, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=_grlex)
@@ -113,27 +136,38 @@ class MPoly:
                 f"variable lists differ: {self.vars} vs {other.vars}"
             )
 
+    def over_q(self) -> "MPoly":
+        """This polynomial with bare rational coefficients (int, or Fraction
+        when not integral).  Raises ValueError if a parameter occurs."""
+        out: dict[Monomial, Coeff] = {}
+        for m, c in self.terms.items():
+            if type(c) is ParamPoly:
+                c = c.constant_value()
+                c = c.numerator if c.denominator == 1 else c
+            out[m] = c
+        return _poly(self.vars, out)
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
+        pa, pb = _param_form(self.terms), _param_form(other.terms)
+        if pa != pb and self.terms and other.terms:
+            # a parameter meets bare rationals: promote them
+            return MPoly(self.vars, self.terms) + MPoly(other.vars, other.terms)
         out = dict(self.terms)
         for m, c in other.terms.items():
             nc = out.get(m)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(m, None)
+            if nc is not None:
+                c = nc + c
+            if c:
+                out[m] = c
             else:
-                out[m] = nc
-        res = MPoly.__new__(MPoly)
-        res.vars, res.terms = self.vars, out
-        return res
+                del out[m]
+        return _poly(self.vars, out if pa or pb else _settle(out))
 
     def __neg__(self) -> "MPoly":
-        res = MPoly.__new__(MPoly)
-        res.vars = self.vars
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _poly(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -146,51 +180,37 @@ class MPoly:
             (m2, c2), = other.terms.items()
             if not any(m2):
                 return self.scale(c2)
-            res = MPoly.__new__(MPoly)
-            res.vars = self.vars
-            res.terms = {
-                tuple(map(add, m1, m2)): c1 * c2
-                for m1, c1 in self.terms.items()
-            }
-            return res
-        if len(self.terms) == 1:
+            out = {tuple(map(add, m1, m2)): c1 * c2 for m1, c1 in self.terms.items()}
+        elif len(self.terms) == 1:
             return other * self
-        out: dict[Monomial, ParamPoly] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                c = c1 * c2
-                nc = out.get(m)
-                nc = c if nc is None else nc + c
-                if nc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
-        res = MPoly.__new__(MPoly)
-        res.vars, res.terms = self.vars, out
-        return res
+        else:
+            out = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = tuple(map(add, m1, m2))
+                    c = c1 * c2
+                    nc = out.get(m)
+                    if nc is not None:
+                        c = nc + c
+                    if c:
+                        out[m] = c
+                    else:
+                        del out[m]
+        if _param_form(self.terms) or _param_form(other.terms):
+            return _poly(self.vars, out)
+        return _poly(self.vars, _settle(out))
 
     def scale(self, c: Coeff) -> "MPoly":
-        if isinstance(c, ParamPoly) and c.is_constant():
-            c = c.constant_value()
-        if isinstance(c, (int, Fraction)):
-            if not c:
-                return MPoly.zero(self.vars)
-            if c == 1:
-                return self
-            if c.denominator == 1:
-                c = c.numerator  # an integral Fraction scales as an int
-            res = MPoly.__new__(MPoly)
-            res.vars = self.vars
-            res.terms = {m: v.scale_rat(c) for m, v in self.terms.items()}
-            return res
-        c = _as_scalar(c)
-        if c.is_zero():
+        if not c:
             return MPoly.zero(self.vars)
-        res = MPoly.__new__(MPoly)
-        res.vars = self.vars
-        res.terms = {m: v * c for m, v in self.terms.items()}
-        return res
+        if type(c) is ParamPoly:
+            return _poly(self.vars, {m: v * c for m, v in self.terms.items()})
+        if c == 1:
+            return self
+        c = c.numerator if c.denominator == 1 else c  # an integral Fraction scales as an int
+        if _param_form(self.terms):
+            return _poly(self.vars, {m: v.scale_rat(c) for m, v in self.terms.items()})
+        return _poly(self.vars, _settle({m: v * c for m, v in self.terms.items()}))
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -217,15 +237,15 @@ class MPoly:
 
     def diff(self, var: str | int) -> "MPoly":
         i = var if isinstance(var, int) else self.vars.index(var)
+        param = _param_form(self.terms)
+        times = ParamPoly.scale_rat if param else mul
         # m -> m - e_i is injective, so no two terms meet and none cancels
-        out: dict[Monomial, ParamPoly] = {}
+        out: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             e = m[i]
             if e:
-                out[m[:i] + (e - 1,) + m[i + 1 :]] = c.scale_rat(e)
-        res = MPoly.__new__(MPoly)
-        res.vars, res.terms = self.vars, out
-        return res
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = times(c, e)
+        return _poly(self.vars, out if param else _settle(out))
 
     def diff_multi(self, orders: Monomial) -> "MPoly":
         out = self
@@ -295,17 +315,17 @@ class MPoly:
         return MPoly(new_vars, out)
 
     def subs_params(self, images: Mapping[str, ParamPoly]) -> "MPoly":
-        res = MPoly.zero(self.vars)
-        for m, c in self.terms.items():
-            res = res + MPoly(self.vars, {m: c.substitute(images)})
-        return res
+        if not _param_form(self.terms):
+            return self
+        return MPoly(self.vars, {m: c.substitute(images) for m, c in self.terms.items()})
 
     # -- exact division --------------------------------------------------------
 
     def exact_div(self, divisor: "MPoly") -> "MPoly":
-        """Exact quotient self/divisor; the divisor must have a rational
-        leading coefficient (true for determinant powers).  Raises
-        InexactDivisionError when the division does not come out exact."""
+        """Exact quotient self/divisor over ParamPoly coefficients; the
+        divisor must have a rational leading coefficient (true for
+        determinant powers).  Raises InexactDivisionError when the division
+        does not come out exact."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -314,7 +334,7 @@ class MPoly:
             raise InexactDivisionError("divisor leading coefficient not rational")
         dval = dc.constant_value()
         rem = dict(self.terms)
-        quo: dict[Monomial, ParamPoly] = {}
+        quo: dict[Monomial, Coeff] = {}
         while rem:
             m = max(rem, key=_grlex)
             qm = tuple(map(sub, m, dm))
@@ -326,7 +346,7 @@ class MPoly:
                 mm = tuple(map(add, qm, m2))
                 nc = rem.get(mm)
                 nc = -(qc * c2) if nc is None else nc - qc * c2
-                if nc.is_zero():
+                if not nc:
                     rem.pop(mm, None)
                 else:
                     rem[mm] = nc

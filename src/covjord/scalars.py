@@ -14,7 +14,9 @@ A coefficient is stored as an int when it is an integer and as a Fraction
 otherwise: construction, sums, products and division all hand back an int
 for an integral value, so integer work never builds a Fraction.  Rational
 values leave the ring (constant_value, evaluate) as Fraction, so that `/`
-on them stays exact.
+on them stays exact.  A bare rational operand of `*` goes straight to
+scale_rat.  Parameter-free polynomials need not carry this ring at all: a
+lowered MPoly (MPoly.over_q) stores the same int/Fraction values bare.
 
 Exact Gaussian rationals re + im*i (`Gaussian`) live here too: the
 hermitian multiplication tables and the orbit-coefficient polynomials of
@@ -53,6 +55,18 @@ def _as_rational(value: RatLike) -> RatLike:
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _add_terms(out: dict[Exponent, RatLike], terms: Mapping[Exponent, RatLike]
+               ) -> dict[Exponent, RatLike]:
+    """Add stored terms into the term dict out, in place."""
+    for e, c in terms.items():
+        nc = out.get(e, 0) + c
+        if nc:
+            out[e] = nc if type(nc) is int else _as_rational(nc)
+        else:
+            out.pop(e, None)
+    return out
 
 
 def _div(a: RatLike, b: RatLike) -> RatLike:
@@ -101,6 +115,9 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
@@ -117,10 +134,6 @@ class ParamPoly:
             return 0
         return max(sum(e[:_TAU]) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = _INDEX[name]
-        return max((e[i] for e in self.terms), default=0)
-
     def tau_degrees(self) -> set[int]:
         return {e[_TAU] for e in self.terms}
 
@@ -132,16 +145,10 @@ class ParamPoly:
         return ParamPoly.of(other)
 
     def __add__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc if type(nc) is int else _as_rational(nc)
-            else:
-                out.pop(e, None)
+        if type(other) is not ParamPoly:
+            other = ParamPoly.of(other)
         res = ParamPoly.__new__(ParamPoly)
-        res.terms = out
+        res.terms = _add_terms(dict(self.terms), other.terms)
         return res
 
     __radd__ = __add__
@@ -170,23 +177,13 @@ class ParamPoly:
         return res
 
     def __mul__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return ParamPoly()
-        # single-term fast paths (constants and monomial scalars dominate)
-        if len(other.terms) == 1:
-            (e2, c2), = other.terms.items()
-            if e2 == _ZERO_EXP:
-                return self.scale_rat(c2)
-            res = ParamPoly.__new__(ParamPoly)
-            res.terms = {
-                (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4]):
-                _as_rational(c1 * c2)
-                for e1, c1 in self.terms.items()
-            }
-            return res
-        if len(self.terms) == 1:
-            return other * self
+        if type(other) is not ParamPoly:
+            return self.scale_rat(other)
+        # a constant factor scales (constants dominate)
+        if len(other.terms) == 1 and _ZERO_EXP in other.terms:
+            return self.scale_rat(other.terms[_ZERO_EXP])
+        if len(self.terms) == 1 and _ZERO_EXP in self.terms:
+            return other.scale_rat(self.terms[_ZERO_EXP])
         out: dict[Exponent, RatLike] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -238,7 +235,7 @@ class ParamPoly:
         """Substitute parameters by scalar polynomials (tau not substitutable)."""
         if "tau" in images:
             raise ValueError("tau is a formal constant; use fold_tau/evaluate")
-        out = ParamPoly()
+        out: dict[Exponent, RatLike] = {}
         for e, c in self.terms.items():
             term = ParamPoly({(0, 0, 0, 0, e[_TAU]): c})
             for i, name in enumerate(PARAM_NAMES[:_TAU]):
@@ -246,8 +243,10 @@ class ParamPoly:
                     continue
                 base = images.get(name, ParamPoly.var(name))
                 term = term * base ** e[i]
-            out = out + term
-        return out
+            _add_terms(out, term.terms)
+        res = ParamPoly.__new__(ParamPoly)
+        res.terms = out
+        return res
 
     def fold_tau(self, tau_squared: RatLike = -1) -> "ParamPoly":
         """Reduce tau^2 to the given rational value (tau^(2m+b) -> v^m tau^b)."""

@@ -6,6 +6,11 @@ import pytest
 from covjord.polynomials import MPoly
 
 
+def stored_form(c) -> bool:
+    """The stored form of an exact rational: int, or Fraction when not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def random_poly(vars, rng: random.Random, max_deg: int, terms: int = 4) -> MPoly:
     out = MPoly.zero(vars)
     for _ in range(terms):

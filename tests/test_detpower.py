@@ -138,6 +138,18 @@ def test_grid_agreement(spec, rng):
     assert D.dst_grid_check(alg, f, [alg.r, alg.r + 2], [alg.r, alg.r + 1])
 
 
+def test_grid_check_detects_a_wrong_action(rng, monkeypatch):
+    # negative control for the bare-rational oracle: one extra monomial on
+    # the symbolic side must make the grid check fail
+    alg = J.algebra_from_spec("rpq:2,1")
+    dvars = double_vars(alg.vars)
+    f = random_poly(dvars, rng, 2)
+    extract = D.extract_Dst
+    extra = MPoly.monomial(dvars, (1,) + (0,) * (len(dvars) - 1))
+    monkeypatch.setattr(D, "extract_Dst", lambda a, g: extract(a, g) + extra)
+    assert not D.dst_grid_check(alg, f, [alg.r, alg.r + 1], [alg.r])
+
+
 @pytest.mark.parametrize("spec", ["sym:2", "mat:2", "rpq:2,1", "rpq:2,2", "rpq:3,1"])
 def test_operator_reconstruction(spec, rng):
     alg = J.algebra_from_spec(spec)

@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 from covjord.fischer import derivative_space, fischer_inner, orthogonal_basis
-from covjord.jordan import fraction_matrix_inverse
-from covjord.scalars import Gaussian, SingularMatrixError, mat_mul, rref
+from covjord.scalars import Gaussian, SingularMatrixError, fraction_matrix_inverse, mat_mul, rref
 from covjord.suites import random_mpoly
 
 sp = pytest.importorskip("sympy")

@@ -9,7 +9,9 @@ from covjord import detpower as D
 from covjord import jordan as J
 from covjord import rpq as R
 from covjord.fischer import LeibnitzExpansion
-from covjord.scalars import LAM, MU, S, T, TAU, TAU_INV, ParamPoly
+from covjord.scalars import LAM, MU, PARAM_NAMES, S, T, TAU, TAU_INV, ParamPoly, fraction_matrix_inverse
+
+from conftest import stored_form
 
 
 def scalars(max_terms=4):
@@ -63,25 +65,29 @@ def test_substitute_and_evaluate():
     assert abs(z - 5.0) < 1e-14
 
 
+def degree_in(p: ParamPoly, name: str) -> int:
+    i = PARAM_NAMES.index(name)
+    return max((e[i] for e in p.terms), default=0)
+
+
 def test_degree_bookkeeping():
     p = S ** 2 * T + LAM
     assert p.total_degree() == 3
-    assert p.degree_in("s") == 2
-    assert p.degree_in("mu") == 0
+    assert degree_in(p, "s") == 2
+    assert degree_in(p, "mu") == 0
     assert (S * TAU).tau_degrees() == {1}
 
 
 def _stored(obj):
-    """Every stored coefficient under a DiffOp, an MPoly or a ParamPoly."""
+    """Every stored coefficient under a DiffOp, an MPoly or a ParamPoly; a
+    bare rational coefficient of an MPoly is its own stored form."""
     if isinstance(obj, ParamPoly):
         yield from obj.terms.values()
+    elif isinstance(obj, (int, Fraction)):
+        yield obj
     else:
         for c in obj.terms.values():
             yield from _stored(c)
-
-
-def _stored_form(c) -> bool:
-    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def test_integer_work_stays_int():
@@ -95,11 +101,14 @@ def test_integer_work_stays_int():
 
 def test_no_float_in_symbolic_layers():
     sym2 = J.sym_algebra(2)
-    for op in (D.dst_operator(sym2), R.explicit_F(2, 1), R.f_chain(2, 1, 2)):
+    rpq21 = J.rpq_algebra(2, 1)
+    oracle = [D._pair_det_power(alg, slot, 3) for alg in (sym2, rpq21) for slot in (0, 1)]
+    oracle += [D._wave_pair_symbol(sym2), D._wave_pair_symbol(rpq21)]
+    for op in (D.dst_operator(sym2), R.explicit_F(2, 1), R.f_chain(2, 1, 2), *oracle):
         coeffs = list(_stored(op))
-        assert coeffs and all(_stored_form(c) for c in coeffs)
+        assert coeffs and all(stored_form(c) for c in coeffs)
     norms = LeibnitzExpansion(sym2.det_poly).norms
-    inverse = J.fraction_matrix_inverse([[2, 1], [1, 1]])
+    inverse = fraction_matrix_inverse([[2, 1], [1, 1]])
     for value in (*norms, *(v for row in inverse for v in row)):
         assert type(value) in (int, Fraction)
 
@@ -108,4 +117,4 @@ def test_no_float_in_symbolic_layers():
 @settings(max_examples=40, deadline=None)
 def test_ring_operations_keep_stored_form(a, b):
     for c in (a + b, a - b, a * b, a.scale_rat(2), a.scale_rat(Fraction(1, 2)), a / 3):
-        assert all(_stored_form(v) for v in c.terms.values())
+        assert all(stored_form(v) for v in c.terms.values())
