@@ -47,12 +47,9 @@ def apply_diffop(p: MPoly, q: MPoly) -> MPoly:
             partials[mono] = d
         return d
 
-    out = MPoly.zero(q.vars)
-    for mono, coeff in p.terms.items():
-        d = partial(mono)
-        if not d.is_zero():
-            out = out + d.scale(coeff)
-    return out
+    # every scaled partial holds one form: q's, or ParamPoly if p has it
+    return MPoly.sum(q.vars, (d.scale(coeff) for mono, coeff in p.terms.items()
+                              if (d := partial(mono))))
 
 
 def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
@@ -60,13 +57,8 @@ def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:
     through literal derivative substitution."""
     Ginv = fraction_matrix_inverse(G)
     vars = p.vars
-    images = []
-    for i in range(len(vars)):
-        img = MPoly.zero(vars)
-        for j in range(len(vars)):
-            if Ginv[i][j]:
-                img = img + MPoly.variable(vars, vars[j]).scale(Ginv[i][j])
-        images.append(img)
+    images = [MPoly.sum(vars, (MPoly.variable(vars, v).scale(g) for v, g in zip(vars, row) if g))
+              for row in Ginv]
     return p.compose(images)
 
 

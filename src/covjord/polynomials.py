@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .scalars import ParamPoly
 
@@ -57,6 +57,20 @@ def _settle(terms: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
         if type(c) is not int and c.denominator == 1:
             terms[m] = c.numerator
     return terms
+
+
+def _add_into(out: dict, terms: Mapping, op=add) -> dict:
+    """Add (op=sub: subtract) the values of terms into the term dict out, in
+    place, dropping zeros: coefficients of one form, or the MPoly
+    coefficients of operators."""
+    for m, c in terms.items():
+        nc = out.get(m)
+        c = op(nc, c) if nc is not None else c if op is add else -c
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
 
 
 def _poly(vars: tuple[str, ...], terms: dict[Monomial, Coeff]) -> "MPoly":
@@ -99,6 +113,18 @@ class MPoly:
     @classmethod
     def monomial(cls, vars: Sequence[str], mono: Monomial, c: Coeff = 1) -> "MPoly":
         return cls(vars, {tuple(mono): c})
+
+    @classmethod
+    def sum(cls, vars: Sequence[str], polys: Iterable["MPoly"]) -> "MPoly":
+        """The sum of polynomials over vars that hold one coefficient form,
+        accumulated in one term dict."""
+        vars = tuple(vars)
+        out: dict[Monomial, Coeff] = {}
+        for p in polys:
+            if p.vars != vars:
+                raise VariableMismatchError(f"variable lists differ: {p.vars} vs {vars}")
+            _add_into(out, p.terms)
+        return _poly(vars, out if _param_form(out) else _settle(out))
 
     # -- predicates / structure --------------------------------------------
 
@@ -149,28 +175,24 @@ class MPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "MPoly") -> "MPoly":
+    def _combine(self, other: "MPoly", op) -> "MPoly":
+        """self + other (op=add) or self - other (op=sub), in one pass."""
         self._check(other)
         pa, pb = _param_form(self.terms), _param_form(other.terms)
         if pa != pb and self.terms and other.terms:
             # a parameter meets bare rationals: promote them
-            return MPoly(self.vars, self.terms) + MPoly(other.vars, other.terms)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m)
-            if nc is not None:
-                c = nc + c
-            if c:
-                out[m] = c
-            else:
-                del out[m]
+            return op(MPoly(self.vars, self.terms), MPoly(other.vars, other.terms))
+        out = _add_into(dict(self.terms), other.terms, op)
         return _poly(self.vars, out if pa or pb else _settle(out))
+
+    def __add__(self, other: "MPoly") -> "MPoly":
+        return self._combine(other, add)
 
     def __neg__(self) -> "MPoly":
         return _poly(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other: "MPoly | Coeff") -> "MPoly":
         if not isinstance(other, MPoly):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence, Union
 
 PARAM_NAMES = ("s", "t", "lam", "mu", "tau")
@@ -57,11 +57,11 @@ def _as_rational(value: RatLike) -> RatLike:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _add_terms(out: dict[Exponent, RatLike], terms: Mapping[Exponent, RatLike]
-               ) -> dict[Exponent, RatLike]:
-    """Add stored terms into the term dict out, in place."""
+def _add_terms(out: dict[Exponent, RatLike], terms: Mapping[Exponent, RatLike],
+               op=add) -> dict[Exponent, RatLike]:
+    """Add (op=sub: subtract) stored terms into the term dict out, in place."""
     for e, c in terms.items():
-        nc = out.get(e, 0) + c
+        nc = op(out.get(e, 0), c)
         if nc:
             out[e] = nc if type(nc) is int else _as_rational(nc)
         else:
@@ -139,11 +139,6 @@ class ParamPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other) -> "ParamPoly":
-        if isinstance(other, ParamPoly):
-            return other
-        return ParamPoly.of(other)
-
     def __add__(self, other) -> "ParamPoly":
         if type(other) is not ParamPoly:
             other = ParamPoly.of(other)
@@ -159,10 +154,14 @@ class ParamPoly:
         return res
 
     def __sub__(self, other) -> "ParamPoly":
-        return self + (-self._coerce(other))
+        if type(other) is not ParamPoly:
+            other = ParamPoly.of(other)
+        res = ParamPoly.__new__(ParamPoly)
+        res.terms = _add_terms(dict(self.terms), other.terms, sub)
+        return res
 
     def __rsub__(self, other) -> "ParamPoly":
-        return self._coerce(other) + (-self)
+        return ParamPoly.of(other) - self
 
     def scale_rat(self, c: RatLike) -> "ParamPoly":
         if type(c) is not int:

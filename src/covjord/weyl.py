@@ -1,6 +1,7 @@
 """Normal-ordered differential operators with polynomial coefficients.
 
-A DiffOp maps derivative multi-exponents to MPoly coefficients and denotes
+A DiffOp maps derivative multi-exponents to MPoly coefficients with
+ParamPoly values (bare rationals are lifted on construction) and denotes
 sum_beta  c_beta(x) d^beta  (multiplication left, differentiation right).
 Composition rewrites into this normal form through the commutation rule
 [d_i, x_i] = 1.  The formal Fourier constant tau lets conjugation by the
@@ -13,14 +14,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add, sub
 from typing import Mapping, Sequence
 
-from .polynomials import MPoly, Monomial, VariableMismatchError
+from .polynomials import MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly
 from .scalars import LAM, MU, ParamPoly
 
 
 class ConventionError(ArithmeticError):
     """Residual formal-constant dependence where none is allowed."""
+
+
+def _settle_scalars(coeff: dict[Monomial, dict]) -> dict[Monomial, ParamPoly]:
+    """A compose accumulator's coefficient, coordinate monomial -> exponent
+    -> rational, turned into MPoly terms in place: zeros are dropped and
+    integral Fractions stored as int."""
+    for m, out in list(coeff.items()):
+        for e, c in list(out.items()):
+            if not c:
+                del out[e]
+            elif type(c) is not int and c.denominator == 1:
+                out[e] = c.numerator
+        if out:
+            coeff[m] = scalar = ParamPoly.__new__(ParamPoly)
+            scalar.terms = out
+        else:
+            del coeff[m]
+    return coeff
 
 
 class DiffOp:
@@ -33,8 +53,8 @@ class DiffOp:
             for b, c in terms.items():
                 if c.vars != self.vars:
                     raise VariableMismatchError("coefficient chart differs from operator chart")
-                if not c.is_zero():
-                    out[tuple(b)] = c
+                if c:  # bare rationals are lifted: the compose kernel reads ParamPoly terms
+                    out[tuple(b)] = c if _param_form(c.terms) else MPoly(c.vars, c.terms)
         self.terms = out
 
     # -- constructors ------------------------------------------------------
@@ -82,20 +102,16 @@ class DiffOp:
 
     # -- linear operations ----------------------------------------------------
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
+    def _combine(self, other: "DiffOp", op) -> "DiffOp":
+        """self + other (op=add) or self - other (op=sub), in one pass."""
         if self.vars != other.vars:
             raise VariableMismatchError("operators over different charts")
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            nc = out.get(b)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = nc
         res = DiffOp.__new__(DiffOp)
-        res.vars, res.terms = self.vars, out
+        res.vars, res.terms = self.vars, _add_into(dict(self.terms), other.terms, op)
         return res
+
+    def __add__(self, other: "DiffOp") -> "DiffOp":
+        return self._combine(other, add)
 
     def __neg__(self) -> "DiffOp":
         res = DiffOp.__new__(DiffOp)
@@ -104,7 +120,7 @@ class DiffOp:
         return res
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def scale(self, c) -> "DiffOp":
         return DiffOp(self.vars, {b: coeff.scale(c) for b, coeff in self.terms.items()})
@@ -114,12 +130,8 @@ class DiffOp:
     def apply(self, f: MPoly) -> MPoly:
         if f.vars != self.vars:
             raise VariableMismatchError("operand chart differs from operator chart")
-        out = MPoly.zero(self.vars)
-        for b, c in self.terms.items():
-            d = f.diff_multi(b)
-            if not d.is_zero():
-                out = out + c * d
-        return out
+        return MPoly.sum(self.vars, (c * d for b, c in self.terms.items()
+                                     if (d := f.diff_multi(b))))
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self after other: apply(compose(A,B), f) = A(B(f)).
@@ -127,13 +139,17 @@ class DiffOp:
         Normal ordering through d^beta (b(x) d^gamma) =
         sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma);
         the nonzero derivatives of each right-hand coefficient are tabled
-        once, up to the order of the left factor."""
+        once per call, up to the order of the left factor, with their scalar terms.
+        Every product a * C(beta,delta) * d^delta b is added term by term
+        into one accumulator, operator monomial -> coordinate monomial ->
+        scalar exponent -> rational, whose dicts become the result's
+        ParamPoly and MPoly terms once zeros are dropped."""
         if self.vars != other.vars:
             raise VariableMismatchError("operators over different charts")
         nvars = len(self.vars)
         rng = range(nvars)
         max_depth = max((sum(b) for b in self.terms), default=0)
-        tables: list[tuple[Monomial, list[tuple[Monomial, MPoly]]]] = []
+        tables: list[tuple[Monomial, list[tuple[Monomial, list]]]] = []
         for gamma, b in other.terms.items():
             tab: dict[Monomial, MPoly] = {(0,) * nvars: b}
             frontier = dict(tab)
@@ -151,11 +167,14 @@ class DiffOp:
                 tab.update(nxt)
                 frontier = nxt
                 depth += 1
-            tables.append((gamma, list(tab.items())))
-        acc: dict[Monomial, MPoly] = {}
+            tables.append((gamma, [(delta, [(m, c.terms.items()) for m, c in db.terms.items()])
+                                   for delta, db in tab.items()]))
+        acc: dict[Monomial, dict[Monomial, dict]] = {}
+        keys: dict[tuple, tuple] = {}  # one object per key tuple, shared by the result
         for beta, a in self.terms.items():
+            a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
             for gamma, tab in tables:
-                for delta, db in tab:
+                for delta, db_terms in tab:
                     mult = 1
                     ok = True
                     for bi, di in zip(beta, delta):
@@ -166,13 +185,29 @@ class DiffOp:
                             mult *= comb(bi, di)
                     if not ok:
                         continue
+                    left = a_terms if mult == 1 else [
+                        (m, [(e, c * mult) for e, c in s]) for m, s in a_terms]
                     key = tuple(beta[k] - delta[k] + gamma[k] for k in rng)
-                    coeff = a * db
-                    if mult != 1:
-                        coeff = coeff.scale(Fraction(mult))
-                    prev = acc.get(key)
-                    acc[key] = coeff if prev is None else prev + coeff
-        return DiffOp(self.vars, {b: c for b, c in acc.items() if not c.is_zero()})
+                    coeff = acc.get(key)
+                    if coeff is None:
+                        coeff = acc[key] = {}
+                    for m1, s1 in left:
+                        for m2, s2 in db_terms:
+                            m = tuple(map(add, m1, m2))
+                            out = coeff.get(m)
+                            if out is None:
+                                out = coeff[keys.setdefault(m, m)] = {}
+                            for e1, c1 in s1:
+                                for e2, c2 in s2:
+                                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
+                                         e1[3] + e2[3], e1[4] + e2[4])
+                                    c = out.get(e)
+                                    if c is None:
+                                        out[keys.setdefault(e, e)] = c1 * c2
+                                    else:
+                                        out[e] = c + c1 * c2
+        return DiffOp(self.vars, {b: _poly(self.vars, c) for b, c in acc.items()
+                                  if _settle_scalars(c)})
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -223,20 +258,14 @@ def fourier_conjugate(op: DiffOp, inverse: bool = False) -> DiffOp:
     Inverse:  d_j ->  tau x_j,   x_j -> -tau^-1 d_j.
     """
     vars = op.vars
-    n = len(vars)
     out = DiffOp.zero(vars)
     x_sign = Fraction(-1 if inverse else 1)
     d_sign = Fraction(1 if inverse else -1)
     for beta, coeff in op.terms.items():
         # image of the multiplication part: coeff evaluated on (+-tau^-1 d)
-        co_terms: dict[Monomial, MPoly] = {}
-        for mono, c in coeff.terms.items():
-            deg = sum(mono)
-            scalar = c * ParamPoly.var("tau", -deg) * (x_sign ** deg)
-            prev = co_terms.get(mono)
-            add = MPoly(vars, {(0,) * n: scalar})
-            co_terms[mono] = add if prev is None else prev + add
-        coeff_image = DiffOp(vars, co_terms)
+        coeff_image = DiffOp(vars, {
+            mono: MPoly.constant(vars, c * ParamPoly.var("tau", -sum(mono)) * x_sign ** sum(mono))
+            for mono, c in coeff.terms.items()})
         # image of the derivative part: product of (-+tau x_j)^(beta_j)
         deg = sum(beta)
         mult_poly = MPoly(vars, {beta: ParamPoly.var("tau", deg) * (d_sign ** deg)})
