@@ -318,10 +318,16 @@ def restrict(op: DiffOp, n: int) -> DiffOp:
 def covariance_residual(model: QuadricModel, op: DiffOp, X: Matrix,
                         source: tuple[ParamPoly, ParamPoly],
                         target: tuple[ParamPoly, ParamPoly]) -> DiffOp:
-    """op . d(pi_src)(X) - d(pi_tgt)(X) . op in the Weyl algebra."""
+    """op . d(pi_src)(X) - d(pi_tgt)(X) . op in the Weyl algebra.
+
+    Computed as [op, src] + (src - tgt) . op, by the identity
+    A.B - C.A = [A, B] + (B - C).A: the commutator leaves out the products
+    that cancel, and src - tgt is the multiplier difference alone (both
+    sides share the vector field), an operator of order 0 whose composition
+    with op takes one product per term."""
     src = dpi_tensor(model, X, source[0], source[1])
     tgt = dpi_tensor(model, X, target[0], target[1])
-    return op.compose(src) - tgt.compose(op)
+    return op.commutator(src) + (src - tgt).compose(op)
 
 
 def covariance_residual_F(model: QuadricModel, F: DiffOp, X: Matrix) -> DiffOp:
@@ -342,12 +348,15 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
       diag(dx_i c + dy_i c) = d_i diag(c).
     The lift and res(chain) have coefficients free of y, so their
     composition is already restricted.  Passing a restricted chain gives
-    the same residual."""
+    the same residual.  With R = res(chain) it is computed as
+    restrict([R, src] + (src - lift) . R), by A.B - C.A = [A, B] + (B - C).A:
+    restricting lift . R changes nothing, and the commutator leaves out
+    the products that cancel."""
     n = model.n
     res = restrict(chain, n)
     src = dpi_tensor(model, X, LAM, MU)
     lifted = dpi_diagonal_lift(model, X, LAM + MU + total_shift)
-    return restrict(res.compose(src), n) - lifted.compose(res)
+    return restrict(res.commutator(src) + (src - lifted).compose(res), n)
 
 
 def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:

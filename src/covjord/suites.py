@@ -570,7 +570,7 @@ def covariance_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Ch
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
                     br = cf.dpi(model, model.bracket(basis[i], basis[j])).op
-                    if br != ops[i].compose(ops[j]) - ops[j].compose(ops[i]):
+                    if br != ops[i].commutator(ops[j]):
                         return 1.0
             return 0.0
 

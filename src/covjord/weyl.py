@@ -4,9 +4,12 @@ A DiffOp maps derivative multi-exponents to MPoly coefficients with
 ParamPoly values (bare rationals are lifted on construction) and denotes
 sum_beta  c_beta(x) d^beta  (multiplication left, differentiation right).
 Composition rewrites into this normal form through the commutation rule
-[d_i, x_i] = 1.  The formal Fourier constant tau lets conjugation by the
-Fourier transform act as the ring automorphism d_j -> -tau x_j,
-x_j -> tau^-1 d_j, exactly.
+[d_i, x_i] = 1.  One accumulator kernel serves compose and commutator; the
+commutator leaves out the products in which no coefficient is
+differentiated, which is exact because those of A o B and of B o A are the
+same products of commuting coefficients.  The formal Fourier constant tau
+lets conjugation by the Fourier transform act as the ring automorphism
+d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +44,90 @@ def _settle_scalars(coeff: dict[Monomial, dict]) -> dict[Monomial, ParamPoly]:
         else:
             del coeff[m]
     return coeff
+
+
+def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tuple],
+                left: "DiffOp", right: "DiffOp", sign: int, skip_zero: bool) -> dict:
+    """Add sign * left o right, normal-ordered, into acc: operator monomial
+    -> coordinate monomial -> scalar exponent -> rational.
+
+    Normal ordering through d^beta (b(x) d^gamma) =
+    sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma);
+    the nonzero derivatives of each right-hand coefficient are tabled once
+    per call, up to the order of the left factor, with their scalar terms.
+    Every product sign * C(beta,delta) * a * d^delta b is added term by term;
+    skip_zero leaves out the delta = 0 products a b d^(beta+gamma).  keys
+    interns the monomial and exponent tuples, so the result shares one
+    object per key."""
+    if left.vars != right.vars:
+        raise VariableMismatchError("operators over different charts")
+    nvars = len(left.vars)
+    rng = range(nvars)
+    zero = (0,) * nvars
+    max_depth = max((sum(b) for b in left.terms), default=0)
+    tables: list[tuple[Monomial, list[tuple[Monomial, list]]]] = []
+    for gamma, b in right.terms.items():
+        tab: dict[Monomial, MPoly] = {zero: b}
+        frontier = dict(tab)
+        depth = 0
+        while frontier and depth < max_depth:
+            nxt: dict[Monomial, MPoly] = {}
+            for delta, poly in frontier.items():
+                for i in rng:
+                    nd = delta[:i] + (delta[i] + 1,) + delta[i + 1 :]
+                    if nd in tab or nd in nxt:
+                        continue
+                    dp = poly.diff(i)
+                    if not dp.is_zero():
+                        nxt[nd] = dp
+            tab.update(nxt)
+            frontier = nxt
+            depth += 1
+        if skip_zero:
+            del tab[zero]
+        tables.append((gamma, [(delta, [(m, c.terms.items()) for m, c in db.terms.items()])
+                               for delta, db in tab.items()]))
+    for beta, a in left.terms.items():
+        a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
+        for gamma, tab in tables:
+            for delta, db_terms in tab:
+                mult = sign
+                ok = True
+                for bi, di in zip(beta, delta):
+                    if di:
+                        if di > bi:
+                            ok = False
+                            break
+                        mult *= comb(bi, di)
+                if not ok:
+                    continue
+                left_terms = a_terms if mult == 1 else [
+                    (m, [(e, c * mult) for e, c in s]) for m, s in a_terms]
+                key = tuple(beta[k] - delta[k] + gamma[k] for k in rng)
+                coeff = acc.get(key)
+                if coeff is None:
+                    coeff = acc[key] = {}
+                for m1, s1 in left_terms:
+                    for m2, s2 in db_terms:
+                        m = tuple(map(add, m1, m2))
+                        out = coeff.get(m)
+                        if out is None:
+                            out = coeff[keys.setdefault(m, m)] = {}
+                        for e1, c1 in s1:
+                            for e2, c2 in s2:
+                                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
+                                     e1[3] + e2[3], e1[4] + e2[4])
+                                c = out.get(e)
+                                if c is None:
+                                    out[keys.setdefault(e, e)] = c1 * c2
+                                else:
+                                    out[e] = c + c1 * c2
+    return acc
+
+
+def _result(vars: tuple[str, ...], acc: dict[Monomial, dict[Monomial, dict]]) -> "DiffOp":
+    """The operator an accumulator denotes, zeros dropped."""
+    return DiffOp(vars, {b: _poly(vars, c) for b, c in acc.items() if _settle_scalars(c)})
 
 
 class DiffOp:
@@ -136,78 +223,21 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self after other: apply(compose(A,B), f) = A(B(f)).
 
-        Normal ordering through d^beta (b(x) d^gamma) =
-        sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma);
-        the nonzero derivatives of each right-hand coefficient are tabled
-        once per call, up to the order of the left factor, with their scalar terms.
-        Every product a * C(beta,delta) * d^delta b is added term by term
-        into one accumulator, operator monomial -> coordinate monomial ->
-        scalar exponent -> rational, whose dicts become the result's
-        ParamPoly and MPoly terms once zeros are dropped."""
-        if self.vars != other.vars:
-            raise VariableMismatchError("operators over different charts")
-        nvars = len(self.vars)
-        rng = range(nvars)
-        max_depth = max((sum(b) for b in self.terms), default=0)
-        tables: list[tuple[Monomial, list[tuple[Monomial, list]]]] = []
-        for gamma, b in other.terms.items():
-            tab: dict[Monomial, MPoly] = {(0,) * nvars: b}
-            frontier = dict(tab)
-            depth = 0
-            while frontier and depth < max_depth:
-                nxt: dict[Monomial, MPoly] = {}
-                for delta, poly in frontier.items():
-                    for i in rng:
-                        nd = delta[:i] + (delta[i] + 1,) + delta[i + 1 :]
-                        if nd in tab or nd in nxt:
-                            continue
-                        dp = poly.diff(i)
-                        if not dp.is_zero():
-                            nxt[nd] = dp
-                tab.update(nxt)
-                frontier = nxt
-                depth += 1
-            tables.append((gamma, [(delta, [(m, c.terms.items()) for m, c in db.terms.items()])
-                                   for delta, db in tab.items()]))
-        acc: dict[Monomial, dict[Monomial, dict]] = {}
-        keys: dict[tuple, tuple] = {}  # one object per key tuple, shared by the result
-        for beta, a in self.terms.items():
-            a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
-            for gamma, tab in tables:
-                for delta, db_terms in tab:
-                    mult = 1
-                    ok = True
-                    for bi, di in zip(beta, delta):
-                        if di:
-                            if di > bi:
-                                ok = False
-                                break
-                            mult *= comb(bi, di)
-                    if not ok:
-                        continue
-                    left = a_terms if mult == 1 else [
-                        (m, [(e, c * mult) for e, c in s]) for m, s in a_terms]
-                    key = tuple(beta[k] - delta[k] + gamma[k] for k in rng)
-                    coeff = acc.get(key)
-                    if coeff is None:
-                        coeff = acc[key] = {}
-                    for m1, s1 in left:
-                        for m2, s2 in db_terms:
-                            m = tuple(map(add, m1, m2))
-                            out = coeff.get(m)
-                            if out is None:
-                                out = coeff[keys.setdefault(m, m)] = {}
-                            for e1, c1 in s1:
-                                for e2, c2 in s2:
-                                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                                         e1[3] + e2[3], e1[4] + e2[4])
-                                    c = out.get(e)
-                                    if c is None:
-                                        out[keys.setdefault(e, e)] = c1 * c2
-                                    else:
-                                        out[e] = c + c1 * c2
-        return DiffOp(self.vars, {b: _poly(self.vars, c) for b, c in acc.items()
-                                  if _settle_scalars(c)})
+        Every normal-ordered product goes through _accumulate once; its
+        accumulator becomes the result's terms."""
+        return _result(self.vars, _accumulate({}, {}, self, other, sign=1, skip_zero=False))
+
+    def commutator(self, other: "DiffOp") -> "DiffOp":
+        """[self, other] = self.compose(other) - other.compose(self).
+
+        Both orders go into one accumulator with the delta = 0 products
+        left out: those of A o B are a_beta b_gamma d^(beta+gamma) and those
+        of B o A are b_gamma a_beta d^(gamma+beta), so they cancel term for
+        term and only the products that differentiate a coefficient stay."""
+        acc: dict = {}
+        keys: dict = {}
+        _accumulate(acc, keys, self, other, sign=1, skip_zero=True)
+        return _result(self.vars, _accumulate(acc, keys, other, self, sign=-1, skip_zero=True))
 
     # -- parameter plumbing ----------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""DiffOp.compose against sympy: A.compose(B) applied to a polynomial must
-equal sympy's direct application of B and then A.  The operators carry
+"""DiffOp.compose and DiffOp.commutator against sympy: A.compose(B) applied
+to a polynomial must equal sympy's direct application of B and then A, and
+A.commutator(B) must equal A(B f) - B(A f).  The operators carry
 coefficients in lam, mu and tau^+-1, and the pairs include compositions
 whose terms cancel, which must leave no stored zero behind."""
 
@@ -105,11 +106,31 @@ def check_pair(A: DiffOp, B: DiffOp, f: MPoly) -> None:
     assert sp.expand(sympy_apply(AB, g) - sympy_apply(A, sympy_apply(B, g))) == 0
 
 
-@pytest.mark.parametrize("case", range(12))
-def test_compose_matches_sympy_application(case):
+def check_commutator(A: DiffOp, B: DiffOp, f: MPoly) -> None:
+    AB = A.commutator(B)
+    assert_canonical(AB)
+    assert AB == A.compose(B) - B.compose(A)
+    assert B.commutator(A) == -AB
+    assert A.commutator(A).is_zero() and B.commutator(B).is_zero()
+    g = to_sympy(f)
+    want = sympy_apply(A, sympy_apply(B, g)) - sympy_apply(B, sympy_apply(A, g))
+    assert sp.expand(sympy_apply(AB, g) - want) == 0
+
+
+def seeded_pair(case: int):
     rng = random.Random(f"compose-oracle:{case}")
     A, B = param_op(rng), param_op(rng)
-    check_pair(A, B, random_poly(V, rng, 5, terms=5))
+    return A, B, random_poly(V, rng, 5, terms=5)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_compose_matches_sympy_application(case):
+    check_pair(*seeded_pair(case))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_commutator_matches_sympy_application(case):
+    check_commutator(*seeded_pair(case))
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -127,6 +148,16 @@ def test_compose_cancellations(index, rng):
         assert A.compose(B).terms[(0, 0)].terms[(0, 0)].terms == {(0, 0, 0, 0, 0): 1}
     if index == 4:
         assert A.compose(B) - B.compose(A) == DiffOp.zero(V)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_commutator_cancellations(index, rng):
+    A, B, _ = cancelling_pairs()[index]
+    check_commutator(A, B, random_poly(V, rng, 4, terms=5))
+    if index == 0:
+        assert A.commutator(B) == DiffOp.identity(V)
+    if index == 4:
+        assert A.commutator(B).is_zero()
 
 
 def test_bare_coefficients_are_lifted():

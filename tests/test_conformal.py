@@ -299,6 +299,22 @@ def test_translation_covariance_direct(model):
     assert C.covariance_residual_F(model, F, Xa).is_zero()
 
 
+def test_wrong_weight_residual_matches_compose_route(model):
+    # at target (lam+2, mu+1) the residual is -sigma(x) . F: nonzero exactly
+    # where the multiplier sigma is, and equal to the plain compose route
+    F = R.explicit_F(2, 1)
+    source, target = (LAM, MU), (LAM + 2, MU + 1)
+    nonzero = 0
+    for X in model.lie_basis():
+        src = C.dpi_tensor(model, X, *source)
+        tgt = C.dpi_tensor(model, X, *target)
+        got = C.covariance_residual(model, F, X, source, target)
+        assert got == F.compose(src) - tgt.compose(F)
+        assert got.is_zero() == C.dpi(model, X).sigma.is_zero()
+        nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
 def test_knapp_stein_kernel():
     alg = J.rpq_algebra(2, 1)
     lam = 1.25
