@@ -7,6 +7,9 @@ identity and the factorization identities into machine-checked exact
 divisions: the quotient either exists exactly or a theorem-violation error
 fires.  The shifts only decrease; no det factors are cancelled silently.
 
+The wave action and the main-identity operator D_{s,t} (by the product rule)
+both read one memoised table of partial derivatives.
+
 The wave operator of an algebra is its stored wave polynomial with partial
 derivatives substituted literally (the pairing convention lives in the
 descriptor, not here).
@@ -17,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Sequence
+from itertools import product
+from math import comb, prod
+from typing import Callable, Sequence
 
 from .fischer import LeibnitzExpansion, apply_diffop
-from .jordan import AlgebraDescriptor, sharp
+from .jordan import AlgebraDescriptor, det as jdet, element, sharp
 from .polynomials import InexactDivisionError, MPoly, Monomial, double_vars
 from .scalars import ParamPoly, S, T
 from .weyl import DiffOp
@@ -62,11 +66,8 @@ def pair_power(algebra: AlgebraDescriptor, body: MPoly | None = None) -> DetPowe
 def _pair_det(algebra: AlgebraDescriptor, slot: int) -> MPoly:
     """det in the x-slot (0) or y-slot (1) on the doubled chart."""
     dvars = double_vars(algebra.vars)
-    n = algebra.n
-    det = algebra.det_poly
-    if slot == 0:
-        return det.extend_vars(dvars)
-    return det.rename_vars(dvars[n:]).extend_vars(dvars)
+    det = algebra.det_poly if slot == 0 else algebra.det_poly.rename_vars(dvars[algebra.n:])
+    return det.extend_vars(dvars)
 
 
 @lru_cache(maxsize=None)
@@ -145,25 +146,43 @@ def _wave_monomials(algebra: AlgebraDescriptor, paired: bool) -> dict[Monomial, 
     return derivative_monomials(algebra.wave_poly, paired)
 
 
+def _derivative_table(expr: DetPowerExpr) -> Callable[[Monomial], DetPowerExpr]:
+    """The partial derivatives of expr, each taken once.  Like
+    fischer.apply_diffop and MPoly.diff_multi, the derivative of order mono is
+    diff along the last coordinate i that mono raises, of the derivative of
+    order mono - e_i; orders sharing that prefix share its work."""
+    table = {(0,) * len(expr.body.vars): expr}
+
+    def partial(mono: Monomial) -> DetPowerExpr:
+        d = table.get(mono)
+        if d is None:
+            i = len(mono) - 1
+            while not mono[i]:
+                i -= 1
+            d = table[mono] = diff(partial(mono[:i] + (mono[i] - 1,) + mono[i + 1 :]), i)
+        return d
+
+    return partial
+
+
+def _lowered(expr: DetPowerExpr, shifts: Sequence[int]) -> MPoly:
+    """The body of expr re-expressed at lower shifts: times det^(a - shift)
+    in each slot."""
+    body = expr.body
+    for slot, (a, low) in enumerate(zip(_shifts(expr), shifts)):
+        if a != low:
+            body = body * _slot_det(expr.algebra, expr.paired, slot)[0] ** (a - low)
+    return body
+
+
 def det_wave_apply(expr: DetPowerExpr) -> DetPowerExpr:
-    """Apply the algebra's wave operator (single slot) or wave(dx - dy)."""
-    alg = expr.algebra
-    r = alg.r
-    start = _shifts(expr)
-    acc = MPoly.zero(expr.body.vars)
-    for mono, coeff in _wave_monomials(alg, expr.paired).items():
-        cur = expr
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                cur = diff(cur, i)
-        # re-express at the common shifts a - r
-        body = cur.body
-        for slot, (a, a0) in enumerate(zip(_shifts(cur), start)):
-            deficit = a - (a0 - r)
-            if deficit:
-                body = body * _slot_det(alg, expr.paired, slot)[0] ** deficit
-        acc = acc + body.scale(coeff)
-    return _with_shifts(expr, [a - r for a in start], acc)
+    """Apply the algebra's wave operator (single slot) or wave(dx - dy),
+    re-expressed at the common shifts a - r."""
+    partial = _derivative_table(expr)
+    low = [a - expr.algebra.r for a in _shifts(expr)]
+    waves = _wave_monomials(expr.algebra, expr.paired).items()
+    body = MPoly.sum(expr.body.vars, (_lowered(partial(m), low).scale(w) for m, w in waves))
+    return _with_shifts(expr, low, body)
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +238,23 @@ def bernstein_poly(algebra: AlgebraDescriptor) -> BernsteinResult:
 # main identity
 
 
-def extract_Dst(algebra: AlgebraDescriptor, f: MPoly) -> MPoly:
-    """The main-identity action on f: wave(dx-dy)[det^s det^t f] factors as
-    det^(s-1) det^(t-1) times a polynomial, returned here.  Exactness of
-    the division is the computational content of the identity."""
-    result = det_wave_apply(pair_power(algebra, f))
+def _divide_out(algebra: AlgebraDescriptor, body: MPoly) -> MPoly:
+    """body / (det(x)^(r-1) det(y)^(r-1)): a body at the shifts -r brought to
+    the shifts -1, which the main identity guarantees to be exact."""
     r = algebra.r
-    divisor = _pair_det(algebra, 0) ** (r - 1) * _pair_det(algebra, 1) ** (r - 1)
     try:
-        return result.body.exact_div(divisor)
+        return body.exact_div(_pair_det(algebra, 0) ** (r - 1) * _pair_det(algebra, 1) ** (r - 1))
     except InexactDivisionError as exc:
         raise TheoremViolationError(
             "main-identity division not exact; the construction is broken"
         ) from exc
+
+
+def extract_Dst(algebra: AlgebraDescriptor, f: MPoly) -> MPoly:
+    """The main-identity action on f: wave(dx-dy)[det^s det^t f] factors as
+    det^(s-1) det^(t-1) times a polynomial, returned here.  Exactness of
+    the division is the computational content of the identity."""
+    return _divide_out(algebra, det_wave_apply(pair_power(algebra, f)).body)
 
 
 @lru_cache(maxsize=None)
@@ -264,43 +287,23 @@ def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MP
 
 @lru_cache(maxsize=None)
 def dst_operator(algebra: AlgebraDescriptor) -> DiffOp:
-    """Normal-ordered operator form of the main-identity family, rebuilt
-    from its action on all monomials of degree <= rank (the operator order
-    is bounded by the rank) and certified on a sample beyond them."""
+    """Normal-ordered operator form of the main-identity family, built from
+    its definition by the product rule: with wave(dx - dy) = sum_alpha
+    w_alpha d^alpha, the coefficient of d^beta is
+    sum_alpha w_alpha C(alpha, beta) d^(alpha - beta)[det^s det^t],
+    re-expressed at the shifts -r and divided exactly by det^(r-1) in each
+    slot.  Certified against extract_Dst on a probe beyond the order r."""
     dvars = double_vars(algebra.vars)
-    nv = len(dvars)
     r = algebra.r
-
-    monomials: list[Monomial] = []
-
-    def walk(prefix: list[int], pos: int, budget: int):
-        if pos == nv:
-            monomials.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            prefix.append(e)
-            walk(prefix, pos + 1, budget - e)
-            prefix.pop()
-
-    walk([], 0, r)
-    monomials.sort(key=lambda m: (sum(m), m))
-
-    coeffs: dict[Monomial, MPoly] = {}
-    for mono in monomials:
-        f = MPoly.monomial(dvars, mono)
-        action = extract_Dst(algebra, f)
-        for beta, c in coeffs.items():
-            if all(b <= m for b, m in zip(beta, mono)):
-                d = f.diff_multi(beta)
-                action = action - c * d
-        fact = Fraction(1)
-        for e in mono:
-            for j in range(2, e + 1):
-                fact *= j
-        coeffs[mono] = action.scale(Fraction(1) / fact)
-    op = DiffOp(dvars, coeffs)
-    # certification beyond the solve set
-    probe = MPoly.monomial(dvars, tuple([r] + [0] * (nv - 2) + [1]))
+    partial = _derivative_table(pair_power(algebra))
+    parts: dict[Monomial, list[MPoly]] = {}
+    for alpha, w in _wave_monomials(algebra, True).items():
+        for beta in product(*(range(a + 1) for a in alpha)):
+            term = _lowered(partial(tuple(a - b for a, b in zip(alpha, beta))), (-r, -r))
+            parts.setdefault(beta, []).append(term.scale(w * prod(map(comb, alpha, beta))))
+    op = DiffOp(dvars, {beta: _divide_out(algebra, MPoly.sum(dvars, parts[beta]))
+                        for beta in sorted(parts, key=lambda m: (sum(m), m))})
+    probe = MPoly.monomial(dvars, tuple([r] + [0] * (len(dvars) - 2) + [1]))
     if op.apply(probe) != extract_Dst(algebra, probe):
         raise TheoremViolationError("operator reconstruction failed certification")
     return op
@@ -347,18 +350,12 @@ def eps_flip_check(algebra: AlgebraDescriptor, point: Sequence[Fraction], k: int
     """At a rational point with det < 0, check that applying the wave
     operator to det^(k,eps) lands on b(k) det^(k-1,-eps) with the correct
     sign, for both eps branches."""
-    from .jordan import element, det as jdet
-
     x = element(algebra, list(point))
     dv = jdet(x)
     if dv >= 0:
         raise ValueError("flip check needs a negative-determinant point")
-    b = bernstein_poly(algebra)
-    bk = b.b.evaluate({"s": Fraction(k)})
-    detk = algebra.det_poly ** k
-    wave_sym = algebra.wave_poly
-    derivative = apply_diffop(wave_sym, detk)  # wave applied to det^k
-    det_km1_at = jdet(x) ** (k - 1)
+    bk = bernstein_poly(algebra).b.evaluate({"s": Fraction(k)})
+    derivative = apply_diffop(algebra.wave_poly, algebra.det_poly ** k)  # wave applied to det^k
     lhs_poly = derivative.subs_point(list(point)).constant_value()
     for eps in ("+", "-"):
         # det^(k,eps) coincides with c * det^k near the point
@@ -367,7 +364,6 @@ def eps_flip_check(algebra: AlgebraDescriptor, point: Sequence[Fraction], k: int
         rhs = bk * power_eps(dv, k - 1, "-" if eps == "+" else "+")
         if lhs != rhs:
             return False
-        assert det_km1_at == dv ** (k - 1)
     return True
 
 

@@ -35,7 +35,6 @@ from .fischer import dual_polynomial
 from .polynomials import InexactDivisionError, MPoly
 from .scalars import G_I, G_ONE, Gaussian, ParamPoly, mat_mul, rref
 
-Rat = Fraction
 Coords = tuple  # entries are Fraction or MPoly
 
 
@@ -77,20 +76,15 @@ class InternalInconsistencyError(ArithmeticError):
 class AlgebraDescriptor:
     key: str
     family: str
-    label: str
     n: int
     r: int
     d: int
-    e: int
-    r_plus: int
-    d_plus: int
     vars: tuple[str, ...]
     unit: tuple[Fraction, ...]
     mult: tuple  # mult[i][j] = coordinate vector of e_i o e_j
     trace_vec: tuple[Fraction, ...]
     pairing: tuple  # Gram matrix of the trace form tr(x o y)
     det_poly: MPoly
-    trace_poly: MPoly
     minpoly_coeffs: tuple[MPoly, ...]  # a_1 .. a_r
     adjugate_vec: tuple[MPoly, ...]
     wave_poly: MPoly
@@ -155,11 +149,10 @@ def _trace(trace_vec, coords: Coords, zero):
     return total
 
 
-def _algebra(key: str, label: str, r: int, d: int, d_plus: int, mult, unit_coords,
-             trace_vec, fourier_tau: str, euclidean: bool) -> AlgebraDescriptor:
+def _algebra(key: str, r: int, d: int, mult, unit_coords, trace_vec, fourier_tau: str,
+             euclidean: bool) -> AlgebraDescriptor:
     """Every field of the descriptor from the multiplication table, the unit
-    and the trace functional.  The families with arithmetic are split (e = 0)
-    with r_plus = r."""
+    and the trace functional."""
     n = len(mult)
     vars = tuple(f"x{i + 1}" for i in range(n))
     zero = MPoly.zero(vars)
@@ -191,10 +184,9 @@ def _algebra(key: str, label: str, r: int, d: int, d_plus: int, mult, unit_coord
     # kernel ("i") takes the wave operator as det(d) literally
     wave = dual_polynomial(det, pairing) if fourier_tau == "2pii" else det
     return AlgebraDescriptor(
-        key=key, family=key.partition(":")[0], label=label, n=n, r=r, d=d, e=0,
-        r_plus=r, d_plus=d_plus, vars=vars, unit=tuple(unit_coords), mult=mult,
-        trace_vec=tuple(trace_vec), pairing=pairing, det_poly=det, trace_poly=a[1],
-        minpoly_coeffs=tuple(a[1:]), adjugate_vec=tuple(adjugate), wave_poly=wave,
+        key=key, family=key.partition(":")[0], n=n, r=r, d=d, vars=vars,
+        unit=tuple(unit_coords), mult=mult, trace_vec=tuple(trace_vec), pairing=pairing,
+        det_poly=det, minpoly_coeffs=tuple(a[1:]), adjugate_vec=tuple(adjugate), wave_poly=wave,
         fourier_tau=fourier_tau, euclidean=euclidean,
     )
 
@@ -204,7 +196,7 @@ def _matrix(m: int, entries: dict) -> list[list[Gaussian]]:
     return [[entries.get((i, j), Gaussian()) for j in range(m)] for i in range(m)]
 
 
-def _matrix_algebra(key: str, label: str, m: int, basis, to_coords, d: int, d_plus: int,
+def _matrix_algebra(key: str, m: int, basis, to_coords, d: int,
                     euclidean: bool) -> AlgebraDescriptor:
     """A Jordan algebra of m x m matrices under the symmetrized product
     (ab + ba)/2, given by a basis over R and the chart map back to coordinates."""
@@ -218,7 +210,7 @@ def _matrix_algebra(key: str, label: str, m: int, basis, to_coords, d: int, d_pl
     mult = tuple(tuple(product(A, B) for B in basis) for A in basis)
     unit_coords = to_coords(_matrix(m, {(i, i): G_ONE for i in range(m)}))
     trace_vec = [sum((B[i][i] for i in range(m)), Gaussian()).re for B in basis]
-    return _algebra(key, label, m, d, d_plus, mult, unit_coords, trace_vec, "2pii", euclidean)
+    return _algebra(key, m, d, mult, unit_coords, trace_vec, "2pii", euclidean)
 
 
 def _sym_index_pairs(m: int) -> list[tuple[int, int]]:
@@ -231,9 +223,8 @@ def sym_algebra(m: int) -> AlgebraDescriptor:
         raise ValueError("sym:m needs m >= 1")
     pairs = _sym_index_pairs(m)
     basis = [_matrix(m, {(i, j): G_ONE, (j, i): G_ONE}) for (i, j) in pairs]
-    return _matrix_algebra(f"sym:{m}", f"Sym({m},R)", m, basis,
-                           lambda M: [M[i][j].re for (i, j) in pairs],
-                           d=1, d_plus=1, euclidean=True)
+    return _matrix_algebra(f"sym:{m}", m, basis, lambda M: [M[i][j].re for (i, j) in pairs],
+                           d=1, euclidean=True)
 
 
 @lru_cache(maxsize=None)
@@ -242,9 +233,8 @@ def mat_algebra(m: int) -> AlgebraDescriptor:
         raise ValueError("mat:m needs m >= 1")
     cells = [(i, j) for i in range(m) for j in range(m)]
     basis = [_matrix(m, {(i, j): G_ONE}) for (i, j) in cells]
-    return _matrix_algebra(f"mat:{m}", f"Mat({m},R)", m, basis,
-                           lambda M: [M[i][j].re for (i, j) in cells],
-                           d=2, d_plus=1, euclidean=False)
+    return _matrix_algebra(f"mat:{m}", m, basis, lambda M: [M[i][j].re for (i, j) in cells],
+                           d=2, euclidean=False)
 
 
 @lru_cache(maxsize=None)
@@ -265,8 +255,7 @@ def hermc_algebra(m: int) -> AlgebraDescriptor:
             out.append(M[i][j].im)
         return out
 
-    return _matrix_algebra(f"hermc:{m}", f"Herm({m},C)", m, basis, to_coords,
-                           d=2, d_plus=2, euclidean=True)
+    return _matrix_algebra(f"hermc:{m}", m, basis, to_coords, d=2, euclidean=True)
 
 
 @lru_cache(maxsize=None)
@@ -291,8 +280,8 @@ def rpq_algebra(p: int, q: int) -> AlgebraDescriptor:
     mult = tuple(tuple(product(i, j) for j in range(n)) for i in range(n))
     unit_coords = [Fraction(1)] + [Fraction(0)] * (n - 1)
     trace_vec = [Fraction(2)] + [Fraction(0)] * (n - 1)
-    return _algebra(f"rpq:{p},{q}", f"R^({p},{q})", 2, n - 2, q - 1, mult, unit_coords,
-                    trace_vec, "i", euclidean=(q == 0))
+    return _algebra(f"rpq:{p},{q}", 2, n - 2, mult, unit_coords, trace_vec, "i",
+                    euclidean=(q == 0))
 
 
 _FAMILIES = {"sym": sym_algebra, "mat": mat_algebra, "hermc": hermc_algebra}

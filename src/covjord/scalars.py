@@ -313,8 +313,6 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
-ZERO = ParamPoly.zero()
-ONE = ParamPoly.of(1)
 S = ParamPoly.var("s")
 T = ParamPoly.var("t")
 LAM = ParamPoly.var("lam")

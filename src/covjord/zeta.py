@@ -637,9 +637,6 @@ class GaussianTest:
         ))
         return cls(n, width, items)
 
-    def poly_dict(self) -> dict:
-        return {m: c for m, c in self.poly}
-
 
 def fourier_gaussian(g: GaussianTest) -> GaussianTest:
     """Exact transform under the kernel e^(i (xi, x)): polynomial x Gaussian
@@ -665,7 +662,7 @@ def fourier_gaussian(g: GaussianTest) -> GaussianTest:
         return {k: v for k, v in out.items() if v != (0, 0)}
 
     result: dict = {}
-    for mono, (re, im) in g.poly_dict().items():
+    for mono, (re, im) in g.poly:
         cur = {(0,) * n: (Fraction(1), Fraction(0))}
         for j, e in enumerate(mono):
             for _ in range(e):

@@ -1,12 +1,14 @@
-"""The benchmark's covariance workload against the program's API.
+"""The benchmark's workloads against the program's API.
 
-The workload and its independent check in bench/ call the program by name;
-this runs them on R^(2,1), so that a change of those names or signatures
-fails here.  The files are loaded read-only, without adding bench/ to
+The workloads and their independent checks in bench/ call the program by
+name; these run them on one small algebra each, so that a change of those
+names or signatures fails here.  The files are loaded read-only, without adding bench/ to
 sys.path."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,4 +31,19 @@ def test_covariance_workload_on_rpq21():
     assert ops.failed == []
     # the check includes the wrong-weight test against vacuous certificates
     ok, detail = checks.check_covariance(inputs, built, seed)
+    assert ok is True, detail
+
+
+def test_main_identity_workload_on_sym2():
+    workloads, checks = _load("workloads"), _load("checks")
+    seed = 3
+    inputs = [row for row in workloads.setup_main_identity(seed) if row[0] == "sym:2"]
+    ops = workloads.Ops()
+    actions = workloads.run_main_identity(inputs, ops)
+    # 20 extract_Dst actions and one integer-power grid
+    assert len(ops.ids) == 21
+    assert ops.failed == []
+    # the check reads the ParamPoly terms of det_poly, wave_poly and the actions
+    pytest.importorskip("sympy")
+    ok, detail = checks.check_main_identity(inputs, actions, seed)
     assert ok is True, detail

@@ -161,9 +161,35 @@ def test_operator_reconstruction(spec, rng):
         assert op.apply(f) == D.extract_Dst(alg, f)
 
 
-def test_graded_route_sym2():
-    alg = J.sym_algebra(2)
+@pytest.mark.parametrize("spec", ["sym:2", "hermc:2"])
+def test_graded_route_matches_direct(spec):
+    alg = J.algebra_from_spec(spec)
     assert D.dst_operator_graded(alg) == D.dst_operator(alg)
+
+
+@pytest.mark.parametrize("tamper", ["drop", "double"])
+def test_dst_operator_detects_a_wrong_wave(tamper, monkeypatch):
+    # negative control for the direct construction: with the first wave
+    # monomial dropped or doubled the main identity no longer holds, and the
+    # exact division of an operator coefficient must fail
+    waves = D._wave_monomials
+
+    def tampered(algebra, paired):
+        monos = dict(waves(algebra, paired))
+        first = next(iter(monos))
+        if tamper == "drop":
+            del monos[first]
+        else:
+            monos[first] *= 2
+        return monos
+
+    monkeypatch.setattr(D, "_wave_monomials", tampered)
+    D.dst_operator.cache_clear()
+    try:
+        with pytest.raises(D.TheoremViolationError, match="division not exact"):
+            D.dst_operator(J.sym_algebra(2))
+    finally:
+        D.dst_operator.cache_clear()
 
 
 def test_graded_route_sym3_action(rng):
