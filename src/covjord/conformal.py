@@ -37,10 +37,6 @@ class PointAtInfinityError(ArithmeticError):
     """Rational action undefined at the point (cocycle vanishes)."""
 
 
-class SingularityError(ArithmeticError):
-    """Kernel evaluated on the light cone."""
-
-
 def _freeze(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
@@ -114,21 +110,6 @@ class QuadricModel:
         rows[n + 1][n + 1] = t
         return _freeze(rows)
 
-    def rotation(self, h: Sequence[Sequence[Fraction]]) -> Matrix:
-        """Block embedding of h in the isometry group of the form P."""
-        n = self.n
-        h = _freeze(h)
-        S = tuple(tuple(self.signs[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
-        if mat_mul(mat_transpose(h), mat_mul(S, h)) != S:
-            raise ValueError("block is not an isometry of the quadratic form")
-        rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-        rows[0][0] = Fraction(1)
-        rows[n + 1][n + 1] = Fraction(1)
-        for i in range(n):
-            for j in range(n):
-                rows[i + 1][j + 1] = h[i][j]
-        return _freeze(rows)
-
     def inversion(self) -> Matrix:
         n = self.n
         rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
@@ -172,15 +153,6 @@ class QuadricModel:
                 X = mat_mul(self.Jinv, _freeze(E))
                 out.append(X)
         return out
-
-    def translation_generator(self, a: Sequence[Fraction]) -> Matrix:
-        n = self.n
-        a = [Fraction(v) for v in a]
-        rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-        for i in range(n):
-            rows[i + 1][0] = a[i]
-            rows[n + 1][i + 1] = 2 * self.signs[i] * a[i]
-        return _freeze(rows)
 
     def bracket(self, X: Matrix, Y: Matrix) -> Matrix:
         return mat_sub(mat_mul(X, Y), mat_mul(Y, X))
@@ -456,22 +428,3 @@ def covdet_check(algebra: jd.AlgebraDescriptor, word: ConformalWord,
     gx, gy = word.apply(x), word.apply(y)
     ax, ay = word.cocycle(x), word.cocycle(y)
     return jd.det(jd.sub(gx, gy)) * ax * ay == jd.det(jd.sub(x, y))
-
-
-# ---------------------------------------------------------------------------
-# Knapp-Stein kernel (numeric)
-
-
-def knapp_stein_kernel(algebra: jd.AlgebraDescriptor, lam: float, eps: str,
-                       x: jd.JordanElement, y: jd.JordanElement) -> float:
-    """Kernel det(x-y)^(-2n/r + lam, eps) at rational points."""
-    dv = jd.det(jd.sub(x, y))
-    if dv == 0:
-        raise SingularityError("kernel evaluated on the light cone")
-    sigma = -2.0 * algebra.n / algebra.r + float(lam)
-    mag = abs(float(dv)) ** sigma
-    if eps == "+":
-        return mag
-    if eps == "-":
-        return mag if dv > 0 else -mag
-    raise ValueError("epsilon must be '+' or '-'")

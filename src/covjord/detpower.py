@@ -8,7 +8,8 @@ divisions: the quotient either exists exactly or a theorem-violation error
 fires.  The shifts only decrease; no det factors are cancelled silently.
 
 The wave action and the main-identity operator D_{s,t} (by the product rule)
-both read one memoised table of partial derivatives.
+both read the memoised table of partial derivatives of polynomials.partials,
+with `diff` below as its derivation.
 
 The wave operator of an algebra is its stored wave polynomial with partial
 derivatives substituted literally (the pairing convention lives in the
@@ -20,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, prod
-from typing import Callable, Sequence
+from math import comb
+from typing import Sequence
 
 from .fischer import LeibnitzExpansion, apply_diffop
 from .jordan import AlgebraDescriptor, det as jdet, element, sharp
-from .polynomials import InexactDivisionError, MPoly, Monomial, double_vars
+from .polynomials import (InexactDivisionError, MPoly, Monomial, double_vars, leibniz_orders,
+                          partials)
 from .scalars import ParamPoly, S, T
 from .weyl import DiffOp
 
@@ -146,25 +147,6 @@ def _wave_monomials(algebra: AlgebraDescriptor, paired: bool) -> dict[Monomial, 
     return derivative_monomials(algebra.wave_poly, paired)
 
 
-def _derivative_table(expr: DetPowerExpr) -> Callable[[Monomial], DetPowerExpr]:
-    """The partial derivatives of expr, each taken once.  Like
-    fischer.apply_diffop and MPoly.diff_multi, the derivative of order mono is
-    diff along the last coordinate i that mono raises, of the derivative of
-    order mono - e_i; orders sharing that prefix share its work."""
-    table = {(0,) * len(expr.body.vars): expr}
-
-    def partial(mono: Monomial) -> DetPowerExpr:
-        d = table.get(mono)
-        if d is None:
-            i = len(mono) - 1
-            while not mono[i]:
-                i -= 1
-            d = table[mono] = diff(partial(mono[:i] + (mono[i] - 1,) + mono[i + 1 :]), i)
-        return d
-
-    return partial
-
-
 def _lowered(expr: DetPowerExpr, shifts: Sequence[int]) -> MPoly:
     """The body of expr re-expressed at lower shifts: times det^(a - shift)
     in each slot."""
@@ -178,7 +160,7 @@ def _lowered(expr: DetPowerExpr, shifts: Sequence[int]) -> MPoly:
 def det_wave_apply(expr: DetPowerExpr) -> DetPowerExpr:
     """Apply the algebra's wave operator (single slot) or wave(dx - dy),
     re-expressed at the common shifts a - r."""
-    partial = _derivative_table(expr)
+    partial = partials(expr, len(expr.body.vars), diff)
     low = [a - expr.algebra.r for a in _shifts(expr)]
     waves = _wave_monomials(expr.algebra, expr.paired).items()
     body = MPoly.sum(expr.body.vars, (_lowered(partial(m), low).scale(w) for m, w in waves))
@@ -295,12 +277,12 @@ def dst_operator(algebra: AlgebraDescriptor) -> DiffOp:
     slot.  Certified against extract_Dst on a probe beyond the order r."""
     dvars = double_vars(algebra.vars)
     r = algebra.r
-    partial = _derivative_table(pair_power(algebra))
+    partial = partials(pair_power(algebra), len(dvars), diff)
     parts: dict[Monomial, list[MPoly]] = {}
     for alpha, w in _wave_monomials(algebra, True).items():
-        for beta in product(*(range(a + 1) for a in alpha)):
+        for beta, binom in leibniz_orders(alpha):
             term = _lowered(partial(tuple(a - b for a, b in zip(alpha, beta))), (-r, -r))
-            parts.setdefault(beta, []).append(term.scale(w * prod(map(comb, alpha, beta))))
+            parts.setdefault(beta, []).append(term.scale(w * binom))
     op = DiffOp(dvars, {beta: _divide_out(algebra, MPoly.sum(dvars, parts[beta]))
                         for beta in sorted(parts, key=lambda m: (sum(m), m))})
     probe = MPoly.monomial(dvars, tuple([r] + [0] * (len(dvars) - 2) + [1]))

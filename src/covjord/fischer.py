@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .polynomials import MPoly, Monomial, VariableMismatchError
+from .polynomials import MPoly, Monomial, VariableMismatchError, partials
 from .scalars import ParamPoly, fraction_matrix_inverse, rref
 
 
@@ -25,28 +25,11 @@ class EmptySpaceError(ValueError):
 
 
 def apply_diffop(p: MPoly, q: MPoly) -> MPoly:
-    """Apply p(d/dx) to q, substituting d/dx_i for x_i in p literally.
-
-    Each partial derivative of q is taken once.  Like MPoly.diff_multi, the
-    derivative of order mono differentiates in increasing coordinate order,
-    so it is d/dx_i, i the last coordinate mono raises, of the derivative
-    of order mono - e_i; monomials of p sharing that prefix share its work."""
+    """Apply p(d/dx) to q, substituting d/dx_i for x_i in p literally; the
+    partial derivatives of q come from one polynomials.partials table."""
     if p.vars != q.vars:
         raise VariableMismatchError(f"variable lists differ: {p.vars} vs {q.vars}")
-    partials: dict[Monomial, MPoly] = {(0,) * len(q.vars): q}
-
-    def partial(mono: Monomial) -> MPoly:
-        d = partials.get(mono)
-        if d is None:
-            i = len(mono) - 1
-            while not mono[i]:
-                i -= 1
-            d = partial(mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
-            if not d.is_zero():
-                d = d.diff(i)
-            partials[mono] = d
-        return d
-
+    partial = partials(q, len(q.vars), MPoly.diff)
     # every scaled partial holds one form: q's, or ParamPoly if p has it
     return MPoly.sum(q.vars, (d.scale(coeff) for mono, coeff in p.terms.items()
                               if (d := partial(mono))))

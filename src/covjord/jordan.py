@@ -59,11 +59,6 @@ class RankDeficiencyError(ArithmeticError):
         self.needed = needed
 
 
-class SignatureDomainError(ValueError):
-    """Signature classification outside its domain (non-euclidean algebra
-    or boundary element)."""
-
-
 class InternalInconsistencyError(ArithmeticError):
     """An exact division promised by the theory failed."""
 
@@ -525,26 +520,6 @@ def sharp(algebra: AlgebraDescriptor, p: MPoly, k: int) -> MPoly:
         raise InternalInconsistencyError(
             "sharp division not exact (input outside the determinant derivative space?)"
         ) from exc
-
-
-def _sign_variations(coeffs: list[Fraction]) -> int:
-    signs = [c for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
-def signature_class(x: JordanElement) -> int:
-    """Index i such that x has i negative eigenvalues (Sym(m,R) only)."""
-    alg = x.algebra
-    if not (alg.family == "sym" and alg.euclidean):
-        raise SignatureDomainError("signature classification implemented for sym:m")
-    if det(x) == 0:
-        raise SignatureDomainError("boundary element (zero determinant)")
-    a = minpoly_values(x)
-    r = alg.r
-    # char(T) = T^r - a1 T^(r-1) + ... + (-1)^r a_r; all roots real
-    coeffs = [Fraction(1)] + [(-1) ** j * a[j - 1] for j in range(1, r + 1)]
-    neg = [c * (-1) ** (r - i) for i, c in enumerate(coeffs)]  # char(-T) up to sign
-    return _sign_variations(neg)
 
 
 def principal_minor(algebra: AlgebraDescriptor, k: int) -> MPoly:

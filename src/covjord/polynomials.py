@@ -12,18 +12,27 @@ which skips the scalar wrapper.  Sums, products, derivatives and scalings
 are written once for both forms through +, * and truthiness; a polynomial
 holds one form throughout, and contact with a parameter promotes bare
 rationals to ParamPoly.
+
+The calculus of the whole tower goes through two helpers here: `partials`,
+the one memoised table of partial derivatives (of polynomials and of
+determinant-power expressions alike), and `leibniz_orders`, the one
+enumeration of the product rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import comb, prod
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .scalars import ParamPoly
 
 Coeff = Union[int, Fraction, ParamPoly]
 Monomial = tuple[int, ...]
+_T = TypeVar("_T")
 
 
 class VariableMismatchError(ValueError):
@@ -269,15 +278,6 @@ class MPoly:
                 out[m[:i] + (e - 1,) + m[i + 1 :]] = times(c, e)
         return _poly(self.vars, out if param else _settle(out))
 
-    def diff_multi(self, orders: Monomial) -> "MPoly":
-        out = self
-        for i, k in enumerate(orders):
-            for _ in range(k):
-                out = out.diff(i)
-                if out.is_zero():
-                    return out
-        return out
-
     # -- substitution ---------------------------------------------------------
 
     def subs_point(self, point: Sequence[Coeff]) -> ParamPoly:
@@ -397,6 +397,41 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly[{','.join(self.vars)}]({self})"
+
+
+def partials(f: _T, nvars: int, diff: Callable[[_T, int], _T]) -> Callable[[Monomial], _T]:
+    """The memoised table of the partial derivatives of f, over nvars
+    coordinates, for any derivation diff(g, i) (MPoly.diff, or
+    detpower.diff on determinant-power expressions).
+
+    The derivative of order mono is diff along the last coordinate i that
+    mono raises, of the derivative of order mono - e_i, so each is taken
+    once and orders that share that prefix share its work.  A zero entry
+    (a falsy one) is its own derivative."""
+    table = {(0,) * nvars: f}
+
+    def partial(mono: Monomial) -> _T:
+        d = table.get(mono)
+        if d is None:
+            i = nvars - 1
+            while not mono[i]:
+                i -= 1
+            d = partial(mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
+            if d:
+                d = diff(d, i)
+            table[mono] = d
+        return d
+
+    return partial
+
+
+@lru_cache(maxsize=None)
+def leibniz_orders(alpha: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """The product rule d^alpha (f g) = sum_{beta <= alpha} C(alpha, beta)
+    d^beta f d^(alpha - beta) g: every beta <= alpha with C(alpha, beta),
+    beta = 0 first."""
+    return tuple((beta, prod(map(comb, alpha, beta)))
+                 for beta in product(*(range(a + 1) for a in alpha)))
 
 
 def double_vars(vars: Sequence[str]) -> tuple[str, ...]:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from operator import add, sub
 from typing import Mapping, Sequence
 
-from .polynomials import MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly
+from .polynomials import (MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly,
+                          leibniz_orders, partials)
 from .scalars import LAM, MU, ParamPoly
 
 
@@ -52,57 +52,37 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     -> coordinate monomial -> scalar exponent -> rational.
 
     Normal ordering through d^beta (b(x) d^gamma) =
-    sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma);
-    the nonzero derivatives of each right-hand coefficient are tabled once
-    per call, up to the order of the left factor, with their scalar terms.
-    Every product sign * C(beta,delta) * a * d^delta b is added term by term;
-    skip_zero leaves out the delta = 0 products a b d^(beta+gamma).  keys
-    interns the monomial and exponent tuples, so the result shares one
-    object per key."""
+    sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma),
+    with the pairs (delta, C(beta,delta)) from polynomials.leibniz_orders.
+    The nonzero derivatives d^delta b of each right-hand coefficient are
+    tabled once per call, for the delta that lie under some left monomial,
+    with their scalar terms; the left terms are scaled once per (beta,
+    delta).  Every product sign * C(beta,delta) * a * d^delta b is added
+    term by term; skip_zero leaves out the delta = 0 products
+    a b d^(beta+gamma).  keys interns the monomial and exponent tuples, so
+    the result shares one object per key."""
     if left.vars != right.vars:
         raise VariableMismatchError("operators over different charts")
     nvars = len(left.vars)
     rng = range(nvars)
-    zero = (0,) * nvars
-    max_depth = max((sum(b) for b in left.terms), default=0)
-    tables: list[tuple[Monomial, list[tuple[Monomial, list]]]] = []
+    deltas = {delta for beta in left.terms for delta, _ in leibniz_orders(beta)}
+    tables: list[tuple[Monomial, dict[Monomial, list]]] = []
     for gamma, b in right.terms.items():
-        tab: dict[Monomial, MPoly] = {zero: b}
-        frontier = dict(tab)
-        depth = 0
-        while frontier and depth < max_depth:
-            nxt: dict[Monomial, MPoly] = {}
-            for delta, poly in frontier.items():
-                for i in rng:
-                    nd = delta[:i] + (delta[i] + 1,) + delta[i + 1 :]
-                    if nd in tab or nd in nxt:
-                        continue
-                    dp = poly.diff(i)
-                    if not dp.is_zero():
-                        nxt[nd] = dp
-            tab.update(nxt)
-            frontier = nxt
-            depth += 1
-        if skip_zero:
-            del tab[zero]
-        tables.append((gamma, [(delta, [(m, c.terms.items()) for m, c in db.terms.items()])
-                               for delta, db in tab.items()]))
+        partial = partials(b, nvars, MPoly.diff)
+        tables.append((gamma, {delta: [(m, c.terms.items()) for m, c in db.terms.items()]
+                               for delta in deltas if (db := partial(delta))}))
     for beta, a in left.terms.items():
         a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
-        for gamma, tab in tables:
-            for delta, db_terms in tab:
-                mult = sign
-                ok = True
-                for bi, di in zip(beta, delta):
-                    if di:
-                        if di > bi:
-                            ok = False
-                            break
-                        mult *= comb(bi, di)
-                if not ok:
+        for delta, binom in leibniz_orders(beta):
+            if skip_zero and not any(delta):
+                continue
+            mult = sign * binom
+            left_terms = a_terms if mult == 1 else [
+                (m, [(e, c * mult) for e, c in s]) for m, s in a_terms]
+            for gamma, tab in tables:
+                db_terms = tab.get(delta)
+                if db_terms is None:
                     continue
-                left_terms = a_terms if mult == 1 else [
-                    (m, [(e, c * mult) for e, c in s]) for m, s in a_terms]
                 key = tuple(beta[k] - delta[k] + gamma[k] for k in rng)
                 coeff = acc.get(key)
                 if coeff is None:
@@ -217,8 +197,8 @@ class DiffOp:
     def apply(self, f: MPoly) -> MPoly:
         if f.vars != self.vars:
             raise VariableMismatchError("operand chart differs from operator chart")
-        return MPoly.sum(self.vars, (c * d for b, c in self.terms.items()
-                                     if (d := f.diff_multi(b))))
+        partial = partials(f, len(self.vars), MPoly.diff)
+        return MPoly.sum(self.vars, (c * d for b, c in self.terms.items() if (d := partial(b))))
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self after other: apply(compose(A,B), f) = A(B(f)).

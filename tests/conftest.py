@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from covjord import jordan as J
 from covjord.polynomials import MPoly
 
 
@@ -19,6 +20,25 @@ def random_poly(vars, rng: random.Random, max_deg: int, terms: int = 4) -> MPoly
             mono[rng.randrange(len(vars))] += 1
         out = out + MPoly.monomial(vars, tuple(mono), Fraction(rng.randint(-3, 3)))
     return out
+
+
+class SingularityError(ArithmeticError):
+    """Kernel evaluated on the light cone."""
+
+
+def knapp_stein_kernel(algebra: J.AlgebraDescriptor, lam: float, eps: str,
+                       x: J.JordanElement, y: J.JordanElement) -> float:
+    """Kernel det(x-y)^(-2n/r + lam, eps) at rational points."""
+    dv = J.det(J.sub(x, y))
+    if dv == 0:
+        raise SingularityError("kernel evaluated on the light cone")
+    sigma = -2.0 * algebra.n / algebra.r + float(lam)
+    mag = abs(float(dv)) ** sigma
+    if eps == "+":
+        return mag
+    if eps == "-":
+        return mag if dv > 0 else -mag
+    raise ValueError("epsilon must be '+' or '-'")
 
 
 @pytest.fixture

@@ -47,3 +47,19 @@ def test_main_identity_workload_on_sym2():
     pytest.importorskip("sympy")
     ok, detail = checks.check_main_identity(inputs, actions, seed)
     assert ok is True, detail
+
+
+def test_zeta_workload_on_rpq21():
+    workloads, checks = _load("workloads"), _load("checks")
+    seed = 3
+    cases, flips = workloads.setup_zeta(seed)
+    # the closed-form gaussian, one odd case and every flip
+    inputs = ([c for c in cases if c[0] in ("gauss-0", "odd1-0")], flips)
+    ops = workloads.Ops()
+    outputs = workloads.run_zeta(inputs, ops)
+    # 2 functional equations, the quadric flip and 4 euclidean flips
+    assert len(ops.ids) == 7
+    assert ops.failed == []
+    # the check compares the gaussian against its own closed-form transform
+    ok, detail = checks.check_zeta(inputs, outputs, seed)
+    assert ok is True, detail

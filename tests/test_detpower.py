@@ -8,7 +8,7 @@ import pytest
 from covjord import detpower as D
 from covjord import jordan as J
 from covjord.fischer import LeibnitzExpansion, apply_diffop
-from covjord.polynomials import MPoly, double_vars
+from covjord.polynomials import MPoly, double_vars, partials
 from covjord.scalars import ParamPoly, S, T
 
 from conftest import random_poly
@@ -200,6 +200,25 @@ def test_graded_route_sym3_action(rng):
     assert op.apply(one) == D.extract_Dst(alg, one)
     f = random_poly(dvars, rng, 2, terms=2)
     assert op.apply(f) == D.extract_Dst(alg, f)
+
+
+@pytest.mark.parametrize("spec", ["sym:2", "rpq:2,1"])
+def test_partials_table_of_det_powers(spec, rng):
+    # the table of a determinant-power pair against detpower.diff taken in
+    # decreasing coordinate order, the reverse of the table's order
+    alg = J.algebra_from_spec(spec)
+    dvars = double_vars(alg.vars)
+    expr = D.pair_power(alg, random_poly(dvars, rng, 2, terms=3))
+    partial = partials(expr, len(dvars), D.diff)
+    rng_orders = [tuple(rng.randint(0, 1) for _ in dvars) for _ in range(6)]
+    for mono in rng_orders + [(2,) + (0,) * (len(dvars) - 2) + (1,)]:
+        direct = expr
+        for i in reversed(range(len(dvars))):
+            for _ in range(mono[i]):
+                direct = D.diff(direct, i)
+        assert partial(mono) == direct, mono
+        n = alg.n
+        assert (direct.shift_x, direct.shift_y) == (-sum(mono[:n]), -sum(mono[n:]))
 
 
 def test_deltafgh(rng):

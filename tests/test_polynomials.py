@@ -2,15 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covjord.polynomials import InexactDivisionError, MPoly, VariableMismatchError, double_vars
+from covjord.polynomials import (InexactDivisionError, MPoly, VariableMismatchError, double_vars,
+                                 leibniz_orders, partials)
 from covjord.scalars import ParamPoly, S
 
-from conftest import random_poly
+from conftest import random_poly, stored_form
 
 VARS = ("x1", "x2", "x3")
 
@@ -111,3 +114,65 @@ def test_extend_and_rename():
     assert q.total_degree() == 2
     r = p.rename_vars(("y1", "y2"))
     assert r.vars == ("y1", "y2")
+
+
+# ---------------------------------------------------------------------------
+# the derivative table and the product rule, against plain differentiation
+
+
+def diff_decreasing(f: MPoly, mono) -> MPoly:
+    """d^mono f by plain MPoly.diff, the last coordinate first: the reverse of
+    the order the table differentiates in."""
+    for i in reversed(range(len(mono))):
+        for _ in range(mono[i]):
+            f = f.diff(i)
+    return f
+
+
+@pytest.mark.parametrize("form", ["param", "bare"])
+def test_partials_table_against_plain_diff(form):
+    rng = random.Random(21)
+    orders = list(product(range(4), repeat=3))
+    zeros = 0
+    for _ in range(8):
+        f = random_poly(VARS, rng, 4, terms=5)
+        f = f.scale(S + 2) if form == "param" else f.over_q()
+        partial = partials(f, 3, MPoly.diff)
+        for mono in orders:
+            got = partial(mono)
+            assert got == diff_decreasing(f, mono), mono
+            for c in got.terms.values():
+                assert type(c) is ParamPoly if form == "param" else stored_form(c)
+            zeros += got.is_zero()
+    assert 0 < zeros < 8 * len(orders)
+
+
+def test_partials_table_stops_at_zero():
+    calls = []
+
+    def counted(g, i):
+        calls.append(i)
+        return g.diff(i)
+
+    x1 = MPoly.variable(VARS, "x1")
+    partial = partials(x1, 3, counted)
+    assert partial((5, 0, 0)).is_zero()
+    # x1 -> 1 -> 0, and no derivative of the zero entry is taken
+    assert calls == [0, 0]
+    assert partial((0, 0, 0)) is x1
+
+
+def test_leibniz_orders_product_rule():
+    rng = random.Random(5)
+    for alpha in [(0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 1), (3, 0, 2)]:
+        orders = leibniz_orders(alpha)
+        assert len(orders) == prod(a + 1 for a in alpha)
+        assert orders[0] == ((0, 0, 0), 1)
+        for _ in range(3):
+            f = random_poly(VARS, rng, 4, terms=4)
+            g = random_poly(VARS, rng, 4, terms=4)
+            rhs = MPoly.sum(VARS, (
+                (diff_decreasing(f, beta) * diff_decreasing(
+                    g, tuple(a - b for a, b in zip(alpha, beta)))).scale(c)
+                for beta, c in orders))
+            assert diff_decreasing(f * g, alpha) == rhs, alpha

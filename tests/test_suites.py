@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from covjord import suites
 from covjord.cli import main
 from covjord.suites import Check, Suite
@@ -25,3 +27,12 @@ def test_raising_check_reports_error(tmp_path, monkeypatch):
     assert data["checks"][2]["detail"] == "ZeroDivisionError: broken check"
     assert math.isinf(data["checks"][2]["residual"])
     assert (data["passed"], data["failed"]) == (1, 2)
+
+
+@pytest.mark.parametrize("spec", ["sym:1", "mat:1", "sym:3"])
+def test_covariance_suite_on_odd_rank(spec, tmp_path):
+    # an odd rank takes a square dilation scale, whose cocycle has a root
+    report = tmp_path / "report.json"
+    assert main(["--suite", "covariance", "--algebra", spec, "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert [c["status"] for c in data["checks"]] == ["pass", "pass"]

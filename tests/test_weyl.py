@@ -34,6 +34,17 @@ def test_commutator_canonical():
     })
 
 
+def test_zero_operator_on_either_side(rng):
+    zero = W.DiffOp.zero(V)
+    A = rand_op(rng)
+    f = random_poly(V, rng, 3)
+    for op in (A, zero):
+        assert zero.compose(op) == zero and op.compose(zero) == zero
+        assert zero.commutator(op) == zero and op.commutator(zero) == zero
+        assert op.apply(MPoly.zero(V)) == MPoly.zero(V)
+    assert zero.apply(f) == MPoly.zero(V)
+
+
 def test_identity_neutral(rng):
     A = rand_op(rng)
     I = W.DiffOp.identity(V)

@@ -11,6 +11,8 @@ import pytest
 from covjord import zeta as Z
 from covjord.scalars import ParamPoly, S
 
+from conftest import knapp_stein_kernel
+
 
 def test_gamma_factor_evaluation():
     g = Z.gamma_quad(3, S)
@@ -235,7 +237,6 @@ def test_convergence_guard():
 def test_convolution_kernel_pairing_at_origin():
     # the intertwining kernel paired against a gaussian at the origin is the
     # signed-power pairing; the two quadrature pipelines must agree on it
-    from covjord import conformal as Cf
     from covjord import jordan as Jd
 
     alg = Jd.rpq_algebra(2, 1)
@@ -249,7 +250,7 @@ def test_convolution_kernel_pairing_at_origin():
     # sign convention agrees with the kernel function at sample points
     y = Jd.element(alg, [0, 0, 2])
     origin = Jd.element(alg, [0, 0, 0])
-    val = Cf.knapp_stein_kernel(alg, lam, "-", origin, y)
+    val = knapp_stein_kernel(alg, lam, "-", origin, y)
     assert val < 0  # det(0 - y) = -4 on the negative side
 
 
