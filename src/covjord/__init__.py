@@ -17,7 +17,9 @@ Layers, bottom up:
                ones from their symbol), Fourier conjugation
   conformal    quadric model, cocycles, infinitesimal action, covariance
   rpq          explicit quadratic-space operators and the bracket family
+  quadpack     adaptive quadrature: QUADPACK's QAGS, float for float
   zeta         gamma factors, functional-equation matrices, numeric checks
+               by quadrature (`zeta.quad`)
   suites, cli  registry of seeded verification suites and the command-line runner
 """
 

@@ -407,16 +407,27 @@ def partials(f: _T, nvars: int, diff: Callable[[_T, int], _T]) -> Callable[[Mono
     The derivative of order mono is diff along the last coordinate i that
     mono raises, of the derivative of order mono - e_i, so each is taken
     once and orders that share that prefix share its work.  A zero entry
-    (a falsy one) is its own derivative."""
+    (a falsy one) is its own derivative.
+
+    The lookup walks down to a known entry and back up without calling
+    itself: a self-referencing closure would be a reference cycle, and the
+    table would outlive its last caller until the cyclic garbage collector
+    ran."""
     table = {(0,) * nvars: f}
 
     def partial(mono: Monomial) -> _T:
         d = table.get(mono)
-        if d is None:
+        if d is not None:
+            return d
+        path = []
+        while d is None:
             i = nvars - 1
             while not mono[i]:
                 i -= 1
-            d = partial(mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
+            path.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+            d = table.get(mono)
+        for mono, i in reversed(path):
             if d:
                 d = diff(d, i)
             table[mono] = d

@@ -7,32 +7,21 @@ arguments differ by integers, which is how the kappa constants are derived
 and certified.  Floating point enters only in the numeric layer at the
 bottom: trig matrices evaluated at sample points and the quadrature
 verification of the quadratic-space functional equation, with the domain
-split at the light cone in bipolar radii.
+split at the light cone in bipolar radii.  `quad` is the one quadrature
+entry point: the package's port of QUADPACK's QAGS (`covjord.quadpack`),
+with the call shape and defaults of `scipy.integrate.quad`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .detpower import b_reference
+from .quadpack import quad
 from .scalars import G_I, G_ONE, Gaussian, ParamPoly, S, SingularMatrixError, T, fraction_matrix_inverse
-
-
-def quad(f, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first use: importing scipy takes
-    most of the package's import time, and only the quadrature needs it.
-    Its IntegrationWarning (a requested tolerance not met) is suppressed:
-    the accuracy evidence is the gap between the two quadrature pipelines,
-    which `numeric_zeta_check` bounds by _PIPELINE_TOL."""
-    from scipy.integrate import IntegrationWarning, quad as scipy_quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return scipy_quad(f, a, b, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,16 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_zeta_suite_leaves_scipy_and_numpy_out():
+    # the quadrature is the package's own: running it imports neither
+    code = ("import sys; from covjord import cli; code = cli.main(['--suite', 'zeta-numeric']); "
+            "print(code, 'scipy' in sys.modules, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"]
+
+
 def test_check_failure_exit_code(tmp_path):
     # an impossible tolerance forces numeric checks to fail with exit 1
     proc = run_cli(["--suite", "zeta-matrices", "--tolerance", "1e-30"])

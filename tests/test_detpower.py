@@ -250,6 +250,29 @@ def _to_sympy(p: MPoly, symbols, sp):
     return out
 
 
+@pytest.mark.parametrize("spec", ["sym:2", "mat:2", "rpq:2,1"])
+def test_bernstein_against_sympy(spec):
+    # the b-function against sympy's own differentiation: wave(d) applied
+    # literally to det^k must be b(k) det^(k-1), the convention of bernstein_poly
+    sp = pytest.importorskip("sympy")
+    alg = J.algebra_from_spec(spec)
+    xs = sp.symbols(alg.vars)
+    det = _to_sympy(alg.det_poly, xs, sp)
+    b = D.bernstein_poly(alg).b
+    for k in range(1, 5):
+        waved = sp.Integer(0)
+        for mono, coeff in alg.wave_poly.terms.items():
+            term = det**k
+            for x, e in zip(xs, mono):
+                if e:
+                    term = sp.diff(term, x, e)
+            c = coeff.constant_value()
+            waved += sp.Rational(c.numerator, c.denominator) * term
+        bk = b.evaluate({"s": k})
+        assert bk != 0
+        assert sp.expand(waved - sp.Rational(bk.numerator, bk.denominator) * det**(k - 1)) == 0
+
+
 @pytest.mark.parametrize("spec", ["sym:2", "rpq:2,1"])
 def test_brute_force_wave_against_sympy(spec, rng):
     # the integer-power oracle against sympy's own differentiation: wave(dx - dy)

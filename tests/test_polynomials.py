@@ -1,6 +1,8 @@
 """Multivariate polynomial layer: arithmetic, calculus, exact division."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -160,6 +162,20 @@ def test_partials_table_stops_at_zero():
     # x1 -> 1 -> 0, and no derivative of the zero entry is taken
     assert calls == [0, 0]
     assert partial((0, 0, 0)) is x1
+
+
+def test_partials_table_freed_without_gc():
+    # the lookup holds no reference to itself, so the table goes as soon as
+    # its last caller drops it, not at the next cyclic garbage collection
+    partial = partials(MPoly.variable(VARS, "x1") ** 3, 3, MPoly.diff)
+    assert partial((2, 0, 0)) == MPoly.variable(VARS, "x1").scale(6)
+    ref = weakref.ref(partial)
+    gc.disable()
+    try:
+        del partial
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_leibniz_orders_product_rule():

@@ -255,8 +255,9 @@ def test_convolution_kernel_pairing_at_origin():
 
 
 def test_quadrature_warning_does_not_escape():
-    # g = (3 - 2 x1^2 - x3^2) exp(-|x|^2): scipy cannot meet the requested
-    # tolerance on one piece, while the functional equation still holds
+    # g = (3 - 2 x1^2 - x3^2) exp(-|x|^2): QAGS cannot meet the requested
+    # tolerance on one piece (ier = 4, where scipy would warn), while the
+    # functional equation still holds
     g = Z.GaussianTest.make(3, 1, {(0, 0, 0): (3, 0), (2, 0, 0): (-2, 0), (0, 0, 2): (-1, 0)})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
