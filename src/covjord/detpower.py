@@ -252,19 +252,14 @@ def _wave_pair_symbol(algebra: AlgebraDescriptor) -> MPoly:
     return algebra.wave_poly.compose(images).over_q()
 
 
-def _oracle_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
-    """wave(dx-dy) of det(x)^k det(y)^l f over bare rationals (f lowered)."""
+def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
+    """Integer-power oracle: wave(dx-dy) applied to det(x)^k det(y)^l f by
+    plain polynomial differentiation, in the coefficient form of f (bare
+    rationals once f is lowered with over_q)."""
     if k < 0 or l < 0:
         raise ValueError("integer powers must be nonnegative")
     target = _pair_det_power(algebra, 0, k) * _pair_det_power(algebra, 1, l) * f
     return apply_diffop(_wave_pair_symbol(algebra), target)
-
-
-def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
-    """Integer-power oracle: wave(dx-dy) applied to det(x)^k det(y)^l f by
-    plain polynomial differentiation.  f must be parameter-free."""
-    result = _oracle_wave(algebra, k, l, f.over_q())
-    return MPoly(result.vars, result.terms)
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +298,7 @@ def dst_grid_check(algebra: AlgebraDescriptor, f: MPoly, s_values: Sequence[int]
         for l in t_values:
             if k < r or l < r:
                 raise ValueError("grid powers must be >= rank")
-            lhs = _oracle_wave(algebra, k, l, f)
+            lhs = brute_force_wave(algebra, k, l, f)
             rhs_factor = _pair_det_power(algebra, 0, k - 1) * _pair_det_power(algebra, 1, l - 1)
             action = symbolic.subs_params({"s": ParamPoly.of(k), "t": ParamPoly.of(l)}).over_q()
             if lhs != rhs_factor * action:

@@ -546,11 +546,13 @@ def random_element(algebra: AlgebraDescriptor, rng: random.Random, bound: int = 
     )
 
 
-def random_regular(algebra: AlgebraDescriptor, rng: random.Random, bound: int = 4,
-                   retries: int = 200) -> JordanElement:
+_SAMPLE_RETRIES = 200
+
+
+def random_regular(algebra: AlgebraDescriptor, rng: random.Random) -> JordanElement:
     """Regular invertible element by rejection (regular elements are dense)."""
-    for _ in range(retries):
-        x = random_element(algebra, rng, bound)
+    for _ in range(_SAMPLE_RETRIES):
+        x = random_element(algebra, rng)
         if det(x) == 0:
             continue
         try:
@@ -561,10 +563,9 @@ def random_regular(algebra: AlgebraDescriptor, rng: random.Random, bound: int = 
     raise RuntimeError("no regular element found (retries exhausted)")
 
 
-def random_invertible(algebra: AlgebraDescriptor, rng: random.Random, bound: int = 4,
-                      retries: int = 200) -> JordanElement:
-    for _ in range(retries):
-        x = random_element(algebra, rng, bound)
+def random_invertible(algebra: AlgebraDescriptor, rng: random.Random) -> JordanElement:
+    for _ in range(_SAMPLE_RETRIES):
+        x = random_element(algebra, rng)
         if det(x) != 0:
             return x
     raise RuntimeError("no invertible element found (retries exhausted)")

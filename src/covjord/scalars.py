@@ -233,7 +233,7 @@ class ParamPoly:
     def substitute(self, images: Mapping[str, "ParamPoly"]) -> "ParamPoly":
         """Substitute parameters by scalar polynomials (tau not substitutable)."""
         if "tau" in images:
-            raise ValueError("tau is a formal constant; use fold_tau/evaluate")
+            raise ValueError("tau is a formal constant; use evaluate")
         out: dict[Exponent, RatLike] = {}
         for e, c in self.terms.items():
             term = ParamPoly({(0, 0, 0, 0, e[_TAU]): c})
@@ -246,16 +246,6 @@ class ParamPoly:
         res = ParamPoly.__new__(ParamPoly)
         res.terms = out
         return res
-
-    def fold_tau(self, tau_squared: RatLike = -1) -> "ParamPoly":
-        """Reduce tau^2 to the given rational value (tau^(2m+b) -> v^m tau^b)."""
-        v = Fraction(_as_rational(tau_squared))  # m < 0 for negative tau powers
-        out = ParamPoly()
-        for e, c in self.terms.items():
-            m, b = divmod(e[_TAU], 2)
-            ne = e[:_TAU] + (b,)
-            out = out + ParamPoly({ne: c * v**m})
-        return out
 
     def evaluate(self, values: Mapping[str, RatLike]) -> Fraction:
         """Exact evaluation; every parameter occurring must be assigned."""

@@ -7,9 +7,15 @@ arguments differ by integers, which is how the kappa constants are derived
 and certified.  Floating point enters only in the numeric layer at the
 bottom: trig matrices evaluated at sample points and the quadrature
 verification of the quadratic-space functional equation, with the domain
-split at the light cone in bipolar radii.  `quad` is the one quadrature
-entry point: the package's port of QUADPACK's QAGS (`covjord.quadpack`),
-with the call shape and defaults of `scipy.integrate.quad`.
+split at the light cone in bipolar radii.  Test functions are polynomials
+with Gaussian-rational coefficients (`scalars.Gaussian`) times a centred
+Gaussian, and their Fourier transforms are exact.  `pair_power_with` gives
+all four pairings of a test function (both sides of the cone with either
+sign, and each side alone) from one polar pass; `pair_power_grid` is the
+independent pipeline the polar values are checked against.  `quad` is the
+one quadrature entry point: the package's port of QUADPACK's QAGS
+(`covjord.quadpack`), with the call shape and defaults of
+`scipy.integrate.quad`.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .detpower import b_reference
+from .polynomials import MPoly
 from .quadpack import quad
 from .scalars import G_I, G_ONE, Gaussian, ParamPoly, S, SingularMatrixError, T, fraction_matrix_inverse
 
@@ -612,56 +619,41 @@ class GaussianTest:
 
     n: int
     width: Fraction
-    poly: tuple  # ((mono, (re, im)) ...)
+    poly: tuple  # ((mono, Gaussian) ...), sorted by monomial
 
     @classmethod
     def make(cls, n: int, width, poly: Mapping[tuple, tuple] | None = None) -> "GaussianTest":
+        """poly maps monomials to (re, im) pairs of rationals."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("gaussian width must be positive")
         if poly is None:
-            poly = {(0,) * n: (Fraction(1), Fraction(0))}
-        items = tuple(sorted(
-            (tuple(m), (Fraction(c[0]), Fraction(c[1]))) for m, c in poly.items()
-        ))
-        return cls(n, width, items)
+            poly = {(0,) * n: (1, 0)}
+        return cls(n, width, tuple(sorted(
+            (tuple(m), Gaussian(Fraction(re), Fraction(im))) for m, (re, im) in poly.items()
+        )))
 
 
 def fourier_gaussian(g: GaussianTest) -> GaussianTest:
     """Exact transform under the kernel e^(i (xi, x)): polynomial x Gaussian
-    maps to polynomial x Gaussian of width 1/(4 width), with the overall
+    maps to polynomial x Gaussian of width a = 1/(4 width), with the overall
     (pi/width)^(n/2) factor carried separately by the caller via
-    fourier_gaussian_scale."""
+    fourier_gaussian_scale.  Multiplication by x_j on the source side
+    becomes -i d/dxi_j on the image, so c_m x^m maps to c_m (-i)^|m| D^m(1)
+    with D_j p = dp/dxi_j - 2 a xi_j p."""
     n = g.n
-    a = Fraction(1, 4) / g.width  # image width
-    # multiplication by x_j on the source side becomes -i d/dxi_j downstream
-    # of the base transform of exp(-w|x|^2)
-
-    def diff_gauss(poly: dict, j: int) -> dict:
-        # d/dxi_j [p e^(-a|xi|^2)] = (dp/dxi_j - 2 a xi_j p) e^(-a |xi|^2)
-        out: dict = {}
-        for m, (re, im) in poly.items():
-            if m[j]:
-                dm = m[:j] + (m[j] - 1,) + m[j + 1 :]
-                pr, pi = out.get(dm, (Fraction(0), Fraction(0)))
-                out[dm] = (pr + re * m[j], pi + im * m[j])
-            um = m[:j] + (m[j] + 1,) + m[j + 1 :]
-            pr, pi = out.get(um, (Fraction(0), Fraction(0)))
-            out[um] = (pr - 2 * a * re, pi - 2 * a * im)
-        return {k: v for k, v in out.items() if v != (0, 0)}
-
-    result: dict = {}
-    for mono, (re, im) in g.poly:
-        cur = {(0,) * n: (Fraction(1), Fraction(0))}
+    a = Fraction(1, 4) / g.width
+    xi = tuple(f"xi{j}" for j in range(n))
+    coords = [MPoly.variable(xi, v).over_q() for v in xi]
+    result: GPoly = {}
+    for mono, c in g.poly:
+        image = MPoly.constant(xi, 1).over_q()
         for j, e in enumerate(mono):
             for _ in range(e):
-                cur = diff_gauss(cur, j)
-                # multiply by -i: (re, im) -> (im, -re)
-                cur = {k: (v[1], -v[0]) for k, v in cur.items()}
-        for k, (vr, vi) in cur.items():
-            ar, ai = result.get(k, (Fraction(0), Fraction(0)))
-            result[k] = (ar + re * vr - im * vi, ai + re * vi + im * vr)
-    return GaussianTest.make(n, a, result)
+                image = image.diff(j) - (coords[j] * image).scale(2 * a)
+        image_terms = {m: Gaussian(Fraction(v)) for m, v in image.terms.items()}
+        result = gp_add(result, gp_scale(image_terms, c * _i_power(-sum(mono))))
+    return GaussianTest(n, a, tuple(sorted(result.items())))
 
 
 def fourier_gaussian_scale(g: GaussianTest) -> float:
@@ -687,9 +679,9 @@ _QUAD_TOL = 1e-8
 _PIPELINE_TOL = 1e-6  # relative gap allowed between the polar and grid pipelines
 
 
-def _angular_integral(A: int, B: int, sigma: float, region: str) -> float:
-    """Integral over phi in (0, pi/2) of cos^A sin^B |cos 2phi|^sigma with the
-    sign/region conventions; split at the cone phi = pi/4."""
+def _angular_halves(A: int, B: int, sigma: float) -> tuple[float, float]:
+    """Integrals over phi of cos^A sin^B |cos 2phi|^sigma on the two sides of
+    the cone phi = pi/4: (0, pi/4), where P > 0, and (pi/4, pi/2), where P < 0."""
 
     def f(phi: float) -> float:
         c2 = math.cos(2 * phi)
@@ -698,15 +690,7 @@ def _angular_integral(A: int, B: int, sigma: float, region: str) -> float:
     quarter = math.pi / 4
     left = quad(f, 0.0, quarter, epsabs=_QUAD_TOL, epsrel=1e-10, limit=400)[0]
     right = quad(f, quarter, math.pi / 2, epsabs=_QUAD_TOL, epsrel=1e-10, limit=400)[0]
-    if region == "plus":  # P > 0 side only
-        return left
-    if region == "minus":  # P < 0 side only
-        return right
-    if region == "both+":
-        return left + right
-    if region == "both-":
-        return left - right
-    raise ValueError(f"unknown region {region!r}")
+    return left, right
 
 
 def _radial_integral(K: int, sigma: float, a: float) -> float:
@@ -715,9 +699,10 @@ def _radial_integral(K: int, sigma: float, a: float) -> float:
     return math.gamma(e) / (2 * a**e)
 
 
-def _bipolar_integral_grid(A: int, B: int, sigma: float, a: float, region: str) -> float:
+def _bipolar_integral_grid(A: int, B: int, sigma: float, a: float, eps: str) -> float:
     """Independent pipeline: nested adaptive quadrature in the bipolar radii
-    (u, v), inner integral split at the cone u = v."""
+    (u, v), inner integral split at the cone u = v; any eps but "+" gives
+    the P < 0 side the minus sign."""
     cut = 8.0 / math.sqrt(a)
 
     def inner(v: float) -> float:
@@ -728,31 +713,26 @@ def _bipolar_integral_grid(A: int, B: int, sigma: float, a: float, region: str) 
             return u**A * abs(w) ** sigma * math.exp(-a * u * u)
 
         total = 0.0
-        if region != "minus" and v < cut:
+        if v < cut:
             mid = min(v + 1.0, cut)
             total += quad(fu, v, mid, epsabs=_QUAD_TOL, limit=300)[0]
             if mid < cut:
                 total += quad(fu, mid, cut, epsabs=_QUAD_TOL, limit=300)[0]
-        if region != "plus" and v > 0.0:
+        if v > 0.0:
             piece = quad(fu, 0.0, v, epsabs=_QUAD_TOL, limit=300)[0]
-            total += -piece if region == "both-" else piece
+            total += piece if eps == "+" else -piece
         return total * v**B * math.exp(-a * v * v)
 
     return quad(inner, 0.0, cut, epsabs=_QUAD_TOL, limit=300)[0]
 
 
-def pair_power_with(g: GaussianTest, p: int, q: int, sigma: float, eps: str,
-                    region_override: str | None = None,
-                    pipeline: str = "polar") -> complex:
-    """<P^(sigma, eps), g> over R^n: exact angular reduction per monomial,
-    then the 2-D bipolar integral via the chosen pipeline."""
-    n = p + q
-    if g.n != n:
+def _reduced_monomials(g: GaussianTest, p: int, q: int) -> Iterator[tuple[complex, int, int]]:
+    """The exact angular reduction of g over R^(p,q): for each monomial whose
+    sphere moments do not vanish, (coefficient * moments, A, B), where the
+    monomial leaves u^A v^B in the bipolar radii."""
+    if g.n != p + q:
         raise ValueError("test function dimension mismatch")
-    a = float(g.width)
-    region = region_override or ("both+" if eps == "+" else "both-")
-    total = 0.0 + 0.0j
-    for mono, (re, im) in g.poly:
+    for mono, c in g.poly:
         mx = mono[:p]
         my = mono[p:]
         wx = _sphere_moment(mx)
@@ -761,15 +741,32 @@ def pair_power_with(g: GaussianTest, p: int, q: int, sigma: float, eps: str,
         wy = _sphere_moment(my)
         if wy == 0.0:
             continue
-        A = p - 1 + sum(mx)
-        B = q - 1 + sum(my)
-        if pipeline == "polar":
-            val = _radial_integral(A + B, sigma, a) * _angular_integral(A, B, sigma, region)
-        elif pipeline == "grid":
-            val = _bipolar_integral_grid(A, B, sigma, a, region)
-        else:
-            raise ValueError(f"unknown pipeline {pipeline!r}")
-        total += complex(float(re), float(im)) * wx * wy * val
+        yield complex(float(c.re), float(c.im)) * wx * wy, p - 1 + sum(mx), q - 1 + sum(my)
+
+
+def pair_power_with(g: GaussianTest, p: int, q: int, sigma: float) -> dict[str, complex]:
+    """<|P|^sigma, g> over R^(p,q) in one polar pass: a radial integral in
+    closed form times the angular halves per monomial.  Keys "+" and "-"
+    are the pairings with P^(sigma, eps) on both sides of the cone, "plus"
+    and "minus" those with |P|^sigma on the P > 0 and P < 0 side alone."""
+    a = float(g.width)
+    out = dict.fromkeys(("+", "-", "plus", "minus"), 0.0 + 0.0j)
+    for weight, A, B in _reduced_monomials(g, p, q):
+        radial = _radial_integral(A + B, sigma, a)
+        left, right = _angular_halves(A, B, sigma)
+        out["+"] += weight * (radial * (left + right))
+        out["-"] += weight * (radial * (left - right))
+        out["plus"] += weight * (radial * left)
+        out["minus"] += weight * (radial * right)
+    return out
+
+
+def pair_power_grid(g: GaussianTest, p: int, q: int, sigma: float, eps: str) -> complex:
+    """<P^(sigma, eps), g> by the independent grid pipeline."""
+    a = float(g.width)
+    total = 0.0 + 0.0j
+    for weight, A, B in _reduced_monomials(g, p, q):
+        total += weight * _bipolar_integral_grid(A, B, sigma, a, eps)
     return total
 
 
@@ -807,12 +804,10 @@ def numeric_zeta_check(p: int, q: int, s: float, g: GaussianTest) -> ZetaCheckRe
     lhs = {}
     rhs = {}
     rel = {}
-    pair_g = {
-        "+": pair_power_with(g, p, q, sig2, "+"),
-        "-": pair_power_with(g, p, q, sig2, "-"),
-    }
+    pair_g = pair_power_with(g, p, q, sig2)
+    pair_fg = pair_power_with(fg, p, q, s)
     for i, eps in enumerate(("+", "-")):
-        left = fscale * pair_power_with(fg, p, q, s, eps)
+        left = fscale * pair_fg[eps]
         right = gam * (A[i][0] * pair_g["+"] + A[i][1] * pair_g["-"])
         lhs[eps] = left
         rhs[eps] = right
@@ -821,24 +816,22 @@ def numeric_zeta_check(p: int, q: int, s: float, g: GaussianTest) -> ZetaCheckRe
 
     # one-sided forms (independent identity shape)
     gs = {}
-    g_plus = pair_power_with(g, p, q, sig2, "+", region_override="plus")
-    g_minus = pair_power_with(g, p, q, sig2, "+", region_override="minus")
-    left_p = fscale * pair_power_with(fg, p, q, s, "+", region_override="plus")
+    left_p = fscale * pair_fg["plus"]
     right_p = gam * (
-        -math.sin((q / 2 + s) * math.pi) * g_plus
-        + math.sin(p * math.pi / 2) * g_minus
+        -math.sin((q / 2 + s) * math.pi) * pair_g["plus"]
+        + math.sin(p * math.pi / 2) * pair_g["minus"]
     )
     gs["plus"] = abs(left_p - right_p) / max(abs(left_p), abs(right_p), 1e-30)
-    left_m = fscale * pair_power_with(fg, p, q, s, "+", region_override="minus")
+    left_m = fscale * pair_fg["minus"]
     right_m = gam * (
-        math.sin(q * math.pi / 2) * g_plus
-        - math.sin((s + p / 2) * math.pi) * g_minus
+        math.sin(q * math.pi / 2) * pair_g["plus"]
+        - math.sin((s + p / 2) * math.pi) * pair_g["minus"]
     )
     gs["minus"] = abs(left_m - right_m) / max(abs(left_m), abs(right_m), 1e-30)
 
-    # the two quadrature pipelines must agree; pair_g["+"] is the polar one
+    # the two quadrature pipelines must agree
     a_pol = pair_g["+"]
-    a_grd = pair_power_with(g, p, q, sig2, "+", pipeline="grid")
+    a_grd = pair_power_grid(g, p, q, sig2, "+")
     gap = abs(a_pol - a_grd) / max(abs(a_pol), abs(a_grd), 1e-30)
     if gap > _PIPELINE_TOL:
         raise ArithmeticError(f"quadrature pipelines disagree: {gap:.2e}")

@@ -63,3 +63,26 @@ def test_zeta_workload_on_rpq21():
     # the check compares the gaussian against its own closed-form transform
     ok, detail = checks.check_zeta(inputs, outputs, seed)
     assert ok is True, detail
+
+
+def test_tracer_counts_the_grid_oracle_and_the_pairings():
+    # the benchmark's tracer wraps public names only: the grid oracle must be
+    # called as brute_force_wave, and a functional-equation check pairs g and
+    # its transform once each
+    from covjord import detpower, jordan, zeta
+    from covjord.polynomials import MPoly, double_vars
+
+    alg = jordan.algebra_from_spec("rpq:2,1")
+    dvars = double_vars(alg.vars)
+    f = MPoly.variable(dvars, dvars[0]) * MPoly.variable(dvars, dvars[-1]) + MPoly.constant(dvars, 2)
+    s_values, t_values = (2, 3), (2,)
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        assert detpower.dst_grid_check(alg, f, s_values, t_values)
+        zeta.numeric_zeta_check(2, 1, -0.7, zeta.GaussianTest.make(3, 1))
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["detpower.brute_force_wave.calls"] == len(s_values) * len(t_values)
+    assert metrics["zeta.pair_power_with.calls"] == 2

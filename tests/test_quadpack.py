@@ -65,7 +65,7 @@ def recorded_calls(fn, *args):
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_angular_integrands(sigma, probe):
     for A, B in [(0, 0), (1, 0), (2, 1), (1, 4), (5, 2)]:
-        calls = recorded_calls(Z._angular_integral, A, B, sigma, "both+")
+        calls = recorded_calls(Z._angular_halves, A, B, sigma)
         assert [c[1:3] for c in calls] == [(0.0, math.pi / 4), (math.pi / 4, math.pi / 2)]
         for f, a, b, kwargs in calls:
             assert_same(f, a, b, **kwargs)
@@ -74,10 +74,10 @@ def test_angular_integrands(sigma, probe):
 
 
 @pytest.mark.parametrize("args", [
-    (1, 0, -0.7, 1.0, "both+"),
-    (2, 1, -0.3, 0.75, "both-"),
-    (1, 1, 0.5, 2.0, "minus"),
-    (3, 0, -0.95, 1.5, "plus"),
+    (1, 0, -0.7, 1.0, "+"),
+    (2, 1, -0.3, 0.75, "-"),
+    (1, 1, 0.5, 2.0, "-"),
+    (3, 0, -0.95, 1.5, "+"),
 ])
 def test_bipolar_grid_integrands(args, probe):
     calls = recorded_calls(Z._bipolar_integral_grid, *args)

@@ -47,14 +47,6 @@ def test_tau_inverse_pair_reduces():
     assert (S * TAU * TAU_INV) == S
 
 
-def test_fold_tau():
-    assert (TAU * TAU).fold_tau() == ParamPoly.of(-1)
-    assert (TAU ** 3).fold_tau() == -TAU
-    assert (ParamPoly.var("tau", -2)).fold_tau() == ParamPoly.of(-1)
-    assert (ParamPoly.var("tau", -3)).fold_tau() == TAU  # tau^-3 = tau (tau^2)^-2
-    assert (S * TAU ** 4 + T).fold_tau() == S + T
-
-
 def test_substitute_and_evaluate():
     p = S * S - T + 2
     q = p.substitute({"s": LAM + 1, "t": MU * 2})

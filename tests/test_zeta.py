@@ -189,13 +189,51 @@ def test_fourier_gaussian():
     g = Z.GaussianTest.make(3, 1)
     fg = Z.fourier_gaussian(g)
     assert fg.width == Fraction(1, 4)
-    assert fg.poly == (((0, 0, 0), (Fraction(1), Fraction(0))),)
+    assert fg.poly == (((0, 0, 0), Z.Gaussian(Fraction(1), Fraction(0))),)
     assert abs(Z.fourier_gaussian_scale(g) - math.pi ** 1.5) < 1e-12
     g1 = Z.GaussianTest.make(3, 1, {(1, 0, 0): (1, 0)})
     fg1 = Z.fourier_gaussian(g1)
-    assert dict(fg1.poly)[(1, 0, 0)] == (Fraction(0), Fraction(1, 2))
+    assert dict(fg1.poly)[(1, 0, 0)] == Z.Gaussian(Fraction(0), Fraction(1, 2))
     with pytest.raises(ValueError):
         Z.GaussianTest.make(3, 0)
+
+
+def _rational(sp, c):
+    return sp.Rational(c.numerator, c.denominator)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fourier_gaussian_against_sympy(seed):
+    # the transform factorises per coordinate: x^k exp(-w x^2) maps to
+    # (-i)^k d^k/dxi^k exp(-a xi^2) with a = 1/(4w), the overall scale
+    # apart, so the image polynomial is (-i)^k d^k[exp(-a xi^2)] / exp(-a xi^2)
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    xi = sp.symbols("xi0:3")
+
+    def coeff():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(10):
+        poly = {tuple(rng.randint(0, 3) for _ in range(3)): (coeff(), coeff())
+                for _ in range(rng.randint(1, 4))}
+        g = Z.GaussianTest.make(3, Fraction(rng.randint(1, 6), rng.randint(1, 4)), poly)
+        fg = Z.fourier_gaussian(g)
+        assert fg.width == Fraction(1, 4) / g.width
+        a = _rational(sp, fg.width)
+        expected = sp.Integer(0)
+        for mono, (re, im) in poly.items():
+            term = _rational(sp, re) + sp.I * _rational(sp, im)
+            for x, k in zip(xi, mono):
+                gauss = sp.exp(-a * x**2)
+                term *= (-sp.I) ** k * sp.diff(gauss, x, k) / gauss
+            expected += term
+        got = sp.Integer(0)
+        for mono, c in fg.poly:
+            assert not c.is_zero()
+            monomial = sp.Mul(*(x**e for x, e in zip(xi, mono)))
+            got += (_rational(sp, c.re) + sp.I * _rational(sp, c.im)) * monomial
+        assert sp.expand(got - expected) == 0
 
 
 def test_sphere_moments():
@@ -244,8 +282,8 @@ def test_convolution_kernel_pairing_at_origin():
     sigma = lam - 2.0 * alg.n / alg.r
     g = Z.GaussianTest.make(3, 1)
     for eps in "+-":
-        a = Z.pair_power_with(g, 2, 1, sigma, eps, pipeline="polar")
-        b = Z.pair_power_with(g, 2, 1, sigma, eps, pipeline="grid")
+        a = Z.pair_power_with(g, 2, 1, sigma)[eps]
+        b = Z.pair_power_grid(g, 2, 1, sigma, eps)
         assert abs(a - b) <= 1e-6 * max(abs(a), abs(b))
     # sign convention agrees with the kernel function at sample points
     y = Jd.element(alg, [0, 0, 2])
