@@ -169,15 +169,14 @@ class InducedOp:
 
     op: DiffOp
     sigma: MPoly
-    field: tuple[MPoly, ...]
 
     def __post_init__(self):
         if self.op.order() > 1:
             raise ValueError("induced operator must be of order <= 1")
         if self.sigma.total_degree() > 1:
             raise ValueError("multiplier degree must be <= 1")
-        for v in self.field:
-            if v.total_degree() > 2:
+        for b, v in self.op.terms.items():
+            if any(b) and v.total_degree() > 2:
                 raise ValueError("vector-field coefficients must have degree <= 2")
 
 
@@ -210,11 +209,9 @@ def dpi(model: QuadricModel, X: Matrix, weight: ParamPoly | None = None,
         return acc
 
     sigma = row(0)
-    field = []
     terms: dict[Monomial, MPoly] = {}
     for i in range(n):
         vi = row(i + 1) - sigma * xs[i]
-        field.append(vi)
         if not vi.is_zero():
             b = [0] * len(vars)
             b[vars.index(slot[i])] = 1
@@ -222,38 +219,20 @@ def dpi(model: QuadricModel, X: Matrix, weight: ParamPoly | None = None,
     mult = sigma.scale(weight)
     if not mult.is_zero():
         terms[(0,) * len(vars)] = terms.get((0,) * len(vars), MPoly.zero(vars)) + mult
-    return InducedOp(DiffOp(vars, terms), sigma, tuple(field))
+    return InducedOp(DiffOp(vars, terms), sigma)
 
 
 def dpi_tensor(model: QuadricModel, X: Matrix, weight_x: ParamPoly,
                weight_y: ParamPoly) -> DiffOp:
-    """d(pi_wx (x) pi_wy)(X) on the doubled chart."""
+    """d(pi_wx (x) pi_wy)(X) on the doubled chart.
+
+    Restricted at weight_y = 0 it is the single-slot operator at weight_x
+    lifted through the restriction: the y-slot field lands on x, so each
+    d_j becomes dx_j + dy_j, and the multiplier stays on x."""
     dvars = double_vars(model.algebra.vars)
     ox = dpi(model, X, weight_x, dvars, 0).op
     oy = dpi(model, X, weight_y, dvars, model.n).op
     return ox + oy
-
-
-def dpi_diagonal_lift(model: QuadricModel, X: Matrix, weight: ParamPoly) -> DiffOp:
-    """Single-slot operator lifted through the restriction: each d_j becomes
-    dx_j + dy_j and the coefficients stay functions of the x-slot."""
-    dvars = double_vars(model.algebra.vars)
-    n = model.n
-    ind = dpi(model, X, weight, dvars, 0)
-    terms: dict[Monomial, MPoly] = {}
-    for i, vi in enumerate(ind.field):
-        if vi.is_zero():
-            continue
-        for shift in (0, n):
-            b = [0] * len(dvars)
-            b[i + shift] = 1
-            key = tuple(b)
-            prev = terms.get(key)
-            terms[key] = -vi if prev is None else prev - vi
-    mult = ind.sigma.scale(weight)
-    if not mult.is_zero():
-        terms[(0,) * len(dvars)] = mult
-    return DiffOp(dvars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +289,11 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
                                 total_shift: int) -> DiffOp:
     """res(chain . d(pi_lam (x) pi_mu)(X)) - res(d(pi_(lam+mu+shift))(X) . chain).
 
+    chain is any operator over Q[lam, mu] on the doubled chart, such as
+    weyl.f_chain(F, N) of a family F, or its restriction.  The single-slot
+    operator enters lifted through the restriction: the lift is
+    restrict(dpi_tensor(model, X, lam+mu+shift, 0), n).
+
     Only res(chain) is read: both sides compose the chain restricted once
     in place of the full chain, and the result is the same:
     - in chain . d(pi)(X) the chain is the left factor, whose coefficients
@@ -327,14 +311,13 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     n = model.n
     res = restrict(chain, n)
     src = dpi_tensor(model, X, LAM, MU)
-    lifted = dpi_diagonal_lift(model, X, LAM + MU + total_shift)
+    lifted = restrict(dpi_tensor(model, X, LAM + MU + total_shift, 0), n)
     return restrict(res.commutator(src) + (src - lifted).compose(res), n)
 
 
 def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:
     """res . d(pi_lam (x) pi_mu)(X) - d(pi_(lam+mu))(X) . res, exactly."""
-    src = dpi_tensor(model, X, LAM, MU)
-    return restrict(src, model.n) - dpi_diagonal_lift(model, X, LAM + MU)
+    return restrict(dpi_tensor(model, X, LAM, MU) - dpi_tensor(model, X, LAM + MU, 0), model.n)
 
 
 # ---------------------------------------------------------------------------

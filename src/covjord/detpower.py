@@ -1,11 +1,12 @@
 """Symbolic calculus of determinant-power expressions.
 
-A DetPowerExpr denotes det(x)^(s+a) det(y)^(t+b) q(x,y; s,t) (or the
-single-slot det(x)^(s+a) q(x; s)).  The class is closed under coordinate
-derivatives through the exact product/chain rule, which turns the wave
-identity and the factorization identities into machine-checked exact
-divisions: the quotient either exists exactly or a theorem-violation error
-fires.  The shifts only decrease; no det factors are cancelled silently.
+A DetPowerExpr denotes det(x)^(s+a) det(y)^(t+b) q(x,y; s,t), with shifts
+(a, b), or the single-slot det(x)^(s+a) q(x; s), with shifts (a,).  The
+class is closed under coordinate derivatives through the exact
+product/chain rule, which turns the wave identity and the factorization
+identities into machine-checked exact divisions: the quotient either
+exists exactly or a theorem-violation error fires.  The shifts only
+decrease; no det factors are cancelled silently.
 
 The wave action and the main-identity operator D_{s,t} (by the product rule)
 both read the memoised table of partial derivatives of polynomials.partials,
@@ -21,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 from .fischer import LeibnitzExpansion, apply_diffop
 from .jordan import AlgebraDescriptor, det as jdet, element, sharp
-from .polynomials import (InexactDivisionError, MPoly, Monomial, double_vars, leibniz_orders,
-                          partials)
+from .polynomials import (Coeff, InexactDivisionError, MPoly, Monomial, double_vars,
+                          leibniz_orders, partials)
 from .scalars import ParamPoly, S, T
 from .weyl import DiffOp
 
@@ -39,19 +39,14 @@ class TheoremViolationError(ArithmeticError):
 @dataclass(frozen=True)
 class DetPowerExpr:
     algebra: AlgebraDescriptor
-    shift_x: int
-    shift_y: int | None  # None for the single-slot variant
+    shifts: tuple[int, ...]  # x-slot first; one entry for the single slot
     body: MPoly
-
-    @property
-    def paired(self) -> bool:
-        return self.shift_y is not None
 
 
 def single_power(algebra: AlgebraDescriptor, body: MPoly | None = None) -> DetPowerExpr:
     if body is None:
         body = MPoly.constant(algebra.vars, 1)
-    return DetPowerExpr(algebra, 0, None, body)
+    return DetPowerExpr(algebra, (0,), body)
 
 
 def pair_power(algebra: AlgebraDescriptor, body: MPoly | None = None) -> DetPowerExpr:
@@ -60,7 +55,7 @@ def pair_power(algebra: AlgebraDescriptor, body: MPoly | None = None) -> DetPowe
         body = MPoly.constant(dvars, 1)
     elif body.vars != dvars:
         raise ValueError("pair body must live on the doubled chart")
-    return DetPowerExpr(algebra, 0, 0, body)
+    return DetPowerExpr(algebra, (0, 0), body)
 
 
 @lru_cache(maxsize=None)
@@ -83,15 +78,6 @@ def _pair_det_power(algebra: AlgebraDescriptor, slot: int, k: int) -> MPoly:
 _SLOT_PARAMS = (S, T)
 
 
-def _shifts(expr: DetPowerExpr) -> list[int]:
-    """The det shifts of the expression's slots, x-slot first."""
-    return [expr.shift_x] if expr.shift_y is None else [expr.shift_x, expr.shift_y]
-
-
-def _with_shifts(expr: DetPowerExpr, shifts: Sequence[int], body: MPoly) -> DetPowerExpr:
-    return DetPowerExpr(expr.algebra, shifts[0], shifts[1] if expr.paired else None, body)
-
-
 @lru_cache(maxsize=None)
 def _slot_det(algebra: AlgebraDescriptor, paired: bool, slot: int) -> tuple[MPoly, tuple[MPoly, ...]]:
     """det of one slot on the single or the doubled chart, and its partials
@@ -107,53 +93,45 @@ def diff(expr: DetPowerExpr, index: int) -> DetPowerExpr:
     The index picks the slot (the x-slot, then the y-slot of a pair): the
     derivative of det^(s+a) (or det^(t+b)) q has that slot's shift a - 1."""
     slot, i = divmod(index, expr.algebra.n)
-    shifts = _shifts(expr)
-    det, partials = _slot_det(expr.algebra, expr.paired, slot)
+    shifts = list(expr.shifts)
+    det, partials = _slot_det(expr.algebra, len(shifts) == 2, slot)
     factor = _SLOT_PARAMS[slot] + shifts[slot]
     body = expr.body.scale(factor) * partials[i] + det * expr.body.diff(index)
     shifts[slot] -= 1
-    return _with_shifts(expr, shifts, body)
-
-
-def derivative_monomials(p: MPoly, paired: bool) -> dict[Monomial, Fraction]:
-    """p(dx) on the chart of p, or p(dx - dy) on its doubled chart, expanded
-    binomially into derivative monomials with rational coefficients."""
-    n = len(p.vars)
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        parts: list[tuple[Monomial, Fraction]] = [((0,) * (2 * n if paired else n),
-                                                   coeff.constant_value())]
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            new: list[tuple[Monomial, Fraction]] = []
-            # (dx_i - dy_i)^e = sum_ky C(e, ky) (-1)^ky dx_i^(e-ky) dy_i^ky
-            for ky in (range(e + 1) if paired else (0,)):
-                coef = comb(e, ky) * (-1) ** ky
-                for base, c in parts:
-                    b = list(base)
-                    b[i] += e - ky
-                    if ky:
-                        b[n + i] += ky
-                    new.append((tuple(b), c * coef))
-            parts = new
-        for b, c in parts:
-            out[b] = out.get(b, 0) + c
-    return {b: c for b, c in out.items() if c}
+    return DetPowerExpr(expr.algebra, tuple(shifts), body)
 
 
 @lru_cache(maxsize=None)
-def _wave_monomials(algebra: AlgebraDescriptor, paired: bool) -> dict[Monomial, Fraction]:
-    return derivative_monomials(algebra.wave_poly, paired)
+def _differences(algebra: AlgebraDescriptor) -> tuple[MPoly, ...]:
+    """x_i - y_i on the doubled chart: substituted into p, they give the
+    symbol of p(dx - dy)."""
+    dvars = double_vars(algebra.vars)
+    n = algebra.n
+    return tuple(MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i])
+                 for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _wave_pair_symbol(algebra: AlgebraDescriptor) -> MPoly:
+    """wave(dx - dy) as a polynomial symbol on the doubled chart, over bare
+    rationals."""
+    return algebra.wave_poly.compose(_differences(algebra)).over_q()
+
+
+@lru_cache(maxsize=None)
+def _wave_monomials(algebra: AlgebraDescriptor, paired: bool) -> dict[Monomial, Coeff]:
+    """The derivative monomials of wave(dx) on the chart, or of wave(dx - dy)
+    on the doubled chart, with their bare rational coefficients."""
+    return _wave_pair_symbol(algebra).terms if paired else algebra.wave_poly.over_q().terms
 
 
 def _lowered(expr: DetPowerExpr, shifts: Sequence[int]) -> MPoly:
     """The body of expr re-expressed at lower shifts: times det^(a - shift)
     in each slot."""
     body = expr.body
-    for slot, (a, low) in enumerate(zip(_shifts(expr), shifts)):
+    for slot, (a, low) in enumerate(zip(expr.shifts, shifts)):
         if a != low:
-            body = body * _slot_det(expr.algebra, expr.paired, slot)[0] ** (a - low)
+            body = body * _slot_det(expr.algebra, len(shifts) == 2, slot)[0] ** (a - low)
     return body
 
 
@@ -161,10 +139,10 @@ def det_wave_apply(expr: DetPowerExpr) -> DetPowerExpr:
     """Apply the algebra's wave operator (single slot) or wave(dx - dy),
     re-expressed at the common shifts a - r."""
     partial = partials(expr, len(expr.body.vars), diff)
-    low = [a - expr.algebra.r for a in _shifts(expr)]
-    waves = _wave_monomials(expr.algebra, expr.paired).items()
+    low = tuple(a - expr.algebra.r for a in expr.shifts)
+    waves = _wave_monomials(expr.algebra, len(low) == 2).items()
     body = MPoly.sum(expr.body.vars, (_lowered(partial(m), low).scale(w) for m, w in waves))
-    return _with_shifts(expr, low, body)
+    return DetPowerExpr(expr.algebra, low, body)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +215,6 @@ def extract_Dst(algebra: AlgebraDescriptor, f: MPoly) -> MPoly:
     det^(s-1) det^(t-1) times a polynomial, returned here.  Exactness of
     the division is the computational content of the identity."""
     return _divide_out(algebra, det_wave_apply(pair_power(algebra, f)).body)
-
-
-@lru_cache(maxsize=None)
-def _wave_pair_symbol(algebra: AlgebraDescriptor) -> MPoly:
-    """wave(dx - dy) as a polynomial symbol on the doubled chart, over bare
-    rationals."""
-    dvars = double_vars(algebra.vars)
-    n = algebra.n
-    images = [
-        MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i])
-        for i in range(n)
-    ]
-    return algebra.wave_poly.compose(images).over_q()
 
 
 def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
@@ -383,6 +348,6 @@ def dst_operator_graded(algebra: AlgebraDescriptor) -> DiffOp:
                 sy = sharps[k].rename_vars(dvars[n:]).extend_vars(dvars)
                 coeff_total = coeff_total + (sx * sy).scale(scal)
         # operator part: dual(p_i)(dx - dy)
-        delta = MPoly(dvars, derivative_monomials(symbol, paired=True))
+        delta = symbol.compose(_differences(algebra))
         out = out + DiffOp.multiplication(coeff_total).compose(DiffOp.from_symbol(delta))
     return out

@@ -88,6 +88,11 @@ def _poly(vars: tuple[str, ...], terms: dict[Monomial, Coeff]) -> "MPoly":
     return res
 
 
+def _constant(vars: tuple[str, ...], c: Coeff) -> "MPoly":
+    """The constant c (nonzero) in its own coefficient form."""
+    return _poly(vars, {(0,) * len(vars): c})
+
+
 class MPoly:
     __slots__ = ("vars", "terms")
 
@@ -246,7 +251,7 @@ class MPoly:
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = MPoly.constant(self.vars, 1)
+        out = _constant(self.vars, ParamPoly.of(1) if _param_form(self.terms) else 1)
         base = self
         while k:
             if k & 1:
@@ -312,7 +317,7 @@ class MPoly:
 
         total = MPoly.zero(tvars)
         for m, c in self.terms.items():
-            term = MPoly.constant(tvars, c)
+            term = _constant(tvars, c)
             for i, e in enumerate(m):
                 if e:
                     term = term * power(i, e)

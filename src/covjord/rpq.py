@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import weyl
 from .conformal import restrict
 from .jordan import rpq_algebra
 from .polynomials import MPoly, double_vars
@@ -131,15 +132,8 @@ def explicit_B1(p: int, q: int) -> DiffOp:
 
 @lru_cache(maxsize=None)
 def f_chain(p: int, q: int, N: int) -> DiffOp:
-    """F_(lam+N-1, mu+N-1) . ... . F_(lam, mu) in the Weyl algebra."""
-    if N < 1:
-        raise ValueError("bracket order must be >= 1")
-    F = explicit_F(p, q)
-    chain = F
-    for k in range(1, N):
-        shifted = F.subs_params({"lam": LAM + k, "mu": MU + k})
-        chain = shifted.compose(chain)
-    return chain
+    """The chain weyl.f_chain of the explicit F on R^(p,q)."""
+    return weyl.f_chain(explicit_F(p, q), N)
 
 
 @lru_cache(maxsize=None)

@@ -340,3 +340,14 @@ def build_F(algebra, est: EstFamily | None = None) -> DiffOp:
     shift = Fraction(algebra.n, algebra.r)
     images = {"s": ParamPoly.of(shift) - LAM, "t": ParamPoly.of(shift) - MU}
     return est.normalized.subs_params(images)
+
+
+def f_chain(F: DiffOp, N: int) -> DiffOp:
+    """F_(lam+N-1, mu+N-1) . ... . F_(lam, mu) for a family F over Q[lam, mu]:
+    its restriction to the diagonal is the bracket of order N."""
+    if N < 1:
+        raise ValueError("bracket order must be >= 1")
+    chain = F
+    for k in range(1, N):
+        chain = F.subs_params({"lam": LAM + k, "mu": MU + k}).compose(chain)
+    return chain

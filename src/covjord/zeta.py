@@ -227,13 +227,6 @@ class KappaConstant:
     den: ParamPoly
     note: str = ""
 
-    def evaluate(self, s: complex, t: complex) -> complex:
-        tau = 2j * math.pi
-        val = tau ** self.tau_power
-        val *= _affine_eval(self.num, s, t)
-        val /= _affine_eval(self.den, s, t)
-        return val
-
 
 def _b_in(var: ParamPoly, k: int, d: int) -> ParamPoly:
     return b_reference(k, d).substitute({"s": var})

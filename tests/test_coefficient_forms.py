@@ -40,11 +40,17 @@ def test_forms_agree(pair, c):
     a, b = pair
     aq, bq = a.over_q(), b.over_q()
     assert _lowered(aq) and _lowered(bq)
+    # linear images x_(i+1) - c x_i, in either form
+    vars = a.vars
+    images = [MPoly.variable(vars, vars[(i + 1) % len(vars)]) - MPoly.variable(vars, v).scale(c)
+              for i, v in enumerate(vars)]
     results = [
         (aq + bq, a + b),
         (aq - bq, a - b),
         (aq * bq, a * b),
         (aq.scale(c), a.scale(c)),
+        (aq ** 2, a ** 2),
+        (aq.compose([g.over_q() for g in images]), a.compose(images)),
         (apply_diffop(aq, bq), apply_diffop(a, b)),
     ]
     results += [(aq.diff(i), a.diff(i)) for i in range(len(a.vars))]

@@ -151,7 +151,7 @@ def test_dpi_translation_and_rotation(model):
     assert model.is_lie(Xr)
     ind = C.dpi(model, Xr)
     assert ind.sigma.is_zero()
-    for comp in ind.field:
+    for comp in ind.op.terms.values():  # sigma = 0: every term is first-order
         assert comp.total_degree() <= 1
 
 
@@ -160,7 +160,7 @@ def test_dpi_degree_bounds(model):
         ind = C.dpi(model, X)
         assert ind.op.order() <= 1
         assert ind.sigma.total_degree() <= 1
-        assert all(v.total_degree() <= 2 for v in ind.field)
+        assert all(v.total_degree() <= 2 for b, v in ind.op.terms.items() if any(b))
 
 
 def test_lie_homomorphism_all_pairs(model):
@@ -295,6 +295,31 @@ def test_dilation_generator_odd_rank():
 def test_restriction_covariance(model):
     for X in model.lie_basis():
         assert C.restriction_covariance_residual(model, X).is_zero()
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1)])
+def test_lift_acts_as_the_single_slot_operator_on_the_diagonal(p, q):
+    # application route, independent of the construction: the restricted
+    # tensor action at weights (w, 0), applied to h and restricted, is the
+    # single-slot operator at weight w applied to h(x, x); at weight w + 1
+    # the multiplier no longer matches wherever sigma is nonzero
+    model = C.QuadricModel(p, q)
+    n = model.n
+    dvars = double_vars(model.algebra.vars)
+    rng = random.Random(f"lift-oracle:{p},{q}")
+    w = LAM + MU + 2
+    mismatched = 0
+    for X in model.lie_basis():
+        lift = C.restrict(C.dpi_tensor(model, X, w, 0), n)
+        single = C.dpi(model, X, w, dvars, 0).op
+        wrong = C.dpi(model, X, w + 1, dvars, 0).op
+        for _ in range(3):
+            h = random_poly(dvars, rng, 3)
+            got = C.diagonal_substitute(lift.apply(h), n)
+            on_diagonal = C.diagonal_substitute(h, n)
+            assert got == single.apply(on_diagonal)
+            mismatched += got != wrong.apply(on_diagonal)
+    assert mismatched > 0
 
 
 def test_zero_element_trivial(model):

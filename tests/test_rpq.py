@@ -165,7 +165,7 @@ def _full_chain_residual(model, chain, X, shift):
     """The bracket residual composed on the full chain, restricted afterwards."""
     n = model.n
     src = C.dpi_tensor(model, X, LAM, MU)
-    lifted = C.dpi_diagonal_lift(model, X, LAM + MU + shift)
+    lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + shift, 0), n)
     return C.restrict(chain.compose(src), n) - C.restrict(lifted.compose(chain), n)
 
 
@@ -219,7 +219,7 @@ def test_lifted_composition_sees_only_the_restriction(seed):
     resA = C.restrict(A, n)
     assert any(any(m[n:]) for c in A.terms.values() for m in c.terms)
     assert A != resA
-    lifted = C.dpi_diagonal_lift(model, X, LAM + MU + rng.randint(0, 3))
+    lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + rng.randint(0, 3), 0), n)
     src = C.dpi_tensor(model, X, LAM, MU)
     assert C.restrict(lifted.compose(A), n) == C.restrict(lifted.compose(resA), n)
     assert C.restrict(A.compose(src), n) == C.restrict(resA.compose(src), n)

@@ -2,9 +2,11 @@
 derived operator families."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from covjord import conformal as C
 from covjord import detpower as D
 from covjord import jordan as J
 from covjord import weyl as W
@@ -147,3 +149,37 @@ def test_pretty_deterministic():
     op = D.dst_operator(alg)
     assert op.pretty() == op.pretty()
     assert "d" in op.pretty()
+
+
+def _binom(a: ParamPoly, m: int) -> ParamPoly:
+    """C(a, m) = a (a - 1) ... (a - m + 1) / m! as a polynomial in a."""
+    out = ParamPoly.of(1)
+    for i in range(m):
+        out = out * (a - i)
+    return out * Fraction(1, factorial(m))
+
+
+def _rankin_cohen(k: int) -> W.DiffOp:
+    """sum_j k! (-1)^j C(lam+k-1, k-j) C(mu+k-1, j) dx^j dy^(k-j) on R x R."""
+    dvars = double_vars(J.sym_algebra(1).vars)
+    return W.DiffOp(dvars, {
+        (j, k - j): MPoly.constant(dvars, _binom(LAM + k - 1, k - j) * _binom(MU + k - 1, j)
+                                   * (factorial(k) * (-1) ** j))
+        for j in range(k + 1)})
+
+
+@pytest.fixture(scope="module")
+def F_line():
+    return W.build_F(J.sym_algebra(1))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bracket_chain_on_the_line_is_rankin_cohen(F_line, k):
+    assert C.restrict(W.f_chain(F_line, k), 1) == _rankin_cohen(k)
+
+
+def test_unshifted_chain_is_not_rankin_cohen(F_line):
+    # negative control: without the weight shift of the second factor
+    assert C.restrict(F_line.compose(F_line), 1) != _rankin_cohen(2)
+    with pytest.raises(ValueError):
+        W.f_chain(F_line, 0)
