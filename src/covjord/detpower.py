@@ -26,8 +26,8 @@ from typing import Sequence
 
 from .fischer import LeibnitzExpansion, apply_diffop
 from .jordan import AlgebraDescriptor, det as jdet, element, sharp
-from .polynomials import (Coeff, InexactDivisionError, MPoly, Monomial, double_vars,
-                          leibniz_orders, partials)
+from .polynomials import (Coeff, InexactDivisionError, MPoly, Monomial, differences,
+                          double_vars, leibniz_orders, partials)
 from .scalars import ParamPoly, S, T
 from .weyl import DiffOp
 
@@ -102,20 +102,10 @@ def diff(expr: DetPowerExpr, index: int) -> DetPowerExpr:
 
 
 @lru_cache(maxsize=None)
-def _differences(algebra: AlgebraDescriptor) -> tuple[MPoly, ...]:
-    """x_i - y_i on the doubled chart: substituted into p, they give the
-    symbol of p(dx - dy)."""
-    dvars = double_vars(algebra.vars)
-    n = algebra.n
-    return tuple(MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i])
-                 for i in range(n))
-
-
-@lru_cache(maxsize=None)
 def _wave_pair_symbol(algebra: AlgebraDescriptor) -> MPoly:
     """wave(dx - dy) as a polynomial symbol on the doubled chart, over bare
     rationals."""
-    return algebra.wave_poly.compose(_differences(algebra)).over_q()
+    return algebra.wave_poly.compose(differences(algebra.vars)).over_q()
 
 
 @lru_cache(maxsize=None)
@@ -348,6 +338,6 @@ def dst_operator_graded(algebra: AlgebraDescriptor) -> DiffOp:
                 sy = sharps[k].rename_vars(dvars[n:]).extend_vars(dvars)
                 coeff_total = coeff_total + (sx * sy).scale(scal)
         # operator part: dual(p_i)(dx - dy)
-        delta = symbol.compose(_differences(algebra))
+        delta = symbol.compose(differences(algebra.vars))
         out = out + DiffOp.multiplication(coeff_total).compose(DiffOp.from_symbol(delta))
     return out

@@ -16,7 +16,8 @@ rationals to ParamPoly.
 The calculus of the whole tower goes through two helpers here: `partials`,
 the one memoised table of partial derivatives (of polynomials and of
 determinant-power expressions alike), and `leibniz_orders`, the one
-enumeration of the product rule.
+enumeration of the product rule.  `differences` is the one construction of
+x_i - y_i on a doubled chart.
 """
 
 from __future__ import annotations
@@ -458,3 +459,13 @@ def double_vars(vars: Sequence[str]) -> tuple[str, ...]:
             raise ValueError(f"chart variable {v!r} must start with 'x'")
         ys.append("y" + v[1:])
     return tuple(vars) + tuple(ys)
+
+
+@lru_cache(maxsize=None)
+def differences(vars: tuple[str, ...]) -> tuple[MPoly, ...]:
+    """x_i - y_i on the doubled chart of vars: substituted into p, they give
+    p(x - y), which is also the symbol of p(dx - dy)."""
+    dvars = double_vars(vars)
+    n = len(vars)
+    return tuple(MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i])
+                 for i in range(n))

@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import weyl
 from .conformal import restrict
 from .jordan import rpq_algebra
-from .polynomials import MPoly, double_vars
+from .polynomials import MPoly, differences, double_vars
 from .scalars import LAM, MU, ParamPoly, S, T
 from .weyl import DiffOp
 
@@ -30,16 +30,14 @@ def _quad_syms(p: int, q: int):
     signs = [Fraction(1)] * p + [Fraction(-1)] * q
     Px = alg.det_poly.extend_vars(dvars)
     Py = alg.det_poly.rename_vars(dvars[n:]).extend_vars(dvars)
-    diffs = [MPoly.variable(dvars, dvars[i]) - MPoly.variable(dvars, dvars[n + i]) for i in range(n)]
+    diffs = differences(alg.vars)
     Pxy = MPoly.zero(dvars)
-    Pdiff = MPoly.zero(dvars)
     for i, sign in enumerate(signs):
         m = [0] * (2 * n)
         m[i] = 1
         m[n + i] = 1
         Pxy = Pxy + MPoly.monomial(dvars, tuple(m), sign)
-        Pdiff = Pdiff + (diffs[i] * diffs[i]).scale(sign)
-    return alg, dvars, Px, Py, Pxy, Pdiff, diffs
+    return alg, dvars, Px, Py, Pxy, alg.det_poly.compose(diffs), diffs
 
 
 def _d(dvars, index: int) -> DiffOp:

@@ -10,6 +10,12 @@ rational coefficients:
 with e_tau allowed to be negative (Laurent in tau) and the others >= 0.
 Zero coefficients are never stored, so equality is dict equality.
 
+A ParamPoly is immutable: every operation builds a fresh term dict and
+none writes to an operand's, and nothing writes to `terms` once the
+scalar is built.  Values may therefore be shared, and operator results
+are: `DiffOp.compose` and `DiffOp.commutator` hold one ParamPoly per
+distinct scalar value.
+
 A coefficient is stored as an int when it is an integer and as a Fraction
 otherwise: construction, sums, products and division all hand back an int
 for an integral value, so integer work never builds a Fraction.  Rational

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, le, sub
 from typing import Mapping, Sequence
 
 from .polynomials import (MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly,
@@ -28,10 +28,12 @@ class ConventionError(ArithmeticError):
     """Residual formal-constant dependence where none is allowed."""
 
 
-def _settle_scalars(coeff: dict[Monomial, dict]) -> dict[Monomial, ParamPoly]:
+def _settle_scalars(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial, ParamPoly]:
     """A compose accumulator's coefficient, coordinate monomial -> exponent
     -> rational, turned into MPoly terms in place: zeros are dropped and
-    integral Fractions stored as int."""
+    integral Fractions stored as int.  Equal scalars become one ParamPoly,
+    interned in shared under frozenset(terms.items()); the dict of a repeat
+    is freed.  This is sound because a ParamPoly is never mutated."""
     for m, out in list(coeff.items()):
         for e, c in list(out.items()):
             if not c:
@@ -39,8 +41,12 @@ def _settle_scalars(coeff: dict[Monomial, dict]) -> dict[Monomial, ParamPoly]:
             elif type(c) is not int and c.denominator == 1:
                 out[e] = c.numerator
         if out:
-            coeff[m] = scalar = ParamPoly.__new__(ParamPoly)
-            scalar.terms = out
+            key = frozenset(out.items())
+            scalar = shared.get(key)
+            if scalar is None:
+                scalar = shared[key] = ParamPoly.__new__(ParamPoly)
+                scalar.terms = out
+            coeff[m] = scalar
         else:
             del coeff[m]
     return coeff
@@ -55,12 +61,13 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma),
     with the pairs (delta, C(beta,delta)) from polynomials.leibniz_orders.
     The nonzero derivatives d^delta b of each right-hand coefficient are
-    tabled once per call, for the delta that lie under some left monomial,
-    with their scalar terms; the left terms are scaled once per (beta,
-    delta).  Every product sign * C(beta,delta) * a * d^delta b is added
-    term by term; skip_zero leaves out the delta = 0 products
-    a b d^(beta+gamma).  keys interns the monomial and exponent tuples, so
-    the result shares one object per key."""
+    tabled once per call, for the delta that lie under some left monomial
+    and, componentwise, under b's degree in each coordinate (any other
+    delta gives zero and is not taken), with their scalar terms; the left
+    terms are scaled once per (beta, delta).  Every product
+    sign * C(beta,delta) * a * d^delta b is added term by term; skip_zero
+    leaves out the delta = 0 products a b d^(beta+gamma).  keys interns the
+    monomial and exponent tuples, so the result shares one object per key."""
     if left.vars != right.vars:
         raise VariableMismatchError("operators over different charts")
     nvars = len(left.vars)
@@ -69,8 +76,10 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     tables: list[tuple[Monomial, dict[Monomial, list]]] = []
     for gamma, b in right.terms.items():
         partial = partials(b, nvars, MPoly.diff)
+        degree = [max(column) for column in zip(*b.terms)]
         tables.append((gamma, {delta: [(m, c.terms.items()) for m, c in db.terms.items()]
-                               for delta in deltas if (db := partial(delta))}))
+                               for delta in deltas
+                               if all(map(le, delta, degree)) and (db := partial(delta))}))
     for beta, a in left.terms.items():
         a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
         for delta, binom in leibniz_orders(beta):
@@ -105,9 +114,12 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     return acc
 
 
-def _result(vars: tuple[str, ...], acc: dict[Monomial, dict[Monomial, dict]]) -> "DiffOp":
-    """The operator an accumulator denotes, zeros dropped."""
-    return DiffOp(vars, {b: _poly(vars, c) for b, c in acc.items() if _settle_scalars(c)})
+def _result(vars: tuple[str, ...], acc: dict[Monomial, dict[Monomial, dict]],
+            keys: dict) -> "DiffOp":
+    """The operator an accumulator denotes, zeros dropped, with one ParamPoly
+    per distinct scalar: keys, the call's table of interned tuples, interns
+    them too."""
+    return DiffOp(vars, {b: _poly(vars, c) for b, c in acc.items() if _settle_scalars(c, keys)})
 
 
 class DiffOp:
@@ -205,7 +217,9 @@ class DiffOp:
 
         Every normal-ordered product goes through _accumulate once; its
         accumulator becomes the result's terms."""
-        return _result(self.vars, _accumulate({}, {}, self, other, sign=1, skip_zero=False))
+        keys: dict = {}
+        acc = _accumulate({}, keys, self, other, sign=1, skip_zero=False)
+        return _result(self.vars, acc, keys)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """[self, other] = self.compose(other) - other.compose(self).
@@ -217,7 +231,8 @@ class DiffOp:
         acc: dict = {}
         keys: dict = {}
         _accumulate(acc, keys, self, other, sign=1, skip_zero=True)
-        return _result(self.vars, _accumulate(acc, keys, other, self, sign=-1, skip_zero=True))
+        _accumulate(acc, keys, other, self, sign=-1, skip_zero=True)
+        return _result(self.vars, acc, keys)
 
     # -- parameter plumbing ----------------------------------------------------
 

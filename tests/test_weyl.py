@@ -9,6 +9,7 @@ import pytest
 from covjord import conformal as C
 from covjord import detpower as D
 from covjord import jordan as J
+from covjord import rpq as R
 from covjord import weyl as W
 from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import LAM, MU, ParamPoly, TAU
@@ -183,3 +184,64 @@ def test_unshifted_chain_is_not_rankin_cohen(F_line):
     assert C.restrict(F_line.compose(F_line), 1) != _rankin_cohen(2)
     with pytest.raises(ValueError):
         W.f_chain(F_line, 0)
+
+
+# ---------------------------------------------------------------------------
+# shared scalars of composed operators
+
+
+def _scalars(op: W.DiffOp) -> list[ParamPoly]:
+    return [s for c in op.terms.values() for s in c.terms.values()]
+
+
+def test_chain_holds_one_scalar_per_value():
+    scalars = _scalars(R.f_chain(2, 2, 2))
+    assert len({id(s) for s in scalars}) == len(set(scalars)) < len(scalars)
+
+
+def test_commutator_holds_one_scalar_per_value():
+    model = C.QuadricModel(2, 1)
+    X = model.lie_basis()[6]  # F does not commute with the action of this field
+    comm = R.explicit_F(2, 1).commutator(C.dpi_tensor(model, X, LAM, MU))
+    scalars = _scalars(comm)
+    assert len({id(s) for s in scalars}) == len(set(scalars)) < len(scalars)
+
+
+def test_shared_scalar_survives_arithmetic():
+    # the sharing is sound only while no operation writes to an operand
+    chain = R.f_chain(2, 1, 2)
+    before = {b: {m: dict(s.terms) for m, s in c.terms.items()} for b, c in chain.terms.items()}
+    scalars = _scalars(chain)
+    counts: dict[int, int] = {}
+    for s in scalars:
+        counts[id(s)] = counts.get(id(s), 0) + 1
+    shared = max(scalars, key=lambda s: (len(s.terms) > 1, counts[id(s)]))
+    assert counts[id(shared)] > 1 and len(shared.terms) > 1
+    terms = dict(shared.terms)
+    private = ParamPoly(terms)
+    operations = [lambda s: s + s, lambda s: s + 1, lambda s: s - LAM, lambda s: s - s,
+                  lambda s: -s, lambda s: s * MU, lambda s: s * s, lambda s: s * 2,
+                  lambda s: s.scale_rat(Fraction(3, 2)), lambda s: s.scale_rat(1),
+                  lambda s: s / 3, lambda s: s ** 0, lambda s: s ** 1, lambda s: s ** 2,
+                  lambda s: s.substitute({"lam": LAM + 1, "mu": MU * 2})]
+    for operation in operations:
+        assert operation(shared) == operation(private)
+    assert (chain - chain).is_zero() and chain + chain == chain.scale(2)
+    assert shared.terms == terms
+    assert {b: {m: s.terms for m, s in c.terms.items()} for b, c in chain.terms.items()} == before
+
+
+def test_chain_differentiates_only_up_to_each_coefficient_degree(monkeypatch):
+    # a derivative of order above a coefficient's degree in some coordinate
+    # is zero and is not taken
+    F = R.explicit_F(2, 1)
+    diff = MPoly.diff
+    calls = []
+
+    def counted(poly, index):
+        calls.append(index)
+        return diff(poly, index)
+
+    monkeypatch.setattr(MPoly, "diff", counted)
+    W.f_chain(F, 2)
+    assert len(calls) == 351
