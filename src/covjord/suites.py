@@ -9,6 +9,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Sequence
 
 from . import conformal as cf
@@ -676,6 +677,40 @@ def bracket_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check
 
 
 # ---------------------------------------------------------------------------
+# suite: rankin-cohen
+
+
+def rankin_cohen_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
+    if alg.n != 1:
+        raise ConfigurationError(
+            f"suite {config.suite} runs on the line: an algebra of dimension 1")
+    dvars = double_vars(alg.vars)
+
+    def binom(a: ParamPoly, m: int) -> ParamPoly:
+        """C(a, m) = a (a - 1) ... (a - m + 1) / m! as a polynomial in a."""
+        out = ParamPoly.of(1)
+        for i in range(m):
+            out = out * (a - i) * Fraction(1, i + 1)
+        return out
+
+    checks: list[Check] = []
+    for k in range(1, 7):
+        def run_k(k=k) -> float:
+            # sum_j k! (-1)^j C(lam+k-1, k-j) C(mu+k-1, j) dx^j dy^(k-j)
+            closed = wy.DiffOp(dvars, {
+                (j, k - j): MPoly.constant(
+                    dvars, binom(LAM + k - 1, k - j) * binom(MU + k - 1, j)
+                    * (factorial(k) * (-1) ** j))
+                for j in range(k + 1)})
+            return _exact(cf.restrict(wy.f_chain(wy.build_F(alg), k), 1) == closed)
+
+        checks.append(Check(f"rankin-cohen-k{k}",
+                            f"restricted chain of length {k} is the Rankin-Cohen bracket "
+                            f"of order {k}", run_k))
+    return checks
+
+
+# ---------------------------------------------------------------------------
 # suite: zeta-matrices
 
 
@@ -807,6 +842,7 @@ SUITES: dict[str, Suite] = {
         "p + q = 3, the only dimension where both sides of the functional "
         "equation converge absolutely",
         lambda p, q: p + q == 3, rpq_only=True),
+    "rankin-cohen": Suite(rankin_cohen_checks, "sym:1"),
 }
 
 # `--suite all`: (suite, algebra, samples) in run order; samples None keeps

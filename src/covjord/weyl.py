@@ -10,17 +10,24 @@ differentiated, which is exact because those of A o B and of B o A are the
 same products of commuting coefficients.  The formal Fourier constant tau
 lets conjugation by the Fourier transform act as the ring automorphism
 d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
+
+The bracket chain f_chain composes a translation-covariant family, whose
+coefficients are polynomials in x - y alone, through the same kernel on
+those coefficients in difference form, and expands the result once; a
+family whose coefficients are not polynomials in x - y is refused with
+ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, le, sub
 from typing import Mapping, Sequence
 
 from .polynomials import (MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly,
-                          leibniz_orders, partials)
+                          differences, leibniz_orders, partials)
 from .scalars import LAM, MU, ParamPoly
 
 
@@ -52,8 +59,16 @@ def _settle_scalars(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial,
     return coeff
 
 
+def _difference_diff(c: MPoly, i: int) -> MPoly:
+    """The derivation of a coefficient c(x - y) stored as c(u, 0) on the
+    doubled chart: d/dx_i acts as d/du_i and d/dy_i as -d/du_i."""
+    n = len(c.vars) // 2
+    return c.diff(i) if i < n else -c.diff(i - n)
+
+
 def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tuple],
-                left: "DiffOp", right: "DiffOp", sign: int, skip_zero: bool) -> dict:
+                left: "DiffOp", right: "DiffOp", sign: int, skip_zero: bool,
+                difference: bool = False) -> dict:
     """Add sign * left o right, normal-ordered, into acc: operator monomial
     -> coordinate monomial -> scalar exponent -> rational.
 
@@ -67,16 +82,25 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     terms are scaled once per (beta, delta).  Every product
     sign * C(beta,delta) * a * d^delta b is added term by term; skip_zero
     leaves out the delta = 0 products a b d^(beta+gamma).  keys interns the
-    monomial and exponent tuples, so the result shares one object per key."""
+    monomial and exponent tuples, so the result shares one object per key.
+
+    With difference, both operators hold their coefficients in difference
+    form, c(u, 0) for c(x - y): the derivatives are taken by
+    _difference_diff, and u_i's degree bounds the order in both x_i and y_i.
+    Products of y-free coefficients are y-free, so the accumulator holds the
+    difference form of left o right."""
     if left.vars != right.vars:
         raise VariableMismatchError("operators over different charts")
     nvars = len(left.vars)
     rng = range(nvars)
+    diff = _difference_diff if difference else MPoly.diff
     deltas = {delta for beta in left.terms for delta, _ in leibniz_orders(beta)}
     tables: list[tuple[Monomial, dict[Monomial, list]]] = []
     for gamma, b in right.terms.items():
-        partial = partials(b, nvars, MPoly.diff)
+        partial = partials(b, nvars, diff)
         degree = [max(column) for column in zip(*b.terms)]
+        if difference:
+            degree[nvars // 2:] = degree[:nvars // 2]
         tables.append((gamma, {delta: [(m, c.terms.items()) for m, c in db.terms.items()]
                                for delta in deltas
                                if all(map(le, delta, degree)) and (db := partial(delta))}))
@@ -357,12 +381,72 @@ def build_F(algebra, est: EstFamily | None = None) -> DiffOp:
     return est.normalized.subs_params(images)
 
 
+def _difference_form(F: DiffOp) -> DiffOp:
+    """F with each coefficient c(x - y) stored as its y-free terms c(u, 0).
+    Raises ValueError unless F is exactly the expansion of that form, that
+    is, unless every coefficient is a polynomial in x - y alone."""
+    n = len(F.vars) // 2
+    form = DiffOp(F.vars, {beta: _poly(F.vars, {m: s for m, s in c.terms.items() if not any(m[n:])})
+                           for beta, c in F.terms.items()})
+    if _expand(form) != F:
+        raise ValueError("the family's coefficients are not polynomials in x - y")
+    return form
+
+
+@lru_cache(maxsize=None)
+def _difference_power(vars: tuple[str, ...], m: Monomial) -> MPoly:
+    """(x - y)^m on the doubled chart vars, with bare-rational coefficients:
+    (x - y)^(m - e_i) times x_i - y_i from polynomials.differences, for the
+    last coordinate i that m raises."""
+    n = len(vars) // 2
+    if not any(m):
+        return MPoly.constant(vars, 1).over_q()
+    i = max(i for i, e in enumerate(m) if e)
+    lower = _difference_power(vars, m[:i] + (m[i] - 1,) + m[i + 1:])
+    return lower * differences(vars[:n])[i].over_q()
+
+
+def _expand(form: DiffOp) -> DiffOp:
+    """The operator whose coefficients form holds as c(u, 0), read at
+    u = x - y: each u^m becomes (x - y)^m, tabled once per m by
+    _difference_power.  x^a y^b occurs in (x - y)^m only for m = a + b, so
+    each expanded term is k * s for one term s u^m of the form, and no two
+    meet.  k * s is computed once per scalar object s and k, and interned
+    by value in one table for the whole result, so each operator monomial's
+    coefficient is final as soon as it is expanded."""
+    vars = form.vars
+    shared: dict = {}
+    scaled: dict[tuple[int, int], ParamPoly] = {}
+    terms: dict[Monomial, MPoly] = {}
+    for beta, c in form.terms.items():
+        coeff: dict[Monomial, ParamPoly] = {}
+        for m, s in c.terms.items():
+            for mono, k in _difference_power(vars, m).terms.items():
+                v = scaled.get((id(s), k))
+                if v is None:
+                    v = s.scale_rat(k)
+                    v = scaled[id(s), k] = shared.setdefault(frozenset(v.terms.items()), v)
+                coeff[mono] = v
+        terms[beta] = _poly(vars, coeff)
+    return DiffOp(vars, terms)
+
+
 def f_chain(F: DiffOp, N: int) -> DiffOp:
     """F_(lam+N-1, mu+N-1) . ... . F_(lam, mu) for a family F over Q[lam, mu]:
-    its restriction to the diagonal is the bracket of order N."""
+    its restriction to the diagonal is the bracket of order N.
+
+    F must be translation covariant: its coefficients are polynomials in
+    x - y alone, and ValueError is raised otherwise.  The chain is composed
+    on those coefficients in difference form, c(u, 0) for c(x - y), so every
+    coefficient product is one of polynomials in n variables, and the
+    result is expanded at u = x - y once."""
     if N < 1:
         raise ValueError("bracket order must be >= 1")
-    chain = F
+    form = _difference_form(F)
+    chain = form
     for k in range(1, N):
-        chain = F.subs_params({"lam": LAM + k, "mu": MU + k}).compose(chain)
-    return chain
+        keys: dict = {}
+        shifted = form.subs_params({"lam": LAM + k, "mu": MU + k})
+        acc = _accumulate({}, keys, shifted, chain, sign=1, skip_zero=False, difference=True)
+        chain = _result(F.vars, acc, keys)
+    return F if N == 1 else _expand(chain)

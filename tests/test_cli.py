@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -170,7 +171,7 @@ def test_main_callable_directly(tmp_path):
 def test_registry_resolves_every_suite():
     documented = {"leibnitz", "jordan-axioms", "bernstein", "main-identity",
                   "fourier-weyl", "covariance", "brackets", "zeta-matrices",
-                  "zeta-numeric"}
+                  "zeta-numeric", "rankin-cohen"}
     assert set(SUITES) == documented
     for name, suite in SUITES.items():
         assert callable(suite.build)
@@ -184,6 +185,27 @@ def test_registry_resolves_every_suite():
 def test_all_suite_ids_unique():
     ids = [check.id for check in build_checks(SuiteConfig("all"))]
     assert len(ids) == len(set(ids))
+
+
+def test_all_plan_leaves_rankin_cohen_out():
+    # the plan of `all` is unchanged by the rankin-cohen row: the same 108
+    # ids in the same order
+    ids = [check.id for check in build_checks(SuiteConfig("all"))]
+    assert len(ids) == 108 and not any("rankin-cohen" in i for i in ids)
+    assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == \
+        "9627fa7008f64eab2f17ea4a778da9e45b79e8b7954c9312840272b7f9f50885"
+
+
+def test_rankin_cohen_suite_passes(tmp_path):
+    report = tmp_path / "rc.json"
+    proc = run_cli(["--suite", "rankin-cohen", "--report", str(report)])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(report.read_text())
+    assert data["algebra"] == "sym:1" and data["failed"] == 0
+    assert [c["id"] for c in data["checks"] if c["status"] == "pass"] == \
+        [f"rankin-cohen-k{k}" for k in range(1, 7)]
+    # off the line the closed form has no meaning: a configuration error
+    assert run_cli(["--suite", "rankin-cohen", "--algebra", "sym:2"]).returncode == 2
 
 
 def test_bracket_certificates_owned_by_bracket_suite():

@@ -245,3 +245,45 @@ def test_chain_differentiates_only_up_to_each_coefficient_degree(monkeypatch):
     monkeypatch.setattr(MPoly, "diff", counted)
     W.f_chain(F, 2)
     assert len(calls) == 351
+
+
+# ---------------------------------------------------------------------------
+# the chain composed on x - y coefficients against the plain product
+
+
+def _plain_chain(F: W.DiffOp, N: int) -> W.DiffOp:
+    """F_(lam+N-1, mu+N-1) . ... . F_(lam, mu) through DiffOp.compose."""
+    chain = F
+    for k in range(1, N):
+        chain = F.subs_params({"lam": LAM + k, "mu": MU + k}).compose(chain)
+    return chain
+
+
+def _value_types(op: W.DiffOp) -> dict:
+    return {(b, m, e): type(v) for b, c in op.terms.items()
+            for m, s in c.terms.items() for e, v in s.terms.items()}
+
+
+@pytest.mark.parametrize("spec, N", [
+    ("rpq:2,1", 2), ("rpq:2,2", 2), ("rpq:3,1", 2), ("rpq:1,2", 2), ("rpq:2,1", 3),
+    ("sym:2", 2), ("mat:2", 2), ("hermc:2", 2)])
+def test_chain_equals_plain_product(spec, N):
+    kind, params, _ = J.parse_spec(spec)
+    F = R.explicit_F(*params) if kind == "rpq" else W.build_F(J.algebra_from_spec(spec))
+    chain = W.f_chain(F, N)
+    plain = _plain_chain(F, N)
+    assert chain == plain
+    assert _value_types(chain) == _value_types(plain)
+    scalars = _scalars(chain)
+    assert len({id(s) for s in scalars}) == len(set(scalars))
+
+
+def test_chain_refuses_a_family_not_in_x_minus_y():
+    # negative control: lam * y1 added to one coefficient breaks translation
+    # covariance, and the difference form no longer expands back to F
+    F = R.explicit_F(2, 1)
+    y1 = tuple(1 if v == "y1" else 0 for v in F.vars)
+    beta = next(iter(F.terms))
+    broken = F + W.DiffOp(F.vars, {beta: MPoly.monomial(F.vars, y1, LAM)})
+    with pytest.raises(ValueError):
+        W.f_chain(broken, 2)
