@@ -7,10 +7,10 @@ rationally on V through this embedding, with the cocycle
 a(g, x) = alpha(g kappa(x)).  Everything here is exact: matrices are
 Fraction-valued, the infinitesimal operators live in the Weyl algebra over
 the scalar ring, and covariance residuals are certified as the zero
-operator.  Restriction to the diagonal x = y stays in the same Weyl
-algebra: it returns the doubled-chart operator whose coefficients have y
-replaced by x, so a bracket res . F . ... . F is a DiffOp with y-free
-coefficients.
+operator.  Restriction to the diagonal x = y (weyl.restrict) stays in the
+same Weyl algebra: it returns the doubled-chart operator whose coefficients
+have y replaced by x, so a bracket res . F . ... . F is a DiffOp with
+y-free coefficients.
 
 For the matrix families the full group is not built; the determinant
 covariance and cocycle chain rule are checked directly on words of
@@ -28,7 +28,7 @@ from typing import Sequence
 from . import jordan as jd
 from .polynomials import MPoly, Monomial, double_vars
 from .scalars import LAM, MU, ParamPoly, fraction_matrix_inverse, mat_mul
-from .weyl import DiffOp
+from .weyl import DiffOp, commutator_sum, restrict
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -240,7 +240,8 @@ def dpi_tensor(model: QuadricModel, X: Matrix, weight_x: ParamPoly,
 
 
 def diagonal_substitute(f: MPoly, n: int) -> MPoly:
-    """Substitute y -> x on a doubled chart (y-exponents fold onto x)."""
+    """Substitute y -> x in a polynomial on a doubled chart (y-exponents
+    fold onto x); weyl.restrict does it for an operator's coefficients."""
     out: dict[Monomial, ParamPoly] = {}
     for m, c in f.terms.items():
         nm = list(m)
@@ -253,15 +254,6 @@ def diagonal_substitute(f: MPoly, n: int) -> MPoly:
     return MPoly(f.vars, out)
 
 
-def restrict(op: DiffOp, n: int) -> DiffOp:
-    """Restriction to the diagonal: the operator f -> (op f)(x, x), written
-    as the doubled-chart operator with y -> x in every coefficient and the
-    dx/dy slots kept distinct.  This form is faithful, restricting it again
-    changes nothing, and diagonal_substitute(restrict(op, n).apply(f), n)
-    equals diagonal_substitute(op.apply(f), n)."""
-    return DiffOp(op.vars, {b: diagonal_substitute(c, n) for b, c in op.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # covariance residuals (exact zero-operator certificates)
 
@@ -272,13 +264,14 @@ def covariance_residual(model: QuadricModel, op: DiffOp, X: Matrix,
     """op . d(pi_src)(X) - d(pi_tgt)(X) . op in the Weyl algebra.
 
     Computed as [op, src] + (src - tgt) . op, by the identity
-    A.B - C.A = [A, B] + (B - C).A: the commutator leaves out the products
-    that cancel, and src - tgt is the multiplier difference alone (both
-    sides share the vector field), an operator of order 0 whose composition
-    with op takes one product per term."""
+    A.B - C.A = [A, B] + (B - C).A, in one accumulator
+    (weyl.commutator_sum): the commutator leaves out the products that
+    cancel, and src - tgt is the multiplier difference alone (both sides
+    share the vector field), an operator of order 0 whose composition with
+    op takes one product per term."""
     src = dpi_tensor(model, X, source[0], source[1])
     tgt = dpi_tensor(model, X, target[0], target[1])
-    return op.commutator(src) + (src - tgt).compose(op)
+    return commutator_sum(op, src, src - tgt, op)
 
 
 def covariance_residual_F(model: QuadricModel, F: DiffOp, X: Matrix) -> DiffOp:
@@ -294,25 +287,31 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     operator enters lifted through the restriction: the lift is
     restrict(dpi_tensor(model, X, lam+mu+shift, 0), n).
 
-    Only res(chain) is read: both sides compose the chain restricted once
-    in place of the full chain, and the result is the same:
+    Only R = res(chain) is read, and passing a restricted chain gives the
+    same residual:
     - in chain . d(pi)(X) the chain is the left factor, whose coefficients
       are never differentiated, and the diagonal substitution is a ring
-      homomorphism, so res(chain) . d(pi)(X) restricts to the same operator;
+      homomorphism, so R . d(pi)(X) restricts to the same operator;
     - in lift . chain the lifted operator differentiates only along the
       diagonal (d_i -> dx_i + dy_i), and by the chain rule
       diag(dx_i c + dy_i c) = d_i diag(c).
-    The lift and res(chain) have coefficients free of y, so their
-    composition is already restricted.  Passing a restricted chain gives
-    the same residual.  With R = res(chain) it is computed as
-    restrict([R, src] + (src - lift) . R), by A.B - C.A = [A, B] + (B - C).A:
-    restricting lift . R changes nothing, and the commutator leaves out
-    the products that cancel."""
+
+    By A.B - C.A = [A, B] + (B - C).A the residual is
+    res([R, src] + (src - lift) . R).  R is free of y, so by the same
+    homomorphism res((src - lift) . R) = (res(src) - lift) . R, and
+    res(src) - lift is a multiplication: the x- and y-slot vector fields of
+    src restrict to those of the lift, and the multipliers lam sigma(x) +
+    mu sigma(y) and (lam + mu + shift) sigma(x) leave -shift sigma(x), of
+    order 0.  So the residual is computed as
+    res([R, src]) + (res(src) - lift) . R, in one accumulator folded onto
+    the diagonal once (weyl.commutator_sum): the commutator leaves out the
+    products that cancel, and the second term takes one product per term
+    of R, none with y in it."""
     n = model.n
     res = restrict(chain, n)
     src = dpi_tensor(model, X, LAM, MU)
     lifted = restrict(dpi_tensor(model, X, LAM + MU + total_shift, 0), n)
-    return restrict(res.commutator(src) + (src - lifted).compose(res), n)
+    return commutator_sum(res, src, restrict(src, n) - lifted, res, fold=n)
 
 
 def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import add, sub
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -390,13 +389,18 @@ def fraction_matrix_inverse(G: Sequence[Sequence[RatLike]]) -> list[list[Fractio
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:
     """Exact matrix product; entries Fraction or Gaussian.  Zero entries of
-    the left factor are skipped; an all-zero row gives zeros of the entry type."""
-    cols = range(len(B[0]))
+    both factors are skipped, so only products of two nonzero entries are
+    formed; an entry with none is the zero of the entry type."""
+    zero = type(A[0][0] * B[0][0])()
+    ncols = len(B[0])
+    rows_b = [[(j, b) for j, b in enumerate(Bk) if b] for Bk in B]
     out = []
     for row in A:
-        nonzero = [(a, B[k]) for k, a in enumerate(row) if a]
-        if nonzero:
-            out.append(tuple(reduce(add, (a * Bk[j] for a, Bk in nonzero)) for j in cols))
-        else:
-            out.append((row[0] * B[0][0],) * len(cols))
+        entries = [None] * ncols
+        for a, Bk in zip(row, rows_b):
+            if a:
+                for j, b in Bk:
+                    prev = entries[j]
+                    entries[j] = a * b if prev is None else prev + a * b
+        out.append(tuple(zero if v is None else v for v in entries))
     return tuple(out)

@@ -7,9 +7,12 @@ Composition rewrites into this normal form through the commutation rule
 [d_i, x_i] = 1.  One accumulator kernel serves compose and commutator; the
 commutator leaves out the products in which no coefficient is
 differentiated, which is exact because those of A o B and of B o A are the
-same products of commuting coefficients.  The formal Fourier constant tau
-lets conjugation by the Fourier transform act as the ring automorphism
-d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
+same products of commuting coefficients.  commutator_sum adds a
+commutator and a product into one such accumulator, and can fold it onto
+the diagonal of a doubled chart with the fold of restrict, the
+substitution y -> x in an operator's coefficients.  The formal Fourier
+constant tau lets conjugation by the Fourier transform act as the ring
+automorphism d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
 
 The bracket chain f_chain composes a translation-covariant family, whose
 coefficients are polynomials in x - y alone, through the same kernel on
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .polynomials import (MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly,
                           differences, leibniz_orders, partials)
@@ -75,14 +78,17 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     Normal ordering through d^beta (b(x) d^gamma) =
     sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma),
     with the pairs (delta, C(beta,delta)) from polynomials.leibniz_orders.
-    The nonzero derivatives d^delta b of each right-hand coefficient are
-    tabled once per call, for the delta that lie under some left monomial
-    and, componentwise, under b's degree in each coordinate (any other
-    delta gives zero and is not taken), with their scalar terms; the left
-    terms are scaled once per (beta, delta).  Every product
-    sign * C(beta,delta) * a * d^delta b is added term by term; skip_zero
-    leaves out the delta = 0 products a b d^(beta+gamma).  keys interns the
-    monomial and exponent tuples, so the result shares one object per key.
+    The nonzero derivatives d^delta b of the right-hand coefficients are
+    tabled once per call and indexed by delta, for the delta that lie under
+    some left monomial and, componentwise, under b's degree in each
+    coordinate (any other delta gives zero and is not taken), with their
+    scalar terms.  Each (beta, delta) then visits only the gamma whose
+    d^delta b_gamma is nonzero; the left terms are scaled, and the offset
+    beta - delta formed, once per (beta, delta) that has a product.  Every
+    product sign * C(beta,delta) * a * d^delta b is added term by term;
+    skip_zero leaves out the delta = 0 products a b d^(beta+gamma).  keys
+    interns the monomial and exponent tuples, so the result shares one
+    object per key.
 
     With difference, both operators hold their coefficients in difference
     form, c(u, 0) for c(x - y): the derivatives are taken by
@@ -92,31 +98,36 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     if left.vars != right.vars:
         raise VariableMismatchError("operators over different charts")
     nvars = len(left.vars)
-    rng = range(nvars)
     diff = _difference_diff if difference else MPoly.diff
     deltas = {delta for beta in left.terms for delta, _ in leibniz_orders(beta)}
-    tables: list[tuple[Monomial, dict[Monomial, list]]] = []
+    if skip_zero:
+        deltas.discard((0,) * nvars)
+    table: dict[Monomial, list[tuple[Monomial, list]]] = {}
     for gamma, b in right.terms.items():
         partial = partials(b, nvars, diff)
         degree = [max(column) for column in zip(*b.terms)]
         if difference:
             degree[nvars // 2:] = degree[:nvars // 2]
-        tables.append((gamma, {delta: [(m, c.terms.items()) for m, c in db.terms.items()]
-                               for delta in deltas
-                               if all(map(le, delta, degree)) and (db := partial(delta))}))
+        for delta in deltas:
+            if all(map(le, delta, degree)) and (db := partial(delta)):
+                row = table.get(delta)
+                if row is None:
+                    row = table[delta] = []
+                row.append((gamma, [(m, c.terms.items()) for m, c in db.terms.items()]))
     for beta, a in left.terms.items():
-        a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
+        a_terms = None
         for delta, binom in leibniz_orders(beta):
-            if skip_zero and not any(delta):
+            row = table.get(delta)
+            if row is None:
                 continue
+            if a_terms is None:
+                a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
             mult = sign * binom
             left_terms = a_terms if mult == 1 else [
                 (m, [(e, c * mult) for e, c in s]) for m, s in a_terms]
-            for gamma, tab in tables:
-                db_terms = tab.get(delta)
-                if db_terms is None:
-                    continue
-                key = tuple(beta[k] - delta[k] + gamma[k] for k in rng)
+            offset = tuple(map(sub, beta, delta))
+            for gamma, db_terms in row:
+                key = tuple(map(add, offset, gamma))
                 coeff = acc.get(key)
                 if coeff is None:
                     coeff = acc[key] = {}
@@ -138,12 +149,45 @@ def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tup
     return acc
 
 
-def _result(vars: tuple[str, ...], acc: dict[Monomial, dict[Monomial, dict]],
-            keys: dict) -> "DiffOp":
-    """The operator an accumulator denotes, zeros dropped, with one ParamPoly
+def _fold(coeff: Mapping[Monomial, dict], n: int, folds: dict[Monomial, Monomial]) -> dict:
+    """y -> x in a coefficient held as coordinate monomial -> exponent ->
+    rational on a doubled chart with n coordinates a slot.  Each coordinate
+    monomial is folded once per call (folds keeps the folded ones), and the
+    exponent dicts of monomials that fold together are summed in place in a
+    fresh dict, so no dict of coeff is written to."""
+    out: dict[Monomial, dict] = {}
+    summed = set()
+    for m, d in coeff.items():
+        f = folds.get(m)
+        if f is None:
+            f = folds[m] = tuple(map(add, m[:n], m[n:])) + (0,) * n
+        into = out.get(f)
+        if into is None:
+            out[f] = d
+            continue
+        if f not in summed:
+            summed.add(f)
+            into = out[f] = dict(into)
+        for e, c in d.items():
+            into[e] = into.get(e, 0) + c
+    return out
+
+
+def _result(vars: tuple[str, ...], coeffs: Iterable[tuple[Monomial, dict]], keys: dict,
+            fold: int | None = None) -> "DiffOp":
+    """The operator of an accumulator's items, operator monomial ->
+    coordinate monomial -> exponent dict, zeros dropped, with one ParamPoly
     per distinct scalar: keys, the call's table of interned tuples, interns
-    them too."""
-    return DiffOp(vars, {b: _poly(vars, c) for b, c in acc.items() if _settle_scalars(c, keys)})
+    them too.  With fold = n each coefficient is first folded onto the
+    diagonal by _fold.  Each coefficient is settled as soon as it is read."""
+    folds: dict = {}
+    terms = {}
+    for b, c in coeffs:
+        if fold is not None:
+            c = _fold(c, fold, folds)
+        if _settle_scalars(c, keys):
+            terms[b] = _poly(vars, c)
+    return DiffOp(vars, terms)
 
 
 class DiffOp:
@@ -243,7 +287,7 @@ class DiffOp:
         accumulator becomes the result's terms."""
         keys: dict = {}
         acc = _accumulate({}, keys, self, other, sign=1, skip_zero=False)
-        return _result(self.vars, acc, keys)
+        return _result(self.vars, acc.items(), keys)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """[self, other] = self.compose(other) - other.compose(self).
@@ -256,7 +300,7 @@ class DiffOp:
         keys: dict = {}
         _accumulate(acc, keys, self, other, sign=1, skip_zero=True)
         _accumulate(acc, keys, other, self, sign=-1, skip_zero=True)
-        return _result(self.vars, acc, keys)
+        return _result(self.vars, acc.items(), keys)
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -294,6 +338,44 @@ class DiffOp:
 
     def __repr__(self):
         return f"DiffOp({self.pretty()})"
+
+
+# ---------------------------------------------------------------------------
+# restriction to the diagonal, and residuals in one accumulator
+
+
+def restrict(op: DiffOp, n: int) -> DiffOp:
+    """Restriction to the diagonal: the operator f -> (op f)(x, x), written
+    as the doubled-chart operator with y -> x in every coefficient and the
+    dx/dy slots kept distinct.  This form is faithful, restricting it again
+    changes nothing, and the diagonal substitution of restrict(op, n).apply(f)
+    equals that of op.apply(f).
+
+    Each coordinate monomial is folded once per call, by the fold of
+    commutator_sum, and each operator monomial's coefficient is settled as
+    soon as it is folded, with one ParamPoly per distinct scalar.  Sums go
+    into fresh dicts; an unsummed scalar's dict is canonical, so settling
+    writes nothing to it, and op is left as it was."""
+    coeffs = ((b, {m: s.terms for m, s in c.terms.items()}) for b, c in op.terms.items())
+    return _result(op.vars, coeffs, {}, fold=n)
+
+
+def commutator_sum(a: DiffOp, b: DiffOp, m: DiffOp, c: DiffOp,
+                   fold: int | None = None) -> DiffOp:
+    """[a, b] + m o c, through one accumulator settled once: the two orders
+    of the commutator without their delta = 0 products, which cancel term
+    for term (see DiffOp.commutator), and the product m o c.  No
+    intermediate operator is settled or added.
+
+    With fold = n the accumulator is folded onto the diagonal of the
+    doubled chart, y -> x as in restrict, before it is settled, so the
+    result is restrict([a, b] + m o c, n)."""
+    acc: dict = {}
+    keys: dict = {}
+    _accumulate(acc, keys, a, b, sign=1, skip_zero=True)
+    _accumulate(acc, keys, b, a, sign=-1, skip_zero=True)
+    _accumulate(acc, keys, m, c, sign=1, skip_zero=False)
+    return _result(a.vars, acc.items(), keys, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -448,5 +530,5 @@ def f_chain(F: DiffOp, N: int) -> DiffOp:
         keys: dict = {}
         shifted = form.subs_params({"lam": LAM + k, "mu": MU + k})
         acc = _accumulate({}, keys, shifted, chain, sign=1, skip_zero=False, difference=True)
-        chain = _result(F.vars, acc, keys)
+        chain = _result(F.vars, acc.items(), keys)
     return F if N == 1 else _expand(chain)

@@ -9,6 +9,7 @@ import pytest
 from covjord import conformal as C
 from covjord import jordan as J
 from covjord import rpq as R
+from covjord import weyl as W
 from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import LAM, MU, ParamPoly, mat_mul
 
@@ -364,6 +365,48 @@ def test_wrong_weight_residual_matches_compose_route(model):
         assert got == F.compose(src) - tgt.compose(F)
         assert got.is_zero() == C.dpi(model, X).sigma.is_zero()
         nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def test_covariance_residual_equals_the_compose_route(model):
+    # op . src - tgt . op written out with DiffOp.compose, at the target
+    # (lam+2, mu+2) for F and at the right target for an op that is not
+    # covariant; both are nonzero for some field
+    F = R.explicit_F(2, 1)
+    dvars = double_vars(model.algebra.vars)
+    rng = random.Random("residual-oracle")
+    other = W.DiffOp(dvars, {(1, 0, 0, 0, 1, 0): random_poly(dvars, rng, 2),
+                             (0, 1, 0, 0, 0, 0): random_poly(dvars, rng, 2).scale(LAM),
+                             (0,) * 6: random_poly(dvars, rng, 1)})
+    cases = [(F, (LAM, MU), (LAM + 2, MU + 2)), (other, (LAM, MU), (LAM + 1, MU + 1))]
+    for op, source, target in cases:
+        nonzero = 0
+        for X in model.lie_basis():
+            src = C.dpi_tensor(model, X, *source)
+            tgt = C.dpi_tensor(model, X, *target)
+            got = C.covariance_residual(model, op, X, source, target)
+            assert got == op.compose(src) - tgt.compose(op)
+            nonzero += not got.is_zero()
+        assert nonzero > 0
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1)])
+def test_restricted_source_minus_lift_is_the_shift_multiplier(p, q):
+    # res(d(pi_lam (x) pi_mu)(X)) - lift is -shift sigma(x), of order 0: the
+    # vector fields cancel, and so do lam, mu against the lifted weight
+    model = C.QuadricModel(p, q)
+    n = model.n
+    dvars = double_vars(model.algebra.vars)
+    nonzero = 0
+    for X in model.lie_basis():
+        sigma = C.dpi(model, X, LAM, dvars, 0).sigma
+        src = C.dpi_tensor(model, X, LAM, MU)
+        for shift in (2, 5):
+            lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + shift, 0), n)
+            multiplier = C.restrict(src, n) - lifted
+            assert multiplier.order() == 0
+            assert multiplier == W.DiffOp.multiplication(sigma.scale(-shift))
+            nonzero += not multiplier.is_zero()
     assert nonzero > 0
 
 

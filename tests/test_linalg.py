@@ -93,10 +93,13 @@ def _triple_loop(A, B, zero):
 
 
 def _sparse(rng: random.Random, rows: int, cols: int, entry, zero) -> list[list]:
-    """Seeded matrix with about two thirds zero entries and an all-zero first row."""
+    """Seeded matrix with about two thirds zero entries, an all-zero first
+    row and an all-zero last column."""
     M = [[entry() if rng.random() < 1 / 3 else zero for _ in range(cols)]
          for _ in range(rows)]
     M[0] = [zero] * cols
+    for row in M:
+        row[-1] = zero
     return M
 
 

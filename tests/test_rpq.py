@@ -189,6 +189,55 @@ def test_bracket_residual_matches_full_chain_route(N, elements):
     assert nonzero >= 2
 
 
+def test_bracket_residual_matches_full_chain_route_off_constant_coefficients():
+    # the chain F . d(pi)(X) restricts to an operator whose coefficients are
+    # not constant, so the multiplier term differentiates them; the right
+    # shift 2 and the wrong shift 3 both match the full-chain route
+    p, q = 2, 1
+    model = C.QuadricModel(p, q)
+    n = model.n
+    basis = model.lie_basis()
+    F = R.explicit_F(p, q)
+    nonzero = 0
+    for i, j in [(5, 1), (6, 4), (len(basis) - 1, len(basis) - 2)]:
+        chain = F.compose(C.dpi_tensor(model, basis[i], LAM, MU))
+        res = C.restrict(chain, n)
+        assert any(not c.is_constant() for c in res.terms.values())
+        for shift in (2, 3):
+            got = C.bracket_covariance_residual(model, chain, basis[j], shift)
+            assert got == _full_chain_residual(model, chain, basis[j], shift)
+            nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def _scalar_snapshot(op):
+    return {b: [(m, s, dict(s.terms)) for m, s in c.terms.items()] for b, c in op.terms.items()}
+
+
+@pytest.mark.parametrize("case", ["F", "chain2", "dpi_tensor"])
+def test_restrict_equals_the_per_coefficient_route(case):
+    # restrict is diagonal_substitute on each coefficient, holds one
+    # ParamPoly per distinct scalar, is idempotent and leaves its operand
+    # (terms, scalar objects and their dicts) as it was
+    p, q = 2, 2
+    n = p + q
+    model = C.QuadricModel(p, q)
+    op = {"F": lambda: R.explicit_F(p, q),
+          "chain2": lambda: R.f_chain(p, q, 2),
+          "dpi_tensor": lambda: C.dpi_tensor(model, model.lie_basis()[-1], LAM, MU)}[case]()
+    before = _scalar_snapshot(op)
+    got = C.restrict(op, n)
+    assert got == W.DiffOp(op.vars, {b: C.diagonal_substitute(c, n) for b, c in op.terms.items()})
+    assert got != op
+    scalars = [s for c in got.terms.values() for s in c.terms.values()]
+    assert all(type(s) is ParamPoly for s in scalars)
+    assert len({id(s) for s in scalars}) == len(set(scalars))
+    assert C.restrict(got, n) == got
+    after = _scalar_snapshot(op)
+    assert after == before
+    assert all(s is s2 for b in before for (_, s, _), (_, s2, _) in zip(before[b], after[b]))
+
+
 def _random_doubled_op(rng, dvars, n):
     """Operator of order <= 2 on the doubled chart whose coefficients involve y."""
     terms = {}
