@@ -271,7 +271,7 @@ def covariance_residual(model: QuadricModel, op: DiffOp, X: Matrix,
     op takes one product per term."""
     src = dpi_tensor(model, X, source[0], source[1])
     tgt = dpi_tensor(model, X, target[0], target[1])
-    return commutator_sum(op, src, src - tgt, op)
+    return commutator_sum(op, src, src - tgt)
 
 
 def covariance_residual_F(model: QuadricModel, F: DiffOp, X: Matrix) -> DiffOp:
@@ -311,7 +311,7 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     res = restrict(chain, n)
     src = dpi_tensor(model, X, LAM, MU)
     lifted = restrict(dpi_tensor(model, X, LAM + MU + total_shift, 0), n)
-    return commutator_sum(res, src, restrict(src, n) - lifted, res, fold=n)
+    return commutator_sum(res, src, restrict(src, n) - lifted, fold=n)
 
 
 def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:

@@ -296,11 +296,7 @@ class DiffOp:
         left out: those of A o B are a_beta b_gamma d^(beta+gamma) and those
         of B o A are b_gamma a_beta d^(gamma+beta), so they cancel term for
         term and only the products that differentiate a coefficient stay."""
-        acc: dict = {}
-        keys: dict = {}
-        _accumulate(acc, keys, self, other, sign=1, skip_zero=True)
-        _accumulate(acc, keys, other, self, sign=-1, skip_zero=True)
-        return _result(self.vars, acc.items(), keys)
+        return commutator_sum(self, other)
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -360,21 +356,22 @@ def restrict(op: DiffOp, n: int) -> DiffOp:
     return _result(op.vars, coeffs, {}, fold=n)
 
 
-def commutator_sum(a: DiffOp, b: DiffOp, m: DiffOp, c: DiffOp,
+def commutator_sum(a: DiffOp, b: DiffOp, m: DiffOp | None = None,
                    fold: int | None = None) -> DiffOp:
-    """[a, b] + m o c, through one accumulator settled once: the two orders
+    """[a, b] + m o a, through one accumulator settled once: the two orders
     of the commutator without their delta = 0 products, which cancel term
-    for term (see DiffOp.commutator), and the product m o c.  No
+    for term (see DiffOp.commutator), and the product m o a.  No
     intermediate operator is settled or added.
 
     With fold = n the accumulator is folded onto the diagonal of the
     doubled chart, y -> x as in restrict, before it is settled, so the
-    result is restrict([a, b] + m o c, n)."""
+    result is restrict([a, b] + m o a, n)."""
     acc: dict = {}
     keys: dict = {}
     _accumulate(acc, keys, a, b, sign=1, skip_zero=True)
     _accumulate(acc, keys, b, a, sign=-1, skip_zero=True)
-    _accumulate(acc, keys, m, c, sign=1, skip_zero=False)
+    if m is not None:
+        _accumulate(acc, keys, m, a, sign=1, skip_zero=False)
     return _result(a.vars, acc.items(), keys, fold)
 
 

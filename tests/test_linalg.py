@@ -93,14 +93,15 @@ def _triple_loop(A, B, zero):
 
 
 def _sparse(rng: random.Random, rows: int, cols: int, entry, zero) -> list[list]:
-    """Seeded matrix with about two thirds zero entries, an all-zero first
-    row and an all-zero last column."""
+    """Seeded matrix with about two thirds zero entries and an all-zero first row."""
     M = [[entry() if rng.random() < 1 / 3 else zero for _ in range(cols)]
          for _ in range(rows)]
     M[0] = [zero] * cols
-    for row in M:
-        row[-1] = zero
     return M
+
+
+def _zero_last_column(M: list[list], zero) -> list[list]:
+    return [row[:-1] + [zero] for row in M]
 
 
 @pytest.mark.parametrize("kind", ["fraction", "gaussian"])
@@ -121,7 +122,9 @@ def test_mat_mul_matches_triple_loop(kind):
             B = _sparse(rng, inner, cols, entry, zero)
             zero_left = [[zero] * inner for _ in range(rows)]
             zero_right = [[zero] * cols for _ in range(inner)]
-            for L, R in [(A, B), (zero_left, B), (A, zero_right)]:
+            pairs = [(A, B), (zero_left, B), (A, zero_right),
+                     (_zero_last_column(A, zero), B), (A, _zero_last_column(B, zero))]
+            for L, R in pairs:
                 got = mat_mul(L, R)
                 assert got == _triple_loop(L, R, zero)
                 assert all(type(v) is cls for row in got for v in row)
