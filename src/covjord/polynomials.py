@@ -8,10 +8,12 @@ order used for division and printing is graded lexicographic.
 The constructor stores ParamPoly coefficients.  A parameter-free polynomial
 can be lowered (`over_q`) to bare rationals: int, or Fraction when not
 integral.  The integer-power oracle of the main identity runs in that form,
-which skips the scalar wrapper.  Sums, products, derivatives and scalings
-are written once for both forms through +, * and truthiness; a polynomial
-holds one form throughout, and contact with a parameter promotes bare
-rationals to ParamPoly.
+which skips the scalar wrapper.  The bare form takes any exact coefficient
+with +, -, * and truthiness: the zeta layer's polynomials are built over
+Gaussian rationals (`scalars.Gaussian`) by scaling a lowered one.  Sums,
+products, powers, derivatives and scalings are written once for every form
+through +, * and truthiness; a polynomial holds one form throughout, and
+contact with a parameter promotes bare rationals to ParamPoly.
 
 The calculus of the whole tower goes through two helpers here: `partials`,
 the one memoised table of partial derivatives (of polynomials and of
@@ -29,9 +31,9 @@ from math import comb, prod
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
-from .scalars import ParamPoly
+from .scalars import Gaussian, ParamPoly
 
-Coeff = Union[int, Fraction, ParamPoly]
+Coeff = Union[int, Fraction, Gaussian, ParamPoly]
 Monomial = tuple[int, ...]
 _T = TypeVar("_T")
 
@@ -62,9 +64,9 @@ def _param_form(terms: Mapping[Monomial, Coeff]) -> bool:
 
 
 def _settle(terms: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
-    """Store the integral Fractions of a bare-rational term dict as int."""
+    """Store the integral Fractions of a bare term dict as int."""
     for m, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
+        if type(c) is Fraction and c.denominator == 1:
             terms[m] = c.numerator
     return terms
 
@@ -244,7 +246,8 @@ class MPoly:
             return _poly(self.vars, {m: v * c for m, v in self.terms.items()})
         if c == 1:
             return self
-        c = c.numerator if c.denominator == 1 else c  # an integral Fraction scales as an int
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator  # an integral Fraction scales as an int
         if _param_form(self.terms):
             return _poly(self.vars, {m: v.scale_rat(c) for m, v in self.terms.items()})
         return _poly(self.vars, _settle({m: v * c for m, v in self.terms.items()}))

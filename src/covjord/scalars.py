@@ -25,8 +25,9 @@ scale_rat.  Parameter-free polynomials need not carry this ring at all: a
 lowered MPoly (MPoly.over_q) stores the same int/Fraction values bare.
 
 Exact Gaussian rationals re + im*i (`Gaussian`) live here too: the
-hermitian multiplication tables and the orbit-coefficient polynomials of
-the zeta layer are built over them.
+hermitian multiplication tables are built over them, and they are the
+coefficients of the bare-form MPolys of the zeta layer (orbit-coefficient
+polynomials, Fourier images of test functions).
 
 So does the exact linear algebra every layer above shares: Gauss-Jordan
 reduction over Q (`rref`), the inverse built on it, and the matrix
@@ -318,7 +319,8 @@ TAU_INV = ParamPoly.var("tau", -1)
 
 @dataclass(frozen=True)
 class Gaussian:
-    """Exact Gaussian rational re + im*i."""
+    """Exact Gaussian rational re + im*i; a rational factor multiplies it
+    from either side."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -330,7 +332,11 @@ class Gaussian:
         return Gaussian(self.re - o.re, self.im - o.im)
 
     def __mul__(self, o):
+        if type(o) is not Gaussian:
+            return Gaussian(self.re * o, self.im * o)
         return Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
 
     def __neg__(self):
         return Gaussian(-self.re, -self.im)

@@ -126,14 +126,14 @@ def _rpq_params(alg: jd.AlgebraDescriptor) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class Suite:
     """A registered suite: its builder, its default algebra (None: the
-    suite takes no algebra) and the condition it puts on the signature
-    (p, q) of an rpq algebra; `rpq_only` suites run on no other family."""
+    suite takes no algebra) and the algebras it runs on: `accepts` reads a
+    parsed spec (family, parameters, dimension) and `needs` names the
+    algebras it accepts."""
 
     build: Callable[..., list[Check]]
     algebra: str | None = None
-    rpq_rule: str = ""
-    rpq_holds: Callable[[int, int], bool] = lambda p, q: True
-    rpq_only: bool = False
+    needs: str = ""
+    accepts: Callable[[str, tuple[int, ...], int], bool] = lambda kind, params, n: True
 
 
 def _algebra_for(config: SuiteConfig, suite: Suite) -> jd.AlgebraDescriptor | None:
@@ -145,7 +145,7 @@ def _algebra_for(config: SuiteConfig, suite: Suite) -> jd.AlgebraDescriptor | No
             raise ConfigurationError(f"suite {config.suite} takes no algebra")
         return None
     spec = config.algebra or suite.algebra
-    # the guard and the suite's conditions read the parsed spec, so an
+    # the guard and the suite's condition read the parsed spec, so an
     # unusable algebra is refused before any constructor runs
     try:
         kind, params, n = jd.parse_spec(spec)
@@ -154,12 +154,8 @@ def _algebra_for(config: SuiteConfig, suite: Suite) -> jd.AlgebraDescriptor | No
     if n > _MAX_DIMENSION:
         raise ResourceLimitError(
             f"dimension {n} beyond the guarded budget (n <= {_MAX_DIMENSION})")
-    if kind != "rpq":
-        if suite.rpq_only:
-            raise ConfigurationError(
-                f"suite {config.suite} runs on quadratic-space algebras rpq:p,q only")
-    elif not suite.rpq_holds(*params):
-        raise ConfigurationError(f"suite {config.suite} needs rpq:p,q with {suite.rpq_rule}")
+    if not suite.accepts(kind, params, n):
+        raise ConfigurationError(f"suite {config.suite} runs on {suite.needs}")
     try:
         return jd.algebra_from_spec(spec)
     except ValueError as exc:
@@ -681,9 +677,6 @@ def bracket_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check
 
 
 def rankin_cohen_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check]:
-    if alg.n != 1:
-        raise ConfigurationError(
-            f"suite {config.suite} runs on the line: an algebra of dimension 1")
     dvars = double_vars(alg.vars)
 
     def binom(a: ParamPoly, m: int) -> ParamPoly:
@@ -833,16 +826,19 @@ SUITES: dict[str, Suite] = {
     "bernstein": Suite(bernstein_checks, "sym:2"),
     "main-identity": Suite(main_identity_checks, "sym:2"),
     "fourier-weyl": Suite(fourier_weyl_checks, "sym:2"),
-    "covariance": Suite(covariance_checks, "rpq:2,1", "p >= 2", lambda p, q: p >= 2),
-    "brackets": Suite(bracket_checks, "rpq:2,1", "p >= 2", lambda p, q: p >= 2,
-                      rpq_only=True),
-    "zeta-matrices": Suite(zeta_matrix_checks, "rpq:2,1", rpq_only=True),
+    "covariance": Suite(covariance_checks, "rpq:2,1", "rpq:p,q with p >= 2 and every other family",
+                        lambda kind, params, n: kind != "rpq" or params[0] >= 2),
+    "brackets": Suite(bracket_checks, "rpq:2,1", "quadratic-space algebras rpq:p,q with p >= 2",
+                      lambda kind, params, n: kind == "rpq" and params[0] >= 2),
+    "zeta-matrices": Suite(zeta_matrix_checks, "rpq:2,1", "quadratic-space algebras rpq:p,q",
+                           lambda kind, params, n: kind == "rpq"),
     "zeta-numeric": Suite(
         zeta_numeric_checks, "rpq:2,1",
-        "p + q = 3, the only dimension where both sides of the functional "
-        "equation converge absolutely",
-        lambda p, q: p + q == 3, rpq_only=True),
-    "rankin-cohen": Suite(rankin_cohen_checks, "sym:1"),
+        "rpq:p,q with p + q = 3, the only dimension where both sides of the "
+        "functional equation converge absolutely",
+        lambda kind, params, n: kind == "rpq" and n == 3),
+    "rankin-cohen": Suite(rankin_cohen_checks, "sym:1", "the line: an algebra of dimension 1",
+                          lambda kind, params, n: n == 1),
 }
 
 # `--suite all`: (suite, algebra, samples) in run order; samples None keeps

@@ -4,12 +4,12 @@ A DiffOp maps derivative multi-exponents to MPoly coefficients with
 ParamPoly values (bare rationals are lifted on construction) and denotes
 sum_beta  c_beta(x) d^beta  (multiplication left, differentiation right).
 Composition rewrites into this normal form through the commutation rule
-[d_i, x_i] = 1.  One accumulator kernel serves compose and commutator; the
-commutator leaves out the products in which no coefficient is
-differentiated, which is exact because those of A o B and of B o A are the
-same products of commuting coefficients.  commutator_sum adds a
-commutator and a product into one such accumulator, and can fold it onto
-the diagonal of a doubled chart with the fold of restrict, the
+[d_i, x_i] = 1.  One accumulator kernel serves compose, commutator and
+Fourier conjugation; the commutator leaves out the products in which no
+coefficient is differentiated, which is exact because those of A o B and
+of B o A are the same products of commuting coefficients.  commutator_sum
+adds a commutator and a product into one such accumulator, and can fold it
+onto the diagonal of a doubled chart with the fold of restrict, the
 substitution y -> x in an operator's coefficients.  The formal Fourier
 constant tau lets conjugation by the Fourier transform act as the ring
 automorphism d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
@@ -384,22 +384,22 @@ def fourier_conjugate(op: DiffOp, inverse: bool = False) -> DiffOp:
 
     Forward:  d_j -> -tau x_j,   x_j -> tau^-1 d_j.
     Inverse:  d_j ->  tau x_j,   x_j -> -tau^-1 d_j.
-    """
+
+    The image c(+-tau^-1 d) o (-+tau x)^beta of every term c(x) d^beta is
+    added into one accumulator, settled once."""
     vars = op.vars
-    out = DiffOp.zero(vars)
-    x_sign = Fraction(-1 if inverse else 1)
-    d_sign = Fraction(1 if inverse else -1)
+    x_sign = -1 if inverse else 1
+    d_sign = -x_sign
+    acc: dict = {}
+    keys: dict = {}
     for beta, coeff in op.terms.items():
-        # image of the multiplication part: coeff evaluated on (+-tau^-1 d)
         coeff_image = DiffOp(vars, {
             mono: MPoly.constant(vars, c * ParamPoly.var("tau", -sum(mono)) * x_sign ** sum(mono))
             for mono, c in coeff.terms.items()})
-        # image of the derivative part: product of (-+tau x_j)^(beta_j)
         deg = sum(beta)
-        mult_poly = MPoly(vars, {beta: ParamPoly.var("tau", deg) * (d_sign ** deg)})
-        term_image = coeff_image.compose(DiffOp.multiplication(mult_poly))
-        out = out + term_image
-    return out
+        mult = MPoly(vars, {beta: ParamPoly.var("tau", deg) * d_sign ** deg})
+        _accumulate(acc, keys, coeff_image, DiffOp.multiplication(mult), sign=1, skip_zero=False)
+    return _result(vars, acc.items(), keys)
 
 
 def declared_tau_power(op: DiffOp) -> int:

@@ -199,13 +199,9 @@ def gamma_quad(n: int, arg: ParamPoly) -> GammaFactor:
     )
 
 
-def c_factor(r: int, d: int, n: int, r_plus: int, eps: str, split: bool,
-             arg: ParamPoly) -> GammaFactor:
-    """Fourier constant of the zeta distribution at the given sign."""
+def c_factor(r: int, d: int, n: int, r_plus: int, eps: str, arg: ParamPoly) -> GammaFactor:
+    """Fourier constant of the zeta distribution at the given sign, split case."""
     base = GammaFactor(powpi=arg * (-r) - Fraction(n, 2))
-    if not split:
-        return base * gamma_V(r_plus, d, arg * 2 + Fraction(2 * n, r)) \
-            / gamma_V(r_plus, d, arg * (-2))
     if eps == "+":
         return base * gamma_V(r_plus, d, arg + Fraction(n, r)) / gamma_V(r_plus, d, -arg)
     if eps == "-":
@@ -262,10 +258,10 @@ def kappa_split_quotient(r: int, d: int, n: int, r_plus: int,
                          eps: str, eta: str) -> GammaFactor:
     """c(s,eps) c(t,eta) / (tau^r c(s+1,-eps) c(t+1,-eta)), split case."""
     flip = {"+": "-", "-": "+"}
-    cs = c_factor(r, d, n, r_plus, eps, True, S)
-    ct = c_factor(r, d, n, r_plus, eta, True, T)
-    cs1 = c_factor(r, d, n, r_plus, flip[eps], True, S + 1)
-    ct1 = c_factor(r, d, n, r_plus, flip[eta], True, T + 1)
+    cs = c_factor(r, d, n, r_plus, eps, S)
+    ct = c_factor(r, d, n, r_plus, eta, T)
+    cs1 = c_factor(r, d, n, r_plus, flip[eps], S + 1)
+    ct1 = c_factor(r, d, n, r_plus, flip[eta], T + 1)
     tau_r = GammaFactor(pow2=_const(r), powpi=_const(r), eipi=_const(Fraction(r, 2)))
     return (cs * ct) / (tau_r * cs1 * ct1)
 
@@ -519,45 +515,7 @@ def orbit_roundtrip(r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# orbit-coefficient generating polynomials (Gaussian-rational, two formal vars)
-
-
-GPoly = dict  # (ex, ey) -> Gaussian
-
-
-def gp_add(a: GPoly, b: GPoly) -> GPoly:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, Gaussian()) + v
-        if nv.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = nv
-    return out
-
-
-def gp_mul(a: GPoly, b: GPoly) -> GPoly:
-    out: GPoly = {}
-    for (e1, f1), v1 in a.items():
-        for (e2, f2), v2 in b.items():
-            k = (e1 + e2, f1 + f2)
-            nv = out.get(k, Gaussian()) + v1 * v2
-            if nv.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nv
-    return out
-
-
-def gp_pow(a: GPoly, k: int) -> GPoly:
-    out = {(0, 0): G_ONE}
-    for _ in range(k):
-        out = gp_mul(out, a)
-    return out
-
-
-def gp_scale(a: GPoly, c: Gaussian) -> GPoly:
-    return {k: v * c for k, v in a.items() if not (v * c).is_zero()}
+# orbit-coefficient generating polynomials (Gaussian-rational MPolys in x, y)
 
 
 def _i_power(k: int) -> Gaussian:
@@ -565,40 +523,29 @@ def _i_power(k: int) -> Gaussian:
     return [G_ONE, G_I, -G_ONE, -G_I][k]
 
 
-def orbit_coefficient_polys(r: int, d: int) -> list[list[GPoly]]:
+def orbit_coefficient_polys(r: int, d: int) -> list[list[dict]]:
     """u_ij(x) extracted from the generating identity: returns u[i][j] as
-    polynomials in x (Gaussian-rational coefficients)."""
+    the term dict (ex, 0) -> Gaussian of a polynomial in x."""
     xi = _i_power(d * (r + 1))
+    x, y = (MPoly.variable(("x", "y"), v).over_q().scale(G_ONE) for v in ("x", "y"))
+    one = MPoly.constant(("x", "y"), 1).over_q().scale(G_ONE)
 
-    def P_factor(j: int, base: GPoly, other: GPoly) -> GPoly:
+    def P_factor(j: int, base: MPoly, other: MPoly) -> MPoly:
         # (base + other)^j for even d; split exponents for odd d
         if d % 2 == 0:
-            return gp_pow(gp_add(base, other), j)
+            return (base + other) ** j
         lo = j // 2
-        return gp_mul(gp_pow(gp_add(base, other), lo),
-                      gp_pow(gp_add(other, gp_scale(base, -G_ONE)), j - lo))
+        return (base + other) ** lo * (other - base) ** (j - lo)
 
-    x = {(1, 0): G_ONE}
-    y = {(0, 1): G_ONE}
-    xy = {(1, 1): G_ONE}
-    one = {(0, 0): G_ONE}
-    out = []
+    table = [[{} for _ in range(r + 1)] for _ in range(r + 1)]
     for j in range(r + 1):
         # xi^-(r-j) P_j(xi x, y) P_(r-j)(1, xi x y); xi is a 4th root of
         # unity, so its inverse power is the conjugate power
-        acc = G_ONE
-        for _ in range(r - j):
-            acc = acc * xi
-        inv = Gaussian(acc.re, -acc.im)
-        poly = gp_mul(P_factor(j, gp_scale(x, xi), y),
-                      P_factor(r - j, one, gp_scale(xy, xi)))
-        out.append(gp_scale(poly, inv))
-    # extract coefficient of y^i
-    table = [[{} for _ in range(r + 1)] for _ in range(r + 1)]
-    for j, poly in enumerate(out):
-        for (ex, ey), v in poly.items():
-            if ey <= r:
-                table[ey][j][(ex, 0)] = table[ey][j].get((ex, 0), Gaussian()) + v
+        power = _i_power(d * (r + 1) * (r - j))
+        poly = P_factor(j, x.scale(xi), y) * P_factor(r - j, one, (x * y).scale(xi))
+        # the coefficient of y^i; y has degree at most r
+        for (ex, ey), v in poly.scale(Gaussian(power.re, -power.im)).terms.items():
+            table[ey][j][(ex, 0)] = v
     return table
 
 
@@ -638,15 +585,14 @@ def fourier_gaussian(g: GaussianTest) -> GaussianTest:
     a = Fraction(1, 4) / g.width
     xi = tuple(f"xi{j}" for j in range(n))
     coords = [MPoly.variable(xi, v).over_q() for v in xi]
-    result: GPoly = {}
+    images = []
     for mono, c in g.poly:
         image = MPoly.constant(xi, 1).over_q()
         for j, e in enumerate(mono):
             for _ in range(e):
                 image = image.diff(j) - (coords[j] * image).scale(2 * a)
-        image_terms = {m: Gaussian(Fraction(v)) for m, v in image.terms.items()}
-        result = gp_add(result, gp_scale(image_terms, c * _i_power(-sum(mono))))
-    return GaussianTest(n, a, tuple(sorted(result.items())))
+        images.append(image.scale(c * _i_power(-sum(mono))))
+    return GaussianTest(n, a, tuple(sorted(MPoly.sum(xi, images).terms.items())))
 
 
 def fourier_gaussian_scale(g: GaussianTest) -> float:

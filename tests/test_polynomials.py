@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from covjord.polynomials import (InexactDivisionError, MPoly, VariableMismatchError, double_vars,
                                  leibniz_orders, partials)
-from covjord.scalars import ParamPoly, S
+from covjord.scalars import Gaussian, ParamPoly, S
 
 from conftest import random_poly, stored_form
 
@@ -192,3 +192,60 @@ def test_leibniz_orders_product_rule():
                     g, tuple(a - b for a, b in zip(alpha, beta)))).scale(c)
                 for beta, c in orders))
             assert diff_decreasing(f * g, alpha) == rhs, alpha
+
+
+# ---------------------------------------------------------------------------
+# the bare form over Gaussian rationals
+
+
+def test_rational_times_gaussian_either_side():
+    g = Gaussian(Fraction(2, 3), Fraction(-5, 4))
+    for c in (3, -2, Fraction(7, 5), Fraction(-4, 2)):
+        want = Gaussian(g.re * c, g.im * c)
+        assert c * g == g * c == want
+        assert Fraction(c) * g == g * Fraction(c) == want
+
+
+def test_gaussian_coefficients_against_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(20)
+    vars = ("x1", "x2")
+    symbols = sp.symbols(vars)
+
+    def gaussian() -> Gaussian:
+        return Gaussian(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    def draw() -> MPoly:
+        return MPoly.sum(vars, (MPoly.monomial(vars, (rng.randint(0, 2), rng.randint(0, 2)), 1)
+                                .over_q().scale(gaussian()) for _ in range(rng.randint(1, 4))))
+
+    def rational(v) -> "sp.Rational":
+        v = Fraction(v)
+        return sp.Rational(v.numerator, v.denominator)
+
+    def to_sympy(p: MPoly):
+        total = sp.Integer(0)
+        for m, c in p.terms.items():
+            value = rational(c.re) + sp.I * rational(c.im) if type(c) is Gaussian else rational(c)
+            total += value * symbols[0] ** m[0] * symbols[1] ** m[1]
+        return total
+
+    def agrees(p: MPoly, expr) -> bool:
+        return sp.expand(to_sympy(p) - expr) == 0
+
+    for _ in range(15):
+        a, b = draw(), draw()
+        sa, sb = to_sympy(a), to_sympy(b)
+        c, r = gaussian(), Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        results = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                   (a.scale(c), sa * (rational(c.re) + sp.I * rational(c.im))),
+                   (a.scale(r), sa * rational(r)), (a.diff(0), sp.diff(sa, symbols[0])),
+                   (a.diff("x2"), sp.diff(sa, symbols[1]))]
+        results += [(a ** k, sa ** k) for k in range(4)]
+        for got, want in results:
+            assert agrees(got, want)
+        # one form per polynomial: a product or sum of Gaussian polynomials
+        # holds Gaussians only
+        for got in (a + b, a - b, a * b, a.scale(r), a.diff(0), a ** 2):
+            assert all(type(v) is Gaussian for v in got.terms.values())

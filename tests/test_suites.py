@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from covjord import suites
+from covjord import jordan, suites
 from covjord.cli import main
 from covjord.suites import Check, Suite
 
@@ -36,3 +36,16 @@ def test_covariance_suite_on_odd_rank(spec, tmp_path):
     assert main(["--suite", "covariance", "--algebra", spec, "--report", str(report)]) == 0
     data = json.loads(report.read_text())
     assert [c["status"] for c in data["checks"]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("suite, spec", [
+    ("brackets", "sym:2"), ("covariance", "rpq:1,2"), ("zeta-matrices", "mat:2"),
+    ("zeta-numeric", "rpq:2,2"), ("rankin-cohen", "sym:2"), ("rankin-cohen", "sym:5")])
+def test_refused_before_the_algebra_is_built(suite, spec, monkeypatch):
+    # every row's condition reads the parsed spec, so an algebra the suite
+    # cannot use is refused before any constructor runs
+    def build(spec):
+        raise AssertionError(f"{spec} built before the suite's condition was read")
+
+    monkeypatch.setattr(jordan, "algebra_from_spec", build)
+    assert main(["--suite", suite, "--algebra", spec]) == 2

@@ -287,3 +287,42 @@ def test_chain_refuses_a_family_not_in_x_minus_y():
     broken = F + W.DiffOp(F.vars, {beta: MPoly.monomial(F.vars, y1, LAM)})
     with pytest.raises(ValueError):
         W.f_chain(broken, 2)
+
+
+# ---------------------------------------------------------------------------
+# Fourier conjugation on one accumulator against the per-term route
+
+
+def _conjugate_per_term(op: W.DiffOp, inverse: bool) -> W.DiffOp:
+    """sum_beta DiffOp(c(+-tau^-1 d)) o (-+tau x)^beta over the terms
+    c(x) d^beta of op, each composed on its own and added with +."""
+    vars = op.vars
+    x_sign = -1 if inverse else 1
+    out = W.DiffOp.zero(vars)
+    for beta, coeff in op.terms.items():
+        image = W.DiffOp(vars, {
+            m: MPoly.constant(vars, c * ParamPoly.var("tau", -sum(m)) * x_sign ** sum(m))
+            for m, c in coeff.terms.items()})
+        mult = MPoly.monomial(vars, beta, ParamPoly.var("tau", sum(beta)) * (-x_sign) ** sum(beta))
+        out = out + image.compose(W.DiffOp.multiplication(mult))
+    return out
+
+
+def _assert_conjugates_as_per_term(op: W.DiffOp) -> None:
+    for inverse in (False, True):
+        got = W.fourier_conjugate(op, inverse)
+        want = _conjugate_per_term(op, inverse)
+        assert got == want
+        assert _value_types(got) == _value_types(want)
+        scalars = _scalars(got)
+        assert len({id(s) for s in scalars}) == len(set(scalars))
+
+
+@pytest.mark.parametrize("spec", ["sym:2", "mat:2", "hermc:2", "rpq:2,1"])
+def test_fourier_conjugate_equals_per_term_route_on_dst(spec):
+    _assert_conjugates_as_per_term(D.dst_operator(J.algebra_from_spec(spec)))
+
+
+def test_fourier_conjugate_equals_per_term_route_on_random_operators(rng):
+    for _ in range(20):
+        _assert_conjugates_as_per_term(rand_op(rng, ("x1", "x2", "x3"), terms=3))

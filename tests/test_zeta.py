@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from covjord import zeta as Z
+from covjord.polynomials import MPoly
 from covjord.scalars import ParamPoly, S
 
 from conftest import knapp_stein_kernel
@@ -172,17 +173,21 @@ def test_orbit_coefficient_tables():
 
 
 def test_orbit_generating_sums_even_d():
+    vars = ("x", "y")
+    one = MPoly.constant(vars, 1).over_q()
+    x = MPoly.variable(vars, "x").over_q()
     for (r, d) in [(3, 2), (2, 4), (3, 4)]:
         tab = Z.orbit_coefficient_polys(r, d)
-        onepx = Z.gp_pow({(0, 0): Z.G_ONE, (1, 0): Z.G_ONE}, r)
-        onemx = Z.gp_pow({(0, 0): Z.G_ONE, (1, 0): -Z.G_ONE}, r)
+        # the expected sides in Gaussian form: Gaussian(1) != 1 in a term dict
+        onepx = ((one + x) ** r).scale(Z.G_ONE)
+        onemx = ((one - x) ** r).scale(Z.G_ONE)
         for j in range(r + 1):
-            total, signed = {}, {}
-            for i in range(r + 1):
-                total = Z.gp_add(total, tab[i][j])
-                signed = Z.gp_add(signed, Z.gp_scale(tab[i][j], Z.Gaussian(Fraction((-1) ** i))))
+            column = [MPoly.sum(vars, (MPoly.monomial(vars, m, 1).over_q().scale(c)
+                                       for m, c in tab[i][j].items())) for i in range(r + 1)]
+            total = MPoly.sum(vars, column)
+            signed = MPoly.sum(vars, (u.scale((-1) ** i) for i, u in enumerate(column)))
             assert total == onepx
-            assert signed == Z.gp_scale(onemx, Z.Gaussian(Fraction((-1) ** j)))
+            assert signed == onemx.scale((-1) ** j)
 
 
 def test_fourier_gaussian():
