@@ -59,8 +59,6 @@ class QuadricModel:
     q: int
 
     def __post_init__(self):
-        if self.p < 2 or self.q < 1:
-            raise ValueError("quadratic-space model needs p >= 2 and q >= 1")
         self.n = self.p + self.q
         self.algebra = jd.rpq_algebra(self.p, self.q)
         self.signs = tuple([Fraction(1)] * self.p + [Fraction(-1)] * self.q)
@@ -71,7 +69,6 @@ class QuadricModel:
             J[i + 1][i + 1] = self.signs[i]
         self.J = _freeze(J)
         self.Jinv = _freeze(fraction_matrix_inverse(J))
-        self.dim_g = (m - 1) * m // 2
 
     # -- membership checks ---------------------------------------------------
 

@@ -306,7 +306,8 @@ def eps_flip_check(algebra: AlgebraDescriptor, point: Sequence[Fraction], k: int
 def dst_operator_graded(algebra: AlgebraDescriptor) -> DiffOp:
     """Operator form of the main identity built from the triple product-rule
     coefficients of det in the trace-form pairing; equals dst_operator on
-    euclidean algebras.
+    the euclidean matrix algebras, and a quarter of it on the spin factors
+    rpq:1,q, whose chart keeps the literal quadratic form (bernstein_poly).
 
     The expansion's basis is homogeneous (the degree layers of the
     derivative space are mutually orthogonal), and a coefficient a_ijk

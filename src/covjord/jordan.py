@@ -276,7 +276,7 @@ def rpq_algebra(p: int, q: int) -> AlgebraDescriptor:
     unit_coords = [Fraction(1)] + [Fraction(0)] * (n - 1)
     trace_vec = [Fraction(2)] + [Fraction(0)] * (n - 1)
     return _algebra(f"rpq:{p},{q}", 2, n - 2, mult, unit_coords, trace_vec, "i",
-                    euclidean=(q == 0))
+                    euclidean=(p == 1))
 
 
 _FAMILIES = {"sym": sym_algebra, "mat": mat_algebra, "hermc": hermc_algebra}
@@ -520,20 +520,6 @@ def sharp(algebra: AlgebraDescriptor, p: MPoly, k: int) -> MPoly:
         raise InternalInconsistencyError(
             "sharp division not exact (input outside the determinant derivative space?)"
         ) from exc
-
-
-def principal_minor(algebra: AlgebraDescriptor, k: int) -> MPoly:
-    """Leading k x k minor of the generic symmetric matrix (Sym(m,R)): the
-    determinant of sym:k on the chart coordinates of the leading block."""
-    if algebra.family != "sym":
-        raise UnsupportedKindError("principal minors implemented for sym:m")
-    if k < 0 or k > algebra.r:
-        raise ValueError(f"minor index {k} outside 0..{algebra.r}")
-    if k == 0:
-        return MPoly.constant(algebra.vars, 1)
-    idx = {p: i for i, p in enumerate(_sym_index_pairs(algebra.r))}
-    block = [MPoly.variable(algebra.vars, algebra.vars[idx[p]]) for p in _sym_index_pairs(k)]
-    return sym_algebra(k).det_poly.compose(block)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from math import comb, prod
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
-from .scalars import Gaussian, ParamPoly
+from .scalars import G_ONE, Gaussian, ParamPoly
 
 Coeff = Union[int, Fraction, Gaussian, ParamPoly]
 Monomial = tuple[int, ...]
@@ -61,6 +61,15 @@ def _param_form(terms: Mapping[Monomial, Coeff]) -> bool:
     for c in terms.values():
         return type(c) is ParamPoly
     return False
+
+
+def _one(terms: Mapping[Monomial, Coeff]) -> Coeff:
+    """The coefficient 1 in the form of terms (the zero polynomial: int)."""
+    for c in terms.values():
+        if type(c) is ParamPoly:
+            return ParamPoly.of(1)
+        return G_ONE if type(c) is Gaussian else 1
+    return 1
 
 
 def _settle(terms: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
@@ -255,7 +264,7 @@ class MPoly:
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = _constant(self.vars, ParamPoly.of(1) if _param_form(self.terms) else 1)
+        out = _constant(self.vars, _one(self.terms))
         base = self
         while k:
             if k & 1:

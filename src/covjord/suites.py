@@ -361,24 +361,23 @@ def bernstein_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Che
                         "wave of det^s factors through det^(s-1) with the stated scalar",
                         run_b))
 
-    if alg.family in ("sym", "mat", "rpq"):
-        def run_flip() -> float:
-            rng = _rng(config.seed, "flip", alg.key)
-            found = 0
-            for _ in range(500):
-                x = jd.random_element(alg, rng)
-                if jd.det(x) < 0:
-                    found += 1
-                    for k in (1, 2, 3):
-                        if not dp.eps_flip_check(alg, x.coords, k):
-                            return 1.0
-                    if found >= 10:
-                        break
-            return _exact(found > 0)
+    def run_flip() -> float:
+        rng = _rng(config.seed, "flip", alg.key)
+        found = 0
+        for _ in range(500):
+            x = jd.random_element(alg, rng)
+            if jd.det(x) < 0:
+                found += 1
+                for k in (1, 2, 3):
+                    if not dp.eps_flip_check(alg, x.coords, k):
+                        return 1.0
+                if found >= 10:
+                    break
+        return _exact(found > 0)
 
-        checks.append(Check("sign-branch-flip",
-                            "signed powers flip branches under the wave identity",
-                            run_flip))
+    checks.append(Check("sign-branch-flip",
+                        "signed powers flip branches under the wave identity",
+                        run_flip))
     return checks
 
 
@@ -826,10 +825,9 @@ SUITES: dict[str, Suite] = {
     "bernstein": Suite(bernstein_checks, "sym:2"),
     "main-identity": Suite(main_identity_checks, "sym:2"),
     "fourier-weyl": Suite(fourier_weyl_checks, "sym:2"),
-    "covariance": Suite(covariance_checks, "rpq:2,1", "rpq:p,q with p >= 2 and every other family",
-                        lambda kind, params, n: kind != "rpq" or params[0] >= 2),
-    "brackets": Suite(bracket_checks, "rpq:2,1", "quadratic-space algebras rpq:p,q with p >= 2",
-                      lambda kind, params, n: kind == "rpq" and params[0] >= 2),
+    "covariance": Suite(covariance_checks, "rpq:2,1"),
+    "brackets": Suite(bracket_checks, "rpq:2,1", "quadratic-space algebras rpq:p,q",
+                      lambda kind, params, n: kind == "rpq"),
     "zeta-matrices": Suite(zeta_matrix_checks, "rpq:2,1", "quadratic-space algebras rpq:p,q",
                            lambda kind, params, n: kind == "rpq"),
     "zeta-numeric": Suite(

@@ -208,6 +208,23 @@ def test_rankin_cohen_suite_passes(tmp_path):
     assert run_cli(["--suite", "rankin-cohen", "--algebra", "sym:2"]).returncode == 2
 
 
+def test_sign_branch_flip_runs_on_hermc(tmp_path):
+    report = tmp_path / "bernstein.json"
+    assert main(["--suite", "bernstein", "--algebra", "hermc:2", "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert [c["id"] for c in data["checks"] if c["status"] == "pass"] == \
+        ["bernstein-factorization", "sign-branch-flip"]
+
+
+@pytest.mark.parametrize("suite, passed", [("covariance", 15), ("brackets", 23)])
+def test_operator_suites_run_on_the_spin_factor(suite, passed, tmp_path):
+    # rpq:1,2 is a copy of sym:2 on the quadric route
+    report = tmp_path / f"{suite}.json"
+    assert main(["--suite", suite, "--algebra", "rpq:1,2", "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert (data["passed"], data["failed"]) == (passed, 0)
+
+
 def test_bracket_certificates_owned_by_bracket_suite():
     def bracket_ids(suite):
         return [c.id for c in build_checks(SuiteConfig(suite))

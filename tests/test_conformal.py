@@ -298,7 +298,7 @@ def test_restriction_covariance(model):
         assert C.restriction_covariance_residual(model, X).is_zero()
 
 
-@pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1), (1, 2)])
 def test_lift_acts_as_the_single_slot_operator_on_the_diagonal(p, q):
     # application route, independent of the construction: the restricted
     # tensor action at weights (w, 0), applied to h and restricted, is the
@@ -390,7 +390,7 @@ def test_covariance_residual_equals_the_compose_route(model):
         assert nonzero > 0
 
 
-@pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1), (1, 2)])
 def test_restricted_source_minus_lift_is_the_shift_multiplier(p, q):
     # res(d(pi_lam (x) pi_mu)(X)) - lift is -shift sigma(x), of order 0: the
     # vector fields cancel, and so do lam, mu against the lifted weight

@@ -161,10 +161,14 @@ def test_operator_reconstruction(spec, rng):
         assert op.apply(f) == D.extract_Dst(alg, f)
 
 
-@pytest.mark.parametrize("spec", ["sym:2", "hermc:2"])
+@pytest.mark.parametrize("spec", ["sym:2", "hermc:2", "rpq:1,2", "rpq:1,3"])
 def test_graded_route_matches_direct(spec):
+    """The graded route equals the direct one; on the spin factors rpq:1,q
+    it is the trace-form dual of the literal quadratic-form operator, so it
+    carries the factor 1/4 that bernstein_poly's note states."""
     alg = J.algebra_from_spec(spec)
-    assert D.dst_operator_graded(alg) == D.dst_operator(alg)
+    scale = Fraction(1, 4) if alg.family == "rpq" else 1
+    assert D.dst_operator_graded(alg) == D.dst_operator(alg).scale(scale)
 
 
 @pytest.mark.parametrize("tamper", ["drop", "double"])

@@ -186,20 +186,6 @@ def test_signature_matches_eigen_count(rng):
         assert signature_class(x) == int((eig < 0).sum())
 
 
-def test_principal_minors():
-    s2 = J.sym_algebra(2)
-    assert J.principal_minor(s2, 0) == MPoly.constant(s2.vars, 1)
-    assert J.principal_minor(s2, 1) == MPoly.variable(s2.vars, "x1")
-    assert J.principal_minor(s2, 2) == s2.det_poly
-    s3 = J.sym_algebra(3)
-    m2 = J.principal_minor(s3, 2)
-    # leading 2x2 minor: x1 x4 - x2^2 in the row-wise upper-triangle chart
-    x = [MPoly.variable(s3.vars, v) for v in s3.vars]
-    assert m2 == x[0] * x[3] - x[1] * x[1]
-    with pytest.raises(ValueError):
-        J.principal_minor(s3, 4)
-
-
 @pytest.mark.parametrize("spec", ("sym:2", "hermc:2", "rpq:2,1"))
 def test_scale_symbolic(spec):
     alg = J.algebra_from_spec(spec)

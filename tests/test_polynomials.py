@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from covjord.polynomials import (InexactDivisionError, MPoly, VariableMismatchError, double_vars,
                                  leibniz_orders, partials)
-from covjord.scalars import Gaussian, ParamPoly, S
+from covjord.scalars import G_ONE, Gaussian, ParamPoly, S
 
 from conftest import random_poly, stored_form
 
@@ -249,3 +249,17 @@ def test_gaussian_coefficients_against_sympy():
         # holds Gaussians only
         for got in (a + b, a - b, a * b, a.scale(r), a.diff(0), a ** 2):
             assert all(type(v) is Gaussian for v in got.terms.values())
+
+
+@pytest.mark.parametrize("form", ["param", "int", "gaussian"])
+def test_zeroth_power_keeps_the_coefficient_form(form):
+    # p ** 0 is the one of p's own form, so it adds to p from either side
+    vars = ("x1", "x2")
+    x_plus_1 = MPoly.variable(vars, "x1") + MPoly.constant(vars, 1)
+    p = {"param": x_plus_1.scale(S), "int": x_plus_1.over_q(),
+         "gaussian": x_plus_1.over_q().scale(Gaussian(Fraction(0), Fraction(1)))}[form]
+    one = MPoly.constant(vars, 1)
+    one = {"param": one, "int": one.over_q(), "gaussian": one.over_q().scale(G_ONE)}[form]
+    assert p ** 0 == one
+    assert p + p ** 0 == p ** 0 + p == p + one
+    assert p ** 1 == p

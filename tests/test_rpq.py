@@ -19,7 +19,7 @@ from conftest import random_poly
 TRIO = [(2, 1), (2, 2), (3, 1)]
 
 
-@pytest.mark.parametrize("pq", TRIO)
+@pytest.mark.parametrize("pq", [*TRIO, (1, 2), (1, 3)])
 def test_explicit_equals_generic(pq):
     p, q = pq
     alg = J.rpq_algebra(p, q)
@@ -169,14 +169,16 @@ def _full_chain_residual(model, chain, X, shift):
     return C.restrict(chain.compose(src), n) - C.restrict(lifted.compose(chain), n)
 
 
-@pytest.mark.parametrize("N, elements", [(1, range(10)), (2, (3, 6))], ids=["N1", "N2"])
-def test_bracket_residual_matches_full_chain_route(N, elements):
+@pytest.mark.parametrize("p, q, N, elements", [
+    (2, 1, 1, range(10)), (2, 1, 2, (3, 6)), (1, 2, 1, range(10)), (1, 2, 2, (3, 6)),
+], ids=["N1", "N2", "rpq12-N1", "rpq12-N2"])
+def test_bracket_residual_matches_full_chain_route(p, q, N, elements):
     # the right weight shift 2N gives zero; 2N + 1 gives nonzero residuals too;
     # the residual reads only res(chain), so the restricted chain gives it too
-    model = C.QuadricModel(2, 1)
+    model = C.QuadricModel(p, q)
     basis = model.lie_basis()
-    chain = R.f_chain(2, 1, N)
-    bracket = R.build_BN(2, 1, N)
+    chain = R.f_chain(p, q, N)
+    bracket = R.build_BN(p, q, N)
     nonzero = 0
     for i in elements:
         for shift in (2 * N, 2 * N + 1):
@@ -294,9 +296,7 @@ def test_restrict_acts_as_the_operator_on_the_diagonal(seed):
 
 
 def test_parameter_validation():
-    # the operator families need p >= 2 and q >= 1, enforced by the quadric model
-    with pytest.raises(ValueError):
-        C.QuadricModel(1, 2)
+    # the quadric model takes the algebra's own refusal: rpq:p,q needs q >= 1
     with pytest.raises(ValueError):
         C.QuadricModel(2, 0)
     with pytest.raises(ValueError):

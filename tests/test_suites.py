@@ -39,7 +39,7 @@ def test_covariance_suite_on_odd_rank(spec, tmp_path):
 
 
 @pytest.mark.parametrize("suite, spec", [
-    ("brackets", "sym:2"), ("covariance", "rpq:1,2"), ("zeta-matrices", "mat:2"),
+    ("brackets", "sym:2"), ("zeta-matrices", "mat:2"),
     ("zeta-numeric", "rpq:2,2"), ("rankin-cohen", "sym:2"), ("rankin-cohen", "sym:5")])
 def test_refused_before_the_algebra_is_built(suite, spec, monkeypatch):
     # every row's condition reads the parsed spec, so an algebra the suite
