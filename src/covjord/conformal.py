@@ -4,8 +4,9 @@ The ambient space is W = R x V x R with the quadratic form
 Q(alpha, v, beta) = P(v) - alpha*beta of signature (p+1, q+1).  Points of V
 embed as kappa(v) = [(1, v, P(v))]; the orthogonal group of Q acts
 rationally on V through this embedding, with the cocycle
-a(g, x) = alpha(g kappa(x)).  Everything here is exact: matrices are
-Fraction-valued, the infinitesimal operators live in the Weyl algebra over
+a(g, x) = alpha(g kappa(x)), and P is read from the algebra's descriptor.
+Everything here is exact: matrices are the rational ones of
+scalars.matrix, the infinitesimal operators live in the Weyl algebra over
 the scalar ring, and covariance residuals are certified as the zero
 operator.  Restriction to the diagonal x = y (weyl.restrict) stays in the
 same Weyl algebra: it returns the doubled-chart operator whose coefficients
@@ -27,30 +28,13 @@ from typing import Sequence
 
 from . import jordan as jd
 from .polynomials import MPoly, Monomial, double_vars
-from .scalars import LAM, MU, ParamPoly, fraction_matrix_inverse, mat_mul
+from .scalars import (LAM, MU, Matrix, ParamPoly, fraction_matrix_inverse, mat_mul, mat_sub,
+                      matrix, transpose)
 from .weyl import DiffOp, commutator_sum, restrict
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 class PointAtInfinityError(ArithmeticError):
     """Rational action undefined at the point (cocycle vanishes)."""
-
-
-def _freeze(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def mat_transpose(A: Matrix) -> Matrix:
-    return tuple(tuple(A[j][i] for j in range(len(A))) for i in range(len(A[0])))
-
-
-def mat_scale(A: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(v * c for v in row) for row in A)
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 @dataclass(eq=False)
@@ -63,59 +47,59 @@ class QuadricModel:
         self.algebra = jd.rpq_algebra(self.p, self.q)
         self.signs = tuple([Fraction(1)] * self.p + [Fraction(-1)] * self.q)
         m = self.n + 2
-        J = [[Fraction(0)] * m for _ in range(m)]
+        J = [[0] * m for _ in range(m)]
         J[0][m - 1] = J[m - 1][0] = Fraction(-1, 2)
         for i in range(self.n):
             J[i + 1][i + 1] = self.signs[i]
-        self.J = _freeze(J)
-        self.Jinv = _freeze(fraction_matrix_inverse(J))
+        self.J = matrix(J)
+        self.Jinv = matrix(fraction_matrix_inverse(J))
 
     # -- membership checks ---------------------------------------------------
 
     def is_conformal(self, g: Matrix) -> bool:
-        return mat_mul(mat_transpose(g), mat_mul(self.J, g)) == self.J
+        return mat_mul(transpose(g), mat_mul(self.J, g)) == self.J
 
     def is_lie(self, X: Matrix) -> bool:
         JX = mat_mul(self.J, X)
-        return mat_transpose(JX) == mat_scale(JX, Fraction(-1))
+        return transpose(JX) == tuple(tuple(-v for v in row) for row in JX)
 
     # -- generators -----------------------------------------------------------
 
     def translation(self, a: Sequence[Fraction]) -> Matrix:
         n = self.n
         a = [Fraction(v) for v in a]
-        rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-        rows[0][0] = Fraction(1)
+        rows = [[0] * (n + 2) for _ in range(n + 2)]
+        rows[0][0] = 1
         for i in range(n):
             rows[i + 1][0] = a[i]
-            rows[i + 1][i + 1] = Fraction(1)
-        rows[n + 1][0] = sum(self.signs[i] * a[i] * a[i] for i in range(n))
+            rows[i + 1][i + 1] = 1
+        rows[n + 1][0] = self.P_value(a)
         for j in range(n):
             rows[n + 1][j + 1] = 2 * self.signs[j] * a[j]
-        rows[n + 1][n + 1] = Fraction(1)
-        return _freeze(rows)
+        rows[n + 1][n + 1] = 1
+        return matrix(rows)
 
     def dilation(self, t: Fraction) -> Matrix:
         t = Fraction(t)
         if t == 0:
             raise ValueError("dilation scale must be nonzero")
         n = self.n
-        rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-        rows[0][0] = Fraction(1) / t
+        rows = [[0] * (n + 2) for _ in range(n + 2)]
+        rows[0][0] = 1 / t
         for i in range(n):
-            rows[i + 1][i + 1] = Fraction(1)
+            rows[i + 1][i + 1] = 1
         rows[n + 1][n + 1] = t
-        return _freeze(rows)
+        return matrix(rows)
 
     def inversion(self) -> Matrix:
         n = self.n
-        rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-        rows[0][n + 1] = Fraction(1)
-        rows[n + 1][0] = Fraction(1)
-        rows[1][1] = Fraction(-1)
+        rows = [[0] * (n + 2) for _ in range(n + 2)]
+        rows[0][n + 1] = 1
+        rows[n + 1][0] = 1
+        rows[1][1] = -1
         for i in range(1, n):
-            rows[i + 1][i + 1] = Fraction(1)
-        return _freeze(rows)
+            rows[i + 1][i + 1] = 1
+        return matrix(rows)
 
     # -- embedding, action, cocycle -------------------------------------------
 
@@ -144,11 +128,10 @@ class QuadricModel:
         out = []
         for a in range(m):
             for b in range(a + 1, m):
-                E = [[Fraction(0)] * m for _ in range(m)]
-                E[a][b] = Fraction(1)
-                E[b][a] = Fraction(-1)
-                X = mat_mul(self.Jinv, _freeze(E))
-                out.append(X)
+                E = [[0] * m for _ in range(m)]
+                E[a][b] = 1
+                E[b][a] = -1
+                out.append(mat_mul(self.Jinv, matrix(E)))
         return out
 
     def bracket(self, X: Matrix, Y: Matrix) -> Matrix:
@@ -192,10 +175,8 @@ def dpi(model: QuadricModel, X: Matrix, weight: ParamPoly | None = None,
     vars = tuple(vars)
     slot = vars[offset : offset + n]
     xs = [MPoly.variable(vars, v) for v in slot]
-    Pslot = MPoly.zero(vars)
-    for i in range(n):
-        Pslot = Pslot + (xs[i] * xs[i]).scale(model.signs[i])
-    kappa_syms = [MPoly.constant(vars, 1)] + xs + [Pslot]
+    P = model.algebra.det_poly.rename_vars(slot).extend_vars(vars)
+    kappa_syms = [MPoly.constant(vars, 1)] + xs + [P]
 
     def row(i: int) -> MPoly:
         acc = MPoly.zero(vars)
@@ -230,25 +211,6 @@ def dpi_tensor(model: QuadricModel, X: Matrix, weight_x: ParamPoly,
     ox = dpi(model, X, weight_x, dvars, 0).op
     oy = dpi(model, X, weight_y, dvars, model.n).op
     return ox + oy
-
-
-# ---------------------------------------------------------------------------
-# restriction to the diagonal
-
-
-def diagonal_substitute(f: MPoly, n: int) -> MPoly:
-    """Substitute y -> x in a polynomial on a doubled chart (y-exponents
-    fold onto x); weyl.restrict does it for an operator's coefficients."""
-    out: dict[Monomial, ParamPoly] = {}
-    for m, c in f.terms.items():
-        nm = list(m)
-        for i in range(n):
-            nm[i] += nm[n + i]
-            nm[n + i] = 0
-        key = tuple(nm)
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    return MPoly(f.vars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +341,13 @@ class ConformalWord:
             return y, jd.det(x)
         raise TypeError(f"unknown generator {gen!r}")
 
-    def apply(self, x: jd.JordanElement) -> jd.JordanElement:
-        for gen in reversed(self.gens):
-            x, _ = self._step(gen, x)
-        return x
-
-    def cocycle(self, x: jd.JordanElement) -> Fraction:
+    def walk(self, x: jd.JordanElement) -> tuple[jd.JordanElement, Fraction]:
+        """(g(x), a(g, x)): the image of x and the cocycle, in one pass."""
         total = Fraction(1)
         for gen in reversed(self.gens):
             x, a = self._step(gen, x)
             total *= a
-        return total
+        return x, total
 
 
 def hua_check(algebra: jd.AlgebraDescriptor, x: jd.JordanElement,
@@ -404,6 +362,5 @@ def hua_check(algebra: jd.AlgebraDescriptor, x: jd.JordanElement,
 def covdet_check(algebra: jd.AlgebraDescriptor, word: ConformalWord,
                  x: jd.JordanElement, y: jd.JordanElement) -> bool:
     """det(g(x) - g(y)) = a(g,x)^-1 det(x-y) a(g,y)^-1 along a word."""
-    gx, gy = word.apply(x), word.apply(y)
-    ax, ay = word.cocycle(x), word.cocycle(y)
+    (gx, ax), (gy, ay) = word.walk(x), word.walk(y)
     return jd.det(jd.sub(gx, gy)) * ax * ay == jd.det(jd.sub(x, y))

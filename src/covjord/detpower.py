@@ -15,6 +15,10 @@ with `diff` below as its derivation.
 The wave operator of an algebra is its stored wave polynomial with partial
 derivatives substituted literally (the pairing convention lives in the
 descriptor, not here).
+
+The Fourier-side family E_{s,t} is the inverse Fourier conjugate of D_{s,t},
+and the covariance family F is E at s -> n/r - lam, t -> n/r - mu; both are
+built here, next to D, and cached per algebra like it.
 """
 
 from __future__ import annotations
@@ -28,12 +32,16 @@ from .fischer import LeibnitzExpansion, apply_diffop
 from .jordan import AlgebraDescriptor, det as jdet, element, sharp
 from .polynomials import (Coeff, InexactDivisionError, MPoly, Monomial, differences,
                           double_vars, leibniz_orders, partials)
-from .scalars import ParamPoly, S, T
-from .weyl import DiffOp
+from .scalars import LAM, MU, ParamPoly, S, T
+from .weyl import DiffOp, fourier_conjugate
 
 
 class TheoremViolationError(ArithmeticError):
     """An identity that the construction guarantees failed exactly."""
+
+
+class ConventionError(ArithmeticError):
+    """Residual formal-constant dependence where none is allowed."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,7 @@ class BernsteinResult:
     note: str | None
 
 
+@lru_cache(maxsize=None)
 def bernstein_poly(algebra: AlgebraDescriptor) -> BernsteinResult:
     """Apply the wave operator to det^s and factor out det^(s-1) exactly.
 
@@ -262,6 +271,61 @@ def dst_grid_check(algebra: AlgebraDescriptor, f: MPoly, s_values: Sequence[int]
 
 
 # ---------------------------------------------------------------------------
+# Fourier-side families
+
+
+def declared_tau_power(op: DiffOp) -> int:
+    degs = op.tau_degrees()
+    if len(degs) > 1:
+        raise ConventionError(f"mixed formal-constant powers {sorted(degs)}")
+    return degs.pop() if degs else 0
+
+
+@dataclass(frozen=True)
+class EstFamily:
+    """E_{s,t} = inverse Fourier conjugate of the wave-identity operator.
+
+    `raw` satisfies fourier_conjugate(raw) == dst exactly in the formal
+    ring; `tau_power` is the uniform overall power of the formal constant;
+    `normalized` has the power stripped (and, under the unit-imaginary
+    kernel convention, folded into the rational coefficients)."""
+
+    dst: DiffOp
+    raw: DiffOp
+    tau_power: int
+    normalized: DiffOp
+
+
+@lru_cache(maxsize=None)
+def build_Est(algebra: AlgebraDescriptor) -> EstFamily:
+    dst = dst_operator(algebra)
+    raw = fourier_conjugate(dst, inverse=True)
+    k = declared_tau_power(raw)
+    stripped = raw.shift_tau(-k)
+    if declared_tau_power(stripped) != 0:
+        raise ConventionError("stripping the overall power left formal-constant terms")
+    if algebra.fourier_tau == "i":
+        # tau = sqrt(-1): tau^k must be real for a rational-coefficient family
+        if k % 2 != 0:
+            raise ConventionError("odd overall power under the unit-imaginary kernel")
+        sign = Fraction(-1) ** ((k // 2) % 2)
+        normalized = stripped.scale(sign)
+    else:
+        normalized = stripped
+    return EstFamily(dst=dst, raw=raw, tau_power=k, normalized=normalized)
+
+
+def build_F(algebra: AlgebraDescriptor, est: EstFamily | None = None) -> DiffOp:
+    """Covariance family: the E family reparametrized by
+    s -> n/r - lam, t -> n/r - mu."""
+    if est is None:
+        est = build_Est(algebra)
+    shift = Fraction(algebra.n, algebra.r)
+    images = {"s": ParamPoly.of(shift) - LAM, "t": ParamPoly.of(shift) - MU}
+    return est.normalized.subs_params(images)
+
+
+# ---------------------------------------------------------------------------
 # sign bookkeeping for the epsilon conventions
 
 
@@ -278,6 +342,12 @@ def power_eps(value: Fraction, k: int, eps: str) -> Fraction:
     raise ValueError(f"epsilon must be '+' or '-', got {eps!r}")
 
 
+@lru_cache(maxsize=None)
+def _wave_det_power(algebra: AlgebraDescriptor, k: int) -> MPoly:
+    """wave(d) applied to det^k, by plain differentiation."""
+    return apply_diffop(algebra.wave_poly, algebra.det_poly ** k)
+
+
 def eps_flip_check(algebra: AlgebraDescriptor, point: Sequence[Fraction], k: int) -> bool:
     """At a rational point with det < 0, check that applying the wave
     operator to det^(k,eps) lands on b(k) det^(k-1,-eps) with the correct
@@ -287,8 +357,7 @@ def eps_flip_check(algebra: AlgebraDescriptor, point: Sequence[Fraction], k: int
     if dv >= 0:
         raise ValueError("flip check needs a negative-determinant point")
     bk = bernstein_poly(algebra).b.evaluate({"s": Fraction(k)})
-    derivative = apply_diffop(algebra.wave_poly, algebra.det_poly ** k)  # wave applied to det^k
-    lhs_poly = derivative.subs_point(list(point)).constant_value()
+    lhs_poly = _wave_det_power(algebra, k).subs_point(list(point)).constant_value()
     for eps in ("+", "-"):
         # det^(k,eps) coincides with c * det^k near the point
         c = power_eps(dv, k, eps) / dv**k

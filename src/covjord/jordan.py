@@ -281,12 +281,6 @@ def rpq_algebra(p: int, q: int) -> AlgebraDescriptor:
 
 _FAMILIES = {"sym": sym_algebra, "mat": mat_algebra, "hermc": hermc_algebra}
 
-_METADATA_KINDS = {
-    "hermh", "skewr", "symquat", "math", "symc", "matc", "skewc", "ck", "rk0",
-    "herm3o", "herm3os", "herm3oc",
-}
-
-
 # chart dimension of each family from its spec parameters
 _DIMENSIONS = {
     "sym": lambda m: m * (m + 1) // 2,
@@ -304,7 +298,7 @@ def parse_spec(spec: str) -> tuple[str, tuple[int, ...], int]:
     if ":" not in spec:
         raise UnsupportedKindError(f"malformed algebra spec {spec!r}")
     kind, _, rest = spec.partition(":")
-    if kind in _METADATA_KINDS:
+    if kind in {row.kind for row in registry_rows() if not row.supported}:
         raise UnsupportedKindError(f"{kind} carries registry metadata only; no arithmetic")
     try:
         params = tuple(int(x) for x in rest.split(","))

@@ -14,30 +14,24 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import weyl
-from .conformal import restrict
 from .jordan import rpq_algebra
 from .polynomials import MPoly, differences, double_vars
 from .scalars import LAM, MU, ParamPoly, S, T
-from .weyl import DiffOp
+from .weyl import DiffOp, restrict
 
 
 def _quad_syms(p: int, q: int):
-    """P(x), P(y), P(x,y), P(x-y) = sum_j s_j (x_j - y_j)^2 and the
-    differences x_j - y_j on the doubled chart."""
+    """P(x), P(y), P(x,y), P(x-y) and the differences x_j - y_j on the
+    doubled chart, from the descriptor's P: the bilinear form is
+    P(x,y) = (P(x) + P(y) - P(x-y))/2."""
     alg = rpq_algebra(p, q)
-    n = alg.n
     dvars = double_vars(alg.vars)
-    signs = [Fraction(1)] * p + [Fraction(-1)] * q
     Px = alg.det_poly.extend_vars(dvars)
-    Py = alg.det_poly.rename_vars(dvars[n:]).extend_vars(dvars)
+    Py = alg.det_poly.rename_vars(dvars[alg.n:]).extend_vars(dvars)
     diffs = differences(alg.vars)
-    Pxy = MPoly.zero(dvars)
-    for i, sign in enumerate(signs):
-        m = [0] * (2 * n)
-        m[i] = 1
-        m[n + i] = 1
-        Pxy = Pxy + MPoly.monomial(dvars, tuple(m), sign)
-    return alg, dvars, Px, Py, Pxy, alg.det_poly.compose(diffs), diffs
+    Pdiff = alg.det_poly.compose(diffs)
+    Pxy = (Px + Py - Pdiff).scale(Fraction(1, 2))
+    return alg, dvars, Px, Py, Pxy, Pdiff, diffs
 
 
 def _d(dvars, index: int) -> DiffOp:

@@ -30,8 +30,9 @@ coefficients of the bare-form MPolys of the zeta layer (orbit-coefficient
 polynomials, Fourier images of test functions).
 
 So does the exact linear algebra every layer above shares: Gauss-Jordan
-reduction over Q (`rref`), the inverse built on it, and the matrix
-product for rational and Gaussian entries.
+reduction over Q (`rref`), the inverse built on it, the matrix product
+for rational and Gaussian entries, and the exact rational matrices of
+the conformal layer (`matrix`, `transpose`, `mat_sub`).
 """
 
 from __future__ import annotations
@@ -391,6 +392,23 @@ def fraction_matrix_inverse(G: Sequence[Sequence[RatLike]]) -> list[list[Fractio
     if pivots[:m] != list(range(m)):
         raise SingularMatrixError("singular matrix has no inverse")
     return [row[m:] for row in reduced]
+
+
+Matrix = tuple[tuple[RatLike, ...], ...]
+
+
+def matrix(rows: Sequence[Sequence[RatLike]]) -> Matrix:
+    """An exact rational matrix as a tuple of rows, each entry in its stored
+    form: int if integral, else Fraction."""
+    return tuple(tuple(_as_rational(v) for v in row) for row in rows)
+
+
+def transpose(A: Sequence[Sequence]) -> tuple[tuple, ...]:
+    return tuple(zip(*A))
+
+
+def mat_sub(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:
+    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:

@@ -465,7 +465,7 @@ def fourier_weyl_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[
                         run_automorphism))
 
     def run_est() -> float:
-        est = wy.build_Est(alg)
+        est = dp.build_Est(alg)
         if wy.fourier_conjugate(est.raw) != est.dst:
             return 1.0
         if est.tau_power != -alg.r:
@@ -481,10 +481,10 @@ def fourier_weyl_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[
         p, q = _rpq_params(alg)
 
         def run_explicit() -> float:
-            est = wy.build_Est(alg)
+            est = dp.build_Est(alg)
             ok = rq.explicit_Dst(p, q) == est.dst
             ok = ok and rq.explicit_Est(p, q) == est.normalized
-            ok = ok and rq.explicit_F(p, q) == wy.build_F(alg, est)
+            ok = ok and rq.explicit_F(p, q) == dp.build_F(alg, est)
             return _exact(ok)
 
         checks.append(Check("explicit-transcriptions",
@@ -630,7 +630,7 @@ def bracket_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Check
     checks: list[Check] = []
 
     def run_b1_display() -> float:
-        return _exact(rq.restrict(rq.explicit_F(p, q), p + q) == rq.explicit_B1(p, q))
+        return _exact(wy.restrict(rq.explicit_F(p, q), p + q) == rq.explicit_B1(p, q))
 
     checks.append(Check("bracket-1-display",
                         "restricted family equals the explicit first bracket (ratio 1)",
@@ -694,7 +694,7 @@ def rankin_cohen_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[
                     dvars, binom(LAM + k - 1, k - j) * binom(MU + k - 1, j)
                     * (factorial(k) * (-1) ** j))
                 for j in range(k + 1)})
-            return _exact(cf.restrict(wy.f_chain(wy.build_F(alg), k), 1) == closed)
+            return _exact(wy.restrict(wy.f_chain(dp.build_F(alg), k), 1) == closed)
 
         checks.append(Check(f"rankin-cohen-k{k}",
                             f"restricted chain of length {k} is the Rankin-Cohen bracket "

@@ -19,12 +19,13 @@ coefficients are polynomials in x - y alone, through the same kernel on
 those coefficients in difference form, and expands the result once; a
 family whose coefficients are not polynomials in x - y is refused with
 ValueError.
+
+This module knows no Jordan algebra: the families built from an algebra's
+wave identity (D, E and F) live in detpower.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
@@ -32,10 +33,6 @@ from typing import Iterable, Mapping, Sequence
 from .polynomials import (MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly,
                           differences, leibniz_orders, partials)
 from .scalars import LAM, MU, ParamPoly
-
-
-class ConventionError(ArithmeticError):
-    """Residual formal-constant dependence where none is allowed."""
 
 
 def _settle_scalars(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial, ParamPoly]:
@@ -402,62 +399,8 @@ def fourier_conjugate(op: DiffOp, inverse: bool = False) -> DiffOp:
     return _result(vars, acc.items(), keys)
 
 
-def declared_tau_power(op: DiffOp) -> int:
-    degs = op.tau_degrees()
-    if len(degs) > 1:
-        raise ConventionError(f"mixed formal-constant powers {sorted(degs)}")
-    return degs.pop() if degs else 0
-
-
 # ---------------------------------------------------------------------------
-# derived operator families
-
-
-@dataclass
-class EstFamily:
-    """E_{s,t} = inverse Fourier conjugate of the wave-identity operator.
-
-    `raw` satisfies fourier_conjugate(raw) == dst exactly in the formal
-    ring; `tau_power` is the uniform overall power of the formal constant;
-    `normalized` has the power stripped (and, under the unit-imaginary
-    kernel convention, folded into the rational coefficients)."""
-
-    algebra: object
-    dst: DiffOp
-    raw: DiffOp
-    tau_power: int
-    normalized: DiffOp
-
-
-def build_Est(algebra) -> EstFamily:
-    from . import detpower  # local import: detpower builds on this module
-
-    dst = detpower.dst_operator(algebra)
-    raw = fourier_conjugate(dst, inverse=True)
-    k = declared_tau_power(raw)
-    stripped = raw.shift_tau(-k)
-    residual = declared_tau_power(stripped)
-    if residual != 0:
-        raise ConventionError("stripping the overall power left formal-constant terms")
-    if algebra.fourier_tau == "i":
-        # tau = sqrt(-1): tau^k must be real for a rational-coefficient family
-        if k % 2 != 0:
-            raise ConventionError("odd overall power under the unit-imaginary kernel")
-        sign = Fraction(-1) ** ((k // 2) % 2)
-        normalized = stripped.scale(sign)
-    else:
-        normalized = stripped
-    return EstFamily(algebra=algebra, dst=dst, raw=raw, tau_power=k, normalized=normalized)
-
-
-def build_F(algebra, est: EstFamily | None = None) -> DiffOp:
-    """Covariance family: the E family reparametrized by
-    s -> n/r - lam, t -> n/r - mu."""
-    if est is None:
-        est = build_Est(algebra)
-    shift = Fraction(algebra.n, algebra.r)
-    images = {"s": ParamPoly.of(shift) - LAM, "t": ParamPoly.of(shift) - MU}
-    return est.normalized.subs_params(images)
+# the bracket chain of a translation-covariant family
 
 
 def _difference_form(F: DiffOp) -> DiffOp:

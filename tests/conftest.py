@@ -22,6 +22,17 @@ def random_poly(vars, rng: random.Random, max_deg: int, terms: int = 4) -> MPoly
     return out
 
 
+def diagonal_substitute(f: MPoly, n: int) -> MPoly:
+    """y -> x in a polynomial on a doubled chart with n coordinates a slot,
+    monomial by monomial: the oracle for weyl.restrict, which folds an
+    operator's coefficients through its own accumulator."""
+    out: dict = {}
+    for m, c in f.terms.items():
+        key = tuple(a + b for a, b in zip(m[:n], m[n:])) + (0,) * n
+        out[key] = out[key] + c if key in out else c
+    return MPoly(f.vars, out)
+
+
 class SingularityError(ArithmeticError):
     """Kernel evaluated on the light cone."""
 

@@ -13,7 +13,6 @@ from covjord import conformal as C
 from covjord import detpower as D
 from covjord import jordan as J
 from covjord import rpq as R
-from covjord import weyl as W
 from covjord import zeta as Z
 from covjord.fischer import LeibnitzExpansion, apply_diffop
 from covjord.polynomials import double_vars
@@ -76,10 +75,10 @@ def test_criterion_03_explicit_consistency():
         t0 = time.perf_counter()
         for (p, q) in TRIO:
             alg = J.rpq_algebra(p, q)
-            est = W.build_Est(alg)
+            est = D.build_Est(alg)
             assert R.explicit_Dst(p, q) == est.dst
             assert R.explicit_Est(p, q) == est.normalized
-            assert R.explicit_F(p, q) == W.build_F(alg, est)
+            assert R.explicit_F(p, q) == D.build_F(alg, est)
         assert time.perf_counter() - t0 < 60.0
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from covjord import detpower as D
 from covjord import jordan as J
 from covjord import rpq as R
 from covjord.cli import main
@@ -214,6 +215,43 @@ def test_sign_branch_flip_runs_on_hermc(tmp_path):
     data = json.loads(report.read_text())
     assert [c["id"] for c in data["checks"] if c["status"] == "pass"] == \
         ["bernstein-factorization", "sign-branch-flip"]
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bernstein_suite_builds_the_b_function_once(monkeypatch, tmp_path):
+    # the flip check reads b(k) and wave(det^k) from per-algebra tables
+    D.bernstein_poly.cache_clear()
+    D._wave_det_power.cache_clear()
+    waves = count_calls(monkeypatch, D, "det_wave_apply")
+    plain = count_calls(monkeypatch, D, "apply_diffop")
+    assert main(["--suite", "bernstein", "--algebra", "sym:2",
+                 "--report", str(tmp_path / "bernstein.json")]) == 0
+    assert len(waves) <= 1
+    assert len(plain) <= 3  # one wave(det^k) for each k = 1, 2, 3
+
+
+@pytest.mark.parametrize("argv", [["--suite", "fourier-weyl", "--algebra", "rpq:2,1"],
+                                  ["--suite", "rankin-cohen"]],
+                         ids=["fourier-weyl", "rankin-cohen"])
+def test_suites_build_E_once(argv, monkeypatch, tmp_path):
+    # fourier-side-family and explicit-transcriptions share one E, and so
+    # do the six chain lengths of rankin-cohen
+    D.build_Est.cache_clear()
+    conjugations = count_calls(monkeypatch, D, "fourier_conjugate")
+    assert main([*argv, "--report", str(tmp_path / "report.json")]) == 0
+    assert len(conjugations) == 1
 
 
 @pytest.mark.parametrize("suite, passed", [("covariance", 15), ("brackets", 23)])

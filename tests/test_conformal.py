@@ -11,9 +11,9 @@ from covjord import jordan as J
 from covjord import rpq as R
 from covjord import weyl as W
 from covjord.polynomials import MPoly, double_vars
-from covjord.scalars import LAM, MU, ParamPoly, mat_mul
+from covjord.scalars import LAM, MU, ParamPoly, mat_mul, transpose
 
-from conftest import SingularityError, knapp_stein_kernel, random_poly
+from conftest import SingularityError, diagonal_substitute, knapp_stein_kernel, random_poly
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def rotation(model, h) -> C.Matrix:
     n = model.n
     h = tuple(tuple(Fraction(v) for v in row) for row in h)
     S = tuple(tuple(model.signs[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
-    if mat_mul(C.mat_transpose(h), mat_mul(S, h)) != S:
+    if mat_mul(transpose(h), mat_mul(S, h)) != S:
         raise ValueError("block is not an isometry of the quadratic form")
     rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
     rows[0][0] = Fraction(1)
@@ -316,8 +316,8 @@ def test_lift_acts_as_the_single_slot_operator_on_the_diagonal(p, q):
         wrong = C.dpi(model, X, w + 1, dvars, 0).op
         for _ in range(3):
             h = random_poly(dvars, rng, 3)
-            got = C.diagonal_substitute(lift.apply(h), n)
-            on_diagonal = C.diagonal_substitute(h, n)
+            got = diagonal_substitute(lift.apply(h), n)
+            on_diagonal = diagonal_substitute(h, n)
             assert got == single.apply(on_diagonal)
             mismatched += got != wrong.apply(on_diagonal)
     assert mismatched > 0
@@ -427,5 +427,5 @@ def test_knapp_stein_kernel():
 def test_diagonal_substitute():
     dv = double_vars(("x1", "x2"))
     f = MPoly.variable(dv, "y1") * MPoly.variable(dv, "x2") + MPoly.variable(dv, "y2")
-    g = C.diagonal_substitute(f, 2)
+    g = diagonal_substitute(f, 2)
     assert g == MPoly.variable(dv, "x1") * MPoly.variable(dv, "x2") + MPoly.variable(dv, "x2")

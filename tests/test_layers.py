@@ -1,0 +1,53 @@
+"""The package imports only downward: every module of src/covjord imports
+(at module level or inside a function) only modules listed above its own
+line in the layer list of the package docstring."""
+
+import ast
+import re
+from pathlib import Path
+
+import covjord
+
+PACKAGE = Path(covjord.__file__).parent
+
+
+def layer_ranks() -> dict[str, int]:
+    """Module name -> line number in the docstring's layer list; a layer
+    line is indented by two spaces and names its modules before the gap."""
+    ranks = {}
+    for rank, line in enumerate(covjord.__doc__.splitlines()):
+        match = re.match(r"  (\w+(?:, \w+)*)  ", line)
+        if match:
+            for name in match.group(1).split(", "):
+                ranks[name] = rank
+    return ranks
+
+
+def relative_imports(path: Path) -> set[str]:
+    """The package modules that a module names in `from . import m` or
+    `from .m import ...`, anywhere in its body."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_layer_list_names_every_module():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(layer_ranks())
+
+
+def test_modules_import_only_lower_layers():
+    ranks = layer_ranks()
+    upward = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":  # the package re-exports; it is no layer
+            continue
+        for target in sorted(relative_imports(path)):
+            if ranks[target] >= ranks[path.stem]:
+                upward.append(f"{path.stem} -> {target}")
+    assert upward == []

@@ -14,7 +14,7 @@ from covjord import weyl as W
 from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import LAM, MU, ParamPoly, S, T
 
-from conftest import random_poly
+from conftest import diagonal_substitute, random_poly
 
 TRIO = [(2, 1), (2, 2), (3, 1)]
 
@@ -23,10 +23,10 @@ TRIO = [(2, 1), (2, 2), (3, 1)]
 def test_explicit_equals_generic(pq):
     p, q = pq
     alg = J.rpq_algebra(p, q)
-    est = W.build_Est(alg)
+    est = D.build_Est(alg)
     assert R.explicit_Dst(p, q) == est.dst
     assert R.explicit_Est(p, q) == est.normalized
-    assert R.explicit_F(p, q) == W.build_F(alg, est)
+    assert R.explicit_F(p, q) == D.build_F(alg, est)
 
 
 def test_dst_constant_action():
@@ -72,7 +72,7 @@ def test_est_fourier_round_trip():
     for (p, q) in TRIO:
         est = R.explicit_Est(p, q)
         fc = W.fourier_conjugate(est)
-        k = W.declared_tau_power(fc)
+        k = D.declared_tau_power(fc)
         assert k == 2
         folded = fc.shift_tau(-k).scale(Fraction(-1))  # tau^2 = -1
         assert folded == R.explicit_Dst(p, q)
@@ -229,7 +229,7 @@ def test_restrict_equals_the_per_coefficient_route(case):
           "dpi_tensor": lambda: C.dpi_tensor(model, model.lie_basis()[-1], LAM, MU)}[case]()
     before = _scalar_snapshot(op)
     got = C.restrict(op, n)
-    assert got == W.DiffOp(op.vars, {b: C.diagonal_substitute(c, n) for b, c in op.terms.items()})
+    assert got == W.DiffOp(op.vars, {b: diagonal_substitute(c, n) for b, c in op.terms.items()})
     assert got != op
     scalars = [s for c in got.terms.values() for s in c.terms.values()]
     assert all(type(s) is ParamPoly for s in scalars)
@@ -292,7 +292,7 @@ def test_restrict_acts_as_the_operator_on_the_diagonal(seed):
     assert not any(any(m[n:]) for c in resA.terms.values() for m in c.terms)
     for _ in range(5):
         f = MPoly.monomial(dvars, tuple(rng.randint(0, 2) for _ in dvars), 1)
-        assert C.diagonal_substitute(resA.apply(f), n) == C.diagonal_substitute(A.apply(f), n)
+        assert diagonal_substitute(resA.apply(f), n) == diagonal_substitute(A.apply(f), n)
 
 
 def test_parameter_validation():

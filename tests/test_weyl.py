@@ -101,16 +101,16 @@ def test_fourier_automorphism_and_inverse(rng):
 
 def test_declared_tau_power():
     op = W.DiffOp.multiplication(MPoly.constant(V, TAU * TAU))
-    assert W.declared_tau_power(op) == 2
+    assert D.declared_tau_power(op) == 2
     mixed = op + W.DiffOp.multiplication(MPoly.constant(V, 1))
-    with pytest.raises(W.ConventionError):
-        W.declared_tau_power(mixed)
+    with pytest.raises(D.ConventionError):
+        D.declared_tau_power(mixed)
 
 
 @pytest.mark.parametrize("spec", ["sym:2", "mat:2", "hermc:2", "rpq:2,1", "rpq:2,2", "rpq:3,1"])
 def test_est_exchange_identity(spec):
     alg = J.algebra_from_spec(spec)
-    est = W.build_Est(alg)
+    est = D.build_Est(alg)
     assert W.fourier_conjugate(est.raw) == est.dst
     assert est.tau_power == -alg.r
     one = MPoly.constant(double_vars(alg.vars), 1)
@@ -120,7 +120,7 @@ def test_est_exchange_identity(spec):
 def test_est_round_trip_symbolic(rng):
     # the raw family conjugates back and forth exactly
     alg = J.sym_algebra(2)
-    est = W.build_Est(alg)
+    est = D.build_Est(alg)
     back = W.fourier_conjugate(est.dst, inverse=True)
     assert back == est.raw
 
@@ -131,14 +131,14 @@ def test_exchange_round_trip_graded_rank3():
     alg = J.sym_algebra(3)
     dst = D.dst_operator_graded(alg)
     raw = W.fourier_conjugate(dst, inverse=True)
-    assert W.declared_tau_power(raw) == -alg.r
+    assert D.declared_tau_power(raw) == -alg.r
     assert W.fourier_conjugate(raw) == dst
 
 
 def test_build_F_substitution():
     alg = J.rpq_algebra(2, 1)
-    est = W.build_Est(alg)
-    F = W.build_F(alg, est)
+    est = D.build_Est(alg)
+    F = D.build_F(alg, est)
     half = Fraction(alg.n, alg.r)
     direct = est.normalized.subs_params({
         "s": ParamPoly.of(half) - LAM, "t": ParamPoly.of(half) - MU})
@@ -171,7 +171,7 @@ def _rankin_cohen(k: int) -> W.DiffOp:
 
 @pytest.fixture(scope="module")
 def F_line():
-    return W.build_F(J.sym_algebra(1))
+    return D.build_F(J.sym_algebra(1))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -269,7 +269,7 @@ def _value_types(op: W.DiffOp) -> dict:
     ("sym:2", 2), ("mat:2", 2), ("hermc:2", 2)])
 def test_chain_equals_plain_product(spec, N):
     kind, params, _ = J.parse_spec(spec)
-    F = R.explicit_F(*params) if kind == "rpq" else W.build_F(J.algebra_from_spec(spec))
+    F = R.explicit_F(*params) if kind == "rpq" else D.build_F(J.algebra_from_spec(spec))
     chain = W.f_chain(F, N)
     plain = _plain_chain(F, N)
     assert chain == plain
