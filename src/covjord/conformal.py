@@ -4,7 +4,9 @@ The ambient space is W = R x V x R with the quadratic form
 Q(alpha, v, beta) = P(v) - alpha*beta of signature (p+1, q+1).  Points of V
 embed as kappa(v) = [(1, v, P(v))]; the orthogonal group of Q acts
 rationally on V through this embedding, with the cocycle
-a(g, x) = alpha(g kappa(x)), and P is read from the algebra's descriptor.
+a(g, x) = alpha(g kappa(x)).  The model reads R^(p,q) from its descriptor
+alone: P(v) = v^T B v with B half the Hessian of det_poly, and the inversion
+v -> -v^-1 = -adj(v)/P(v) from the adjugate, which is linear at rank 2.
 Everything here is exact: matrices are the rational ones of
 scalars.matrix, the infinitesimal operators live in the Weyl algebra over
 the scalar ring, and covariance residuals are certified as the zero
@@ -37,22 +39,36 @@ class PointAtInfinityError(ArithmeticError):
     """Rational action undefined at the point (cocycle vanishes)."""
 
 
+def _linear_map(forms: Sequence[MPoly]) -> list[list[Fraction]]:
+    """The matrix of a tuple of linear forms: entry (i, j) is d_j forms[i]."""
+    return [[f.diff(j).constant_coeff().constant_value() for j in range(len(f.vars))]
+            for f in forms]
+
+
+def _bordered(a, b, M: Sequence[Sequence], c, d) -> Matrix:
+    """The (n+2) x (n+2) matrix [[a, 0, b], [0, M, 0], [c, 0, d]]."""
+    n = len(M)
+    return matrix([[a] + [0] * n + [b]] + [[0] + list(row) + [0] for row in M]
+                  + [[c] + [0] * n + [d]])
+
+
 @dataclass(eq=False)
 class QuadricModel:
+    """O(p+1, q+1) for V = R^(p,q), built from B (half the Hessian of
+    det_poly) and C (the linear map x -> adj(x)), read from the descriptor once."""
+
     p: int
     q: int
 
     def __post_init__(self):
         self.n = self.p + self.q
         self.algebra = jd.rpq_algebra(self.p, self.q)
-        self.signs = tuple([Fraction(1)] * self.p + [Fraction(-1)] * self.q)
-        m = self.n + 2
-        J = [[0] * m for _ in range(m)]
-        J[0][m - 1] = J[m - 1][0] = Fraction(-1, 2)
-        for i in range(self.n):
-            J[i + 1][i + 1] = self.signs[i]
-        self.J = matrix(J)
-        self.Jinv = matrix(fraction_matrix_inverse(J))
+        P = self.algebra.det_poly
+        self.B = matrix([[h / 2 for h in row]
+                         for row in _linear_map([P.diff(i) for i in range(self.n)])])
+        self.C = matrix(_linear_map(self.algebra.adjugate_vec))
+        self.J = _bordered(0, Fraction(-1, 2), self.B, Fraction(-1, 2), 0)
+        self.Jinv = matrix(fraction_matrix_inverse(self.J))
 
     # -- membership checks ---------------------------------------------------
 
@@ -65,50 +81,38 @@ class QuadricModel:
 
     # -- generators -----------------------------------------------------------
 
+    def _identity(self) -> list[list[int]]:
+        return [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+
+    def _B_times(self, x: Sequence[Fraction]) -> list[Fraction]:
+        return [sum(b * v for b, v in zip(row, x)) for row in self.B]
+
     def translation(self, a: Sequence[Fraction]) -> Matrix:
-        n = self.n
+        """x -> x + a: the last row is (a^T B a, 2 (Ba)^T, 1)."""
         a = [Fraction(v) for v in a]
-        rows = [[0] * (n + 2) for _ in range(n + 2)]
-        rows[0][0] = 1
-        for i in range(n):
-            rows[i + 1][0] = a[i]
-            rows[i + 1][i + 1] = 1
-        rows[n + 1][0] = self.P_value(a)
-        for j in range(n):
-            rows[n + 1][j + 1] = 2 * self.signs[j] * a[j]
-        rows[n + 1][n + 1] = 1
+        rows = [[1] + [0] * (self.n + 1)]
+        rows += [[v] + row + [0] for v, row in zip(a, self._identity())]
+        rows.append([self.P_value(a)] + [2 * v for v in self._B_times(a)] + [1])
         return matrix(rows)
 
     def dilation(self, t: Fraction) -> Matrix:
         t = Fraction(t)
         if t == 0:
             raise ValueError("dilation scale must be nonzero")
-        n = self.n
-        rows = [[0] * (n + 2) for _ in range(n + 2)]
-        rows[0][0] = 1 / t
-        for i in range(n):
-            rows[i + 1][i + 1] = 1
-        rows[n + 1][n + 1] = t
-        return matrix(rows)
+        return _bordered(1 / t, 0, self._identity(), 0, t)
 
     def inversion(self) -> Matrix:
-        n = self.n
-        rows = [[0] * (n + 2) for _ in range(n + 2)]
-        rows[0][n + 1] = 1
-        rows[n + 1][0] = 1
-        rows[1][1] = -1
-        for i in range(1, n):
-            rows[i + 1][i + 1] = 1
-        return matrix(rows)
+        """x -> -x^-1 = -adj(x)/P(x), with cocycle P(x)."""
+        return _bordered(0, 1, [[-v for v in row] for row in self.C], 1, 0)
 
     # -- embedding, action, cocycle -------------------------------------------
 
     def P_value(self, x: Sequence[Fraction]) -> Fraction:
-        return sum(s * Fraction(v) * Fraction(v) for s, v in zip(self.signs, x))
+        x = [Fraction(v) for v in x]
+        return sum(v * w for v, w in zip(x, self._B_times(x)))
 
     def kappa(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        x = [Fraction(v) for v in x]
-        return tuple([Fraction(1)] + x + [self.P_value(x)])
+        return (Fraction(1), *map(Fraction, x), self.P_value(x))
 
     def cocycle(self, g: Matrix, x: Sequence[Fraction]) -> Fraction:
         w = self.kappa(x)

@@ -179,17 +179,15 @@ def bernstein_poly(algebra: AlgebraDescriptor) -> BernsteinResult:
     if not quotient.is_constant():
         raise TheoremViolationError("quotient depends on the coordinates")
     b = quotient.constant_coeff()
+    reference = b_reference(algebra.r, algebra.d)
+    note = None
     if algebra.family == "rpq":
-        n = algebra.n
-        # literal quadratic-form convention: 4 s (s + n/2 - 1)
-        reference = S * (S + Fraction(n - 2, 2)) * 4
+        # literal quadratic-form convention: 4 b_{2,n-2}(s) = 4 s (s + n/2 - 1)
+        reference = reference * 4
         note = (
             "quadratic-space chart convention; the trace-form-dual operator "
             "rescales this by 1/4 to b_{2,n-2}(s)"
         )
-    else:
-        reference = b_reference(algebra.r, algebra.d)
-        note = None
     return BernsteinResult(algebra, b, reference, b == reference, note)
 
 
@@ -315,14 +313,12 @@ def build_Est(algebra: AlgebraDescriptor) -> EstFamily:
     return EstFamily(dst=dst, raw=raw, tau_power=k, normalized=normalized)
 
 
-def build_F(algebra: AlgebraDescriptor, est: EstFamily | None = None) -> DiffOp:
+def build_F(algebra: AlgebraDescriptor) -> DiffOp:
     """Covariance family: the E family reparametrized by
     s -> n/r - lam, t -> n/r - mu."""
-    if est is None:
-        est = build_Est(algebra)
     shift = Fraction(algebra.n, algebra.r)
     images = {"s": ParamPoly.of(shift) - LAM, "t": ParamPoly.of(shift) - MU}
-    return est.normalized.subs_params(images)
+    return build_Est(algebra).normalized.subs_params(images)
 
 
 # ---------------------------------------------------------------------------

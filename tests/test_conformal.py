@@ -13,7 +13,8 @@ from covjord import weyl as W
 from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import LAM, MU, ParamPoly, mat_mul, transpose
 
-from conftest import SingularityError, diagonal_substitute, knapp_stein_kernel, random_poly
+from conftest import (SingularityError, diagonal_substitute, knapp_stein_kernel, random_poly,
+                      stored_form)
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +22,26 @@ def model():
     return C.QuadricModel(2, 1)
 
 
+@pytest.fixture(scope="module", params=[(2, 1), (2, 2), (3, 1), (3, 2), (1, 2), (1, 3)],
+                ids=lambda pq: f"rpq:{pq[0]},{pq[1]}")
+def quadric(request):
+    return C.QuadricModel(*request.param)
+
+
+def form(model):
+    """The matrix B of P(x) = x^T B x: the middle block of J."""
+    return tuple(tuple(row[1:-1]) for row in model.J[1:-1])
+
+
 def translation_generator(model, a) -> C.Matrix:
     """The Lie algebra element of the translations by t*a."""
     n = model.n
     a = [Fraction(v) for v in a]
+    Ba = [sum(b * v for b, v in zip(row, a)) for row in form(model)]
     rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
     for i in range(n):
         rows[i + 1][0] = a[i]
-        rows[n + 1][i + 1] = 2 * model.signs[i] * a[i]
+        rows[n + 1][i + 1] = 2 * Ba[i]
     return tuple(tuple(row) for row in rows)
 
 
@@ -36,7 +49,7 @@ def rotation(model, h) -> C.Matrix:
     """Block embedding of h in the isometry group of the form P."""
     n = model.n
     h = tuple(tuple(Fraction(v) for v in row) for row in h)
-    S = tuple(tuple(model.signs[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
+    S = form(model)
     if mat_mul(transpose(h), mat_mul(S, h)) != S:
         raise ValueError("block is not an isometry of the quadratic form")
     rows = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
@@ -46,6 +59,18 @@ def rotation(model, h) -> C.Matrix:
         for j in range(n):
             rows[i + 1][j + 1] = h[i][j]
     return tuple(tuple(row) for row in rows)
+
+
+def equal_sign_swap(model):
+    """The isometry of P that swaps the first two coordinates of equal sign
+    (n >= 3 coordinates of two signs always have such a pair)."""
+    B = form(model)
+    i, j = next((i, j) for i in range(model.n) for j in range(i + 1, model.n)
+                if B[i][i] == B[j][j])
+    h = [[int(a == b) for b in range(model.n)] for a in range(model.n)]
+    h[i][i] = h[j][j] = 0
+    h[i][j] = h[j][i] = 1
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -177,49 +202,75 @@ def test_lie_homomorphism_all_pairs(model):
 # model geometry
 
 
-def test_membership_and_kappa(model):
+def test_form_and_inversion_read_from_the_descriptor(quadric):
+    # J's middle block is half the Hessian of det_poly, inversion()'s is
+    # minus the adjugate's linear map; the border is the same on every
+    # signature and every entry is in stored form
+    alg, n = quadric.algebra, quadric.n
+    P = alg.det_poly
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    hessian = [[P.diff(i).diff(j).constant_coeff().constant_value() / 2 for j in range(n)]
+               for i in range(n)]
+    adjugate = [[adj.subs_point(e).constant_value() for e in units] for adj in alg.adjugate_vec]
+    assert form(quadric) == tuple(map(tuple, hessian))
+    inv = quadric.inversion()
+    assert tuple(tuple(row[1:-1]) for row in inv[1:-1]) == tuple(
+        tuple(-v for v in row) for row in adjugate)
+    for M, (a, b, c, d) in [(quadric.J, (0, Fraction(-1, 2), Fraction(-1, 2), 0)),
+                            (inv, (0, 1, 1, 0))]:
+        assert (M[0][0], M[0][-1], M[-1][0], M[-1][-1]) == (a, b, c, d)
+        assert not any(M[0][1:-1]) and not any(M[-1][1:-1])
+        assert not any(row[0] or row[-1] for row in M[1:-1])
+        assert all(stored_form(v) for row in M for v in row)
+
+
+def test_membership_and_kappa(quadric):
+    model, n = quadric, quadric.n
     rng = random.Random(4)
-    gens = [model.translation([1, 2, 3]), model.inversion(), model.dilation(Fraction(5, 3)),
-            rotation(model, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])]
+    gens = [model.translation(range(1, n + 1)), model.inversion(),
+            model.dilation(Fraction(5, 3)), rotation(model, equal_sign_swap(model))]
     for g in gens:
         assert model.is_conformal(g)
     for X in model.lie_basis():
         assert model.is_lie(X)
     for _ in range(30):
-        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         w = model.kappa(v)
         assert w[0] == 1
-        assert model.P_value(w[1:4]) - w[0] * w[4] == 0
-    assert model.kappa([1, 1, 1]) == (1, 1, 1, 1, 1)
+        assert model.P_value(v) == J.det(J.element(model.algebra, v))
+        assert mat_mul([w], mat_mul(model.J, [[c] for c in w])) == ((0,),)
+    assert model.kappa([1] * n) == (1,) * (n + 1) + (model.p - model.q,)
 
 
-def test_action_and_cocycle_values(model):
+def test_action_and_cocycle_values(quadric):
+    model, n = quadric, quadric.n
     rng = random.Random(6)
     gi = model.inversion()
     for _ in range(40):
-        x = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-        a = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
+        x = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        a = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         assert model.cocycle(model.translation(a), x) == 1
         assert model.act(model.translation(a), x) == tuple(q + w for q, w in zip(x, a))
+        xe = J.element(model.algebra, x)
         Px = model.P_value(x)
-        assert model.cocycle(gi, x) == Px
+        assert model.cocycle(gi, x) == Px == J.det(xe)
         if Px != 0:
-            xe = J.element(model.algebra, x)
             assert model.act(gi, x) == J.scale(J.inverse(xe), -1).coords
         else:
             with pytest.raises(C.PointAtInfinityError):
                 model.act(gi, x)
 
 
-def test_cocycle_chain_rule(model):
+def test_cocycle_chain_rule(quadric):
+    model, n = quadric, quadric.n
     rng = random.Random(17)
-    gens = [model.translation([1, 2, 3]), model.inversion(), model.dilation(Fraction(2)),
-            model.translation([0, -1, 1])]
+    gens = [model.translation(range(1, n + 1)), model.inversion(), model.dilation(Fraction(2)),
+            model.translation([0, -1, 1] + [0] * (n - 3))]
     done = 0
     while done < 100:
         g1 = gens[rng.randrange(len(gens))]
         g2 = gens[rng.randrange(len(gens))]
-        x = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
+        x = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         try:
             a2 = model.cocycle(g2, x)
             if a2 == 0:

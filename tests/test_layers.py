@@ -1,6 +1,7 @@
 """The package imports only downward: every module of src/covjord imports
 (at module level or inside a function) only modules listed above its own
-line in the layer list of the package docstring."""
+line in the layer list of the package docstring.  The README's module
+table follows the same list."""
 
 import ast
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import covjord
 
 PACKAGE = Path(covjord.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def layer_ranks() -> dict[str, int]:
@@ -51,3 +53,11 @@ def test_modules_import_only_lower_layers():
             if ranks[target] >= ranks[path.stem]:
                 upward.append(f"{path.stem} -> {target}")
     assert upward == []
+
+
+def test_readme_table_follows_the_layer_list():
+    # the first cell of each row of the module table names its modules
+    rows = [line.split("|")[1] for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `covjord.")]
+    named = [name for cell in rows for name in re.findall(r"`covjord\.(\w+)`", cell)]
+    assert named == list(layer_ranks())

@@ -26,7 +26,7 @@ def test_explicit_equals_generic(pq):
     est = D.build_Est(alg)
     assert R.explicit_Dst(p, q) == est.dst
     assert R.explicit_Est(p, q) == est.normalized
-    assert R.explicit_F(p, q) == D.build_F(alg, est)
+    assert R.explicit_F(p, q) == D.build_F(alg)
 
 
 def test_dst_constant_action():

@@ -138,7 +138,7 @@ def test_exchange_round_trip_graded_rank3():
 def test_build_F_substitution():
     alg = J.rpq_algebra(2, 1)
     est = D.build_Est(alg)
-    F = D.build_F(alg, est)
+    F = D.build_F(alg)
     half = Fraction(alg.n, alg.r)
     direct = est.normalized.subs_params({
         "s": ParamPoly.of(half) - LAM, "t": ParamPoly.of(half) - MU})
