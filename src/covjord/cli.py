@@ -1,6 +1,7 @@
 """Command-line entry point: run verification suites, emit JSON reports.
 
-Exit codes: 0 all checks pass, 1 at least one check failed,
+Exit codes: 0 all checks pass, 1 at least one check failed or raised (a
+check that raised has status "error" and counts in "failed"),
 2 configuration error (bad flags or environment values, unknown/unsupported
 algebra or one the suite cannot use, unwritable report), 3 resource limit
 (dimension or degree beyond the guarded budget; the dimension is read from

@@ -108,11 +108,6 @@ def unit(algebra: AlgebraDescriptor) -> JordanElement:
     return JordanElement(algebra, algebra.unit)
 
 
-def generic_element(algebra: AlgebraDescriptor) -> JordanElement:
-    coords = tuple(MPoly.variable(algebra.vars, v) for v in algebra.vars)
-    return JordanElement(algebra, coords)
-
-
 # ---------------------------------------------------------------------------
 # construction from a multiplication table
 

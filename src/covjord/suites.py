@@ -730,15 +730,13 @@ def zeta_matrix_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[C
     def run_euclidean_flips() -> float:
         rng = _rng(config.seed, "euflips")
         worst = 0.0
-        cases = [("b1", 2, 5, 12), ("b2", 2, 7, 16), ("c1", 3, 1, 6), ("c2", 5, 1, 15)]
+        cases = [("b1", 2, 5, 12, zt.flip_residual_pm), ("b2", 2, 7, 16, zt.flip_residual_pm),
+                 ("c1", 3, 1, 6, zt.flip_residual_eo), ("c2", 5, 1, 15, zt.flip_residual_eo)]
+        flips = [(zt.euclidean_matrices(case, r, d, n), flip) for case, r, d, n, flip in cases]
         for _ in range(100):
             s = rng.uniform(-2.0, 2.0)
-            for case, r, d, n in cases:
-                fe = zt.euclidean_matrices(case, r, d, n)
-                if case.startswith("b"):
-                    worst = max(worst, zt.flip_residual_pm(fe, s))
-                else:
-                    worst = max(worst, zt.flip_residual_eo(fe, s))
+            for matrix, flip in flips:
+                worst = max(worst, flip(matrix, s))
         return worst
 
     checks.append(Check("euclidean-matrix-flips",

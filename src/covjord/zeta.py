@@ -3,11 +3,13 @@
 Symbolic layer: GammaFactor descriptors (rational constant, e^(i*pi*..),
 powers of 2 and pi, gamma-function factors with affine arguments, and a
 rational-polynomial part).  Quotients telescope exactly whenever the gamma
-arguments differ by integers, which is how the kappa constants are derived
-and certified.  Floating point enters only in the numeric layer at the
-bottom: trig matrices evaluated at sample points and the quadrature
-verification of the quadratic-space functional equation, with the domain
-split at the light cone in bipolar radii.  Test functions are polynomials
+arguments differ by integers, which is how the kappa constants of the two
+kinds, "rpq" and "split", are derived and certified.  Floating point enters
+only in the numeric layer at the bottom: trig matrices evaluated at sample
+points (the quadratic-space matrix and the euclidean cases b1, b2, c1 and
+c2, each certified by its shift flip) and the quadrature verification of
+the quadratic-space functional equation, with the domain split at the
+light cone in bipolar radii.  Test functions are polynomials
 with Gaussian-rational coefficients (`scalars.Gaussian`) times a centred
 Gaussian, and their Fourier transforms are exact.  `pair_power_with` gives
 all four pairings of a test function (both sides of the cone with either
@@ -174,22 +176,6 @@ def gamma_V(r_plus: int, d: int, arg: ParamPoly) -> GammaFactor:
     return GammaFactor(g_num=args)
 
 
-def gamma_Omega(r: int, d: int, n: int, arg: ParamPoly) -> GammaFactor:
-    """(2 pi)^((n-r)/2) prod_{j=1..r} Gamma(arg - (j-1) d/2)."""
-    half = Fraction(n - r, 2)
-    args = tuple(arg - Fraction(j * d, 2) for j in range(r))
-    return GammaFactor(pow2=_const(half), powpi=_const(half), g_num=args)
-
-
-def gamma_euclid(r: int, d: int, n: int, arg: ParamPoly) -> GammaFactor:
-    """(2 pi)^(-r*arg) e(r*arg/4) Gamma_Omega(arg) (euclidean prefactor)."""
-    return GammaFactor(
-        eipi=arg * Fraction(r, 2),
-        pow2=arg * (-r),
-        powpi=arg * (-r),
-    ) * gamma_Omega(r, d, n, arg)
-
-
 def gamma_quad(n: int, arg: ParamPoly) -> GammaFactor:
     """2^(2 arg + n) pi^(n/2 - 1) Gamma(arg + 1) Gamma(arg + n/2)."""
     return GammaFactor(
@@ -217,11 +203,9 @@ def c_factor(r: int, d: int, n: int, r_plus: int, eps: str, arg: ParamPoly) -> G
 
 @dataclass(frozen=True)
 class KappaConstant:
-    kind: str
     tau_power: int  # power of the kernel constant 2*pi*sqrt(-1)
     num: ParamPoly
     den: ParamPoly
-    note: str = ""
 
 
 def _b_in(var: ParamPoly, k: int, d: int) -> ParamPoly:
@@ -230,27 +214,18 @@ def _b_in(var: ParamPoly, k: int, d: int) -> ParamPoly:
 
 def kappa_const(kind: str, *, r: int = 0, d: int = 0, n: int = 0,
                 p: int = 0, q: int = 0) -> KappaConstant:
+    """The displayed kappa constant: "rpq" for the quadratic space R^(p,q)
+    (unit-imaginary kernel convention), "split" for a split algebra of
+    rank r and degree d."""
     if kind == "rpq":
         n = p + q
         if n < 3:
             raise ValueError("quadratic-space kappa needs p + q >= 3")
         den = (S + 1) * (S + Fraction(n, 2)) * (T + 1) * (T + Fraction(n, 2)) * 16
-        return KappaConstant("rpq", 0, ParamPoly.of(1), den,
-                             note="unit-imaginary kernel convention")
-    if kind in ("split", "euclidean-b1"):
-        if kind == "euclidean-b1" and r != 2:
-            raise ValueError("the rank-2 euclidean case needs r = 2")
+        return KappaConstant(0, ParamPoly.of(1), den)
+    if kind == "split":
         den = _b_in(S + 1, r, d) * _b_in(T + 1, r, d)
-        return KappaConstant(kind, r, ParamPoly.of(1), den)
-    if kind == "non-split":
-        den = (
-            _b_in((-2) * S - Fraction(2 * n, r), 2 * r, d)
-            * _b_in(2 * S + 2, 2 * r, d)
-            * _b_in((-2) * T - Fraction(2 * n, r), 2 * r, d)
-            * _b_in(2 * T + 2, 2 * r, d)
-        )
-        return KappaConstant("non-split", r, ParamPoly.of(Fraction(-4) ** r), den,
-                             note="transcribed formula; no desk-scale numeric check")
+        return KappaConstant(r, ParamPoly.of(1), den)
     raise ValueError(f"unknown kappa kind {kind!r}")
 
 
@@ -289,7 +264,7 @@ def kappa_rpq_from_gammas(p: int, q: int) -> KappaConstant:
     coeff = g.coeff * Fraction(2) ** int(pw)
     num = g.poly_num.scale_rat(coeff.numerator)
     den = g.poly_den.scale_rat(coeff.denominator)
-    return KappaConstant("rpq", 0, num, den)
+    return KappaConstant(0, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +290,24 @@ def A_matrix_pq(p: int, q: int, s: float) -> list[list[float]]:
     ]
 
 
+def one_sided_matrix(p: int, q: int, s: float) -> list[list[float]]:
+    """The one-sided functional equation: the transforms of |P|^s on the
+    P > 0 and P < 0 sides (rows) in terms of the pairings of |P|^(-s-n/2)
+    with the two sides (columns), up to the factor `gamma_quad_value`."""
+    return [
+        [-math.sin((q / 2 + s) * math.pi), math.sin(p * math.pi / 2)],
+        [math.sin(q * math.pi / 2), -math.sin((s + p / 2) * math.pi)],
+    ]
+
+
 def A_matrix_from_pm_parts(p: int, q: int, s: float) -> list[list[float]]:
     """Same matrix rebuilt from the one-sided power transforms (independent
     route through the classical two-sided formulas)."""
-    n = p + q
-    alpha_p = -math.sin((q / 2 + s) * math.pi) + math.sin(q * math.pi / 2)
-    beta_p = math.sin(p * math.pi / 2) - math.sin((s + p / 2) * math.pi)
-    alpha_m = -math.sin((q / 2 + s) * math.pi) - math.sin(q * math.pi / 2)
-    beta_m = math.sin(p * math.pi / 2) + math.sin((s + p / 2) * math.pi)
+    M = one_sided_matrix(p, q, s)
+    alpha_p = M[0][0] + M[1][0]
+    beta_p = M[0][1] + M[1][1]
+    alpha_m = M[0][0] - M[1][0]
+    beta_m = M[0][1] - M[1][1]
     return [
         [(alpha_p + beta_p) / 2, (alpha_p - beta_p) / 2],
         [(alpha_m + beta_m) / 2, (alpha_m - beta_m) / 2],
@@ -334,68 +319,29 @@ def A_matrix_from_pm_parts(p: int, q: int, s: float) -> list[list[float]]:
 
 
 class CaseConfigurationError(ValueError):
-    """Case selector inconsistent with the (r, d) constraints."""
+    """Case selector unknown or inconsistent with the (r, d) constraints."""
 
 
 _CASE_CONSTRAINTS = {
-    "a": lambda r, d: d % 4 == 0 or (d % 4 == 2 and r % 2 == 1),
-    "a'": lambda r, d: d % 4 == 2 and r % 2 == 0,
     "b1": lambda r, d: r == 2 and d % 4 == 1,
     "b2": lambda r, d: r == 2 and d % 4 == 3,
     "c1": lambda r, d: d == 1 and r % 4 == 3,
     "c2": lambda r, d: d == 1 and r % 4 == 1,
-    "c3": lambda r, d: d == 1 and r % 4 == 0,
-    "c4": lambda r, d: d == 1 and r % 4 == 2,
 }
 
 
-def euclidean_case_name(r: int, d: int) -> str:
-    """Canonical case for (r, d); rank 2 with d = 1 admits both the rank-2
-    and the d = 1 families and defaults to the rank-2 one."""
-    for name in ("a", "a'", "b1", "b2", "c1", "c2", "c3", "c4"):
-        if _CASE_CONSTRAINTS[name](r, d):
-            return name
-    raise CaseConfigurationError(f"no euclidean case for r={r}, d={d}")
-
-
-@dataclass(frozen=True)
-class EuclideanFE:
-    """One euclidean functional equation: target basis, scalar prefactor and
-    2x2 matrix as callables of s."""
-
-    case: str
-    r: int
-    d: int
-    n: int
-    target: str  # "pm" for (Z+, Z-), "eo" for (even, odd)
-    prefactor: Callable[[float], complex]
-    matrix: Callable[[float], list[list[complex]]]
-
-
-def euclidean_matrices(case: str, r: int, d: int, n: int) -> EuclideanFE:
+def euclidean_matrices(case: str, r: int, d: int, n: int) -> Callable[[float], list[list]]:
+    """The 2x2 transform matrix of a euclidean functional equation as a
+    function of s: cases b1 and b2 (rank 2, basis (Z+, Z-)), certified by
+    `flip_residual_pm`, and c1 and c2 (d = 1, basis (even, odd)), certified
+    by `flip_residual_eo`."""
     constraint = _CASE_CONSTRAINTS.get(case)
     if constraint is None:
         raise CaseConfigurationError(f"unknown case {case!r}")
     if not constraint(r, d):
-        raise CaseConfigurationError(
-            f"case {case!r} inconsistent with r={r}, d={d} ({euclidean_case_name(r, d)})"
-        )
-
-    # (2 pi)^(-r sigma) e(r sigma / 4) Gamma_Omega(sigma), sigma = s + n/r
-    geu = gamma_euclid(r, d, n, S + Fraction(n, r)).evaluate
+        raise CaseConfigurationError(f"case {case!r} inconsistent with r={r}, d={d}")
 
     half = math.pi / 2
-
-    if case in ("a", "a'"):
-        def matrix(s: float):
-            c = math.cos(half * (s + n / r)) ** r
-            si = (1j ** r) * math.sin(half * (s + n / r)) ** r
-            if case == "a":
-                return [[c, 0.0], [0.0, si]]
-            return [[si, 0.0], [0.0, c]]
-
-        return EuclideanFE(case, r, d, n, "pm",
-                           lambda s: (2 ** r) * geu(s), matrix)
 
     if case in ("b1", "b2"):
         def matrix(s: float):
@@ -408,42 +354,21 @@ def euclidean_matrices(case: str, r: int, d: int, n: int) -> EuclideanFE:
                 rows = [[c1 * c2, c1 * s2], [s1 * c2, -s1 * s2]]
             return rows
 
-        return EuclideanFE(case, r, d, n, "pm",
-                           lambda s: 4 * math.sqrt(2) * geu(s), matrix)
+        return matrix
 
-    if case in ("c1", "c2"):
-        rho = r // 2
+    def matrix(s: float):
+        si = 1j * math.sin(half * (s + n / r))
+        co = math.cos(half * (s + n / r))
+        if case == "c1":
+            return [[si, -si], [co, co]]
+        return [[co, co], [si, -si]]
 
-        def prefactor(s: float) -> complex:
-            base = ((-2j) ** rho) * geu(s) * math.sin(math.pi * (s + n / r)) ** rho
-            return -base if case == "c1" else base
-
-        def matrix(s: float):
-            si = 1j * math.sin(half * (s + n / r))
-            co = math.cos(half * (s + n / r))
-            if case == "c1":
-                return [[si, -si], [co, co]]
-            return [[co, co], [si, -si]]
-
-        return EuclideanFE(case, r, d, n, "eo", prefactor, matrix)
-
-    if case in ("c3", "c4"):
-        def prefactor(s: float) -> complex:
-            return (2 ** ((r - 1) / 2)) * complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) \
-                * geu(s) * math.cos(math.pi * (s + n / r)) ** (r // 2)
-
-        def matrix(s: float):
-            if case == "c3":
-                return [[-1j, 1.0], [1.0, -1j]]
-            return [[1.0, -1j], [-1j, 1.0]]
-
-        return EuclideanFE(case, r, d, n, "pm", prefactor, matrix)
-
-    raise CaseConfigurationError(f"unknown case {case!r}")
+    return matrix
 
 
-def _flip_residual(matrix: Callable[[float], list[list]], s: float) -> float:
-    """a_(eps,eta)(s) = -a_(-eps,-eta)(s+1) for a 2x2 transform matrix."""
+def flip_residual_pm(matrix: Callable[[float], list[list]], s: float) -> float:
+    """a_(eps,eta)(s) = -a_(-eps,-eta)(s+1) for a 2x2 transform matrix: the
+    shift flip of the quadratic-space and the rank-2 euclidean matrices."""
     A0 = matrix(s)
     A1 = matrix(s + 1)
     res = 0.0
@@ -453,15 +378,10 @@ def _flip_residual(matrix: Callable[[float], list[list]], s: float) -> float:
     return res
 
 
-def flip_residual_pm(fe: EuclideanFE, s: float) -> float:
-    """The shift flip of the rank-2 euclidean matrix cases."""
-    return _flip_residual(fe.matrix, s)
-
-
-def flip_residual_eo(fe: EuclideanFE, s: float) -> float:
+def flip_residual_eo(matrix: Callable[[float], list[list]], s: float) -> float:
     """a^e_eps(s) = -i a^e_(-eps)(s+1) and a^o_eps(s) = i a^o_(-eps)(s+1)."""
-    A0 = fe.matrix(s)
-    A1 = fe.matrix(s + 1)
+    A0 = matrix(s)
+    A1 = matrix(s + 1)
     res = 0.0
     for i in range(2):
         res = max(res, abs(A0[i][0] - (-1j) * A1[1 - i][0]))
@@ -471,7 +391,7 @@ def flip_residual_eo(fe: EuclideanFE, s: float) -> float:
 
 def flip_residual_quad(p: int, q: int, s: float) -> float:
     """The shift flip of the quadratic-space transform matrix."""
-    return _flip_residual(lambda x: A_matrix_pq(p, q, x), s)
+    return flip_residual_pm(lambda x: A_matrix_pq(p, q, x), s)
 
 
 # ---------------------------------------------------------------------------
@@ -754,19 +674,12 @@ def numeric_zeta_check(p: int, q: int, s: float, g: GaussianTest) -> ZetaCheckRe
         rel[eps] = abs(left - right) / denom
 
     # one-sided forms (independent identity shape)
+    M = one_sided_matrix(p, q, s)
     gs = {}
-    left_p = fscale * pair_fg["plus"]
-    right_p = gam * (
-        -math.sin((q / 2 + s) * math.pi) * pair_g["plus"]
-        + math.sin(p * math.pi / 2) * pair_g["minus"]
-    )
-    gs["plus"] = abs(left_p - right_p) / max(abs(left_p), abs(right_p), 1e-30)
-    left_m = fscale * pair_fg["minus"]
-    right_m = gam * (
-        math.sin(q * math.pi / 2) * pair_g["plus"]
-        - math.sin((s + p / 2) * math.pi) * pair_g["minus"]
-    )
-    gs["minus"] = abs(left_m - right_m) / max(abs(left_m), abs(right_m), 1e-30)
+    for i, side in enumerate(("plus", "minus")):
+        left = fscale * pair_fg[side]
+        right = gam * (M[i][0] * pair_g["plus"] + M[i][1] * pair_g["minus"])
+        gs[side] = abs(left - right) / max(abs(left), abs(right), 1e-30)
 
     # the two quadrature pipelines must agree
     a_pol = pair_g["+"]

@@ -33,6 +33,12 @@ def diagonal_substitute(f: MPoly, n: int) -> MPoly:
     return MPoly(f.vars, out)
 
 
+def generic_element(algebra: J.AlgebraDescriptor) -> J.JordanElement:
+    """The element whose coordinates are the algebra's variables."""
+    coords = tuple(MPoly.variable(algebra.vars, v) for v in algebra.vars)
+    return J.JordanElement(algebra, coords)
+
+
 class SingularityError(ArithmeticError):
     """Kernel evaluated on the light cone."""
 

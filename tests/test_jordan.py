@@ -8,6 +8,8 @@ import pytest
 from covjord import jordan as J
 from covjord.polynomials import MPoly
 
+from conftest import generic_element
+
 SUPPORTED = ("sym:2", "sym:3", "mat:2", "hermc:2", "rpq:2,1", "rpq:2,2", "rpq:3,2")
 
 
@@ -55,7 +57,7 @@ def test_rpq_product_and_inverse_examples():
     xx = J.element(alg, [2, 1, 0])  # beta(v,v) = 1, det = 5
     assert J.det(xx) == 5
     assert J.inverse(xx).coords == (Fraction(2, 5), Fraction(-1, 5), Fraction(0))
-    g = J.generic_element(alg)
+    g = generic_element(alg)
     # det(lam, v) = lam^2 + beta(v, v) symbolically
     det = alg.det_poly
     assert det.terms[(2, 0, 0)].constant_value() == 1
@@ -103,7 +105,7 @@ def test_inverse(spec, rng):
         assert J.jordan_mul(x, xi) == e
         assert J.apply_matrix(J.quad_rep(x), xi) == x
     # adjugate is polynomial: x^-1 det(x) has polynomial coordinates
-    g = J.generic_element(alg)
+    g = generic_element(alg)
     adj = J.JordanElement(alg, alg.adjugate_vec)
     prod = J.jordan_mul(g, adj)
     for i in range(alg.n):
@@ -189,7 +191,7 @@ def test_signature_matches_eigen_count(rng):
 @pytest.mark.parametrize("spec", ("sym:2", "hermc:2", "rpq:2,1"))
 def test_scale_symbolic(spec):
     alg = J.algebra_from_spec(spec)
-    g = J.generic_element(alg)
+    g = generic_element(alg)
     half = Fraction(1, 2)
     assert J.jordan_mul(J.scale(g, half), g) == J.scale(J.jordan_mul(g, g), half)
 

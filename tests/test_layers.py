@@ -1,7 +1,8 @@
 """The package imports only downward: every module of src/covjord imports
 (at module level or inside a function) only modules listed above its own
 line in the layer list of the package docstring.  The README's module
-table follows the same list."""
+table follows the same list.  Every top-level function and class is read
+by the package or the benchmark, not only by the tests."""
 
 import ast
 import re
@@ -10,7 +11,13 @@ from pathlib import Path
 import covjord
 
 PACKAGE = Path(covjord.__file__).parent
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+BENCH = ROOT / "bench"
+
+# test oracles kept in the package: the graded construction is the planned
+# euclidean route of the main identity (ROADMAP item 3)
+TEST_ORACLES = {"detpower.dst_operator_graded"}
 
 
 def layer_ranks() -> dict[str, int]:
@@ -38,6 +45,20 @@ def relative_imports(path: Path) -> set[str]:
     return out
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """The names a syntax tree reads: loaded names, attributes and the
+    names imported by `from ... import`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
 def test_layer_list_names_every_module():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(layer_ranks())
@@ -61,3 +82,21 @@ def test_readme_table_follows_the_layer_list():
             if line.startswith("| `covjord.")]
     named = [name for cell in rows for name in re.findall(r"`covjord\.(\w+)`", cell)]
     assert named == list(layer_ranks())
+
+
+def test_every_definition_is_read_outside_the_tests():
+    statements = [(path.stem, stmt) for path in sorted(PACKAGE.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [names_read(stmt) for _, stmt in statements]
+    bench = set().union(*(names_read(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in BENCH.glob("*.py")))
+    unread = []
+    for k, (module, stmt) in enumerate(statements):
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name in bench or any(stmt.name in other for j, other in enumerate(reads) if j != k):
+            continue
+        unread.append(f"{module}.{stmt.name}")
+    unread.sort()
+    # an oracle that gains a reader leaves the set
+    assert unread == sorted(TEST_ORACLES)

@@ -10,7 +10,7 @@ import pytest
 
 from covjord import zeta as Z
 from covjord.polynomials import MPoly
-from covjord.scalars import ParamPoly, S
+from covjord.scalars import S
 
 from conftest import knapp_stein_kernel
 
@@ -65,21 +65,9 @@ def test_kappa_split_quotient():
             va = display.evaluate(s, t)
             vb = Z.kappa_split_quotient(r, d, n, r_plus, "-", "+").evaluate(s, t)
             assert abs(va - vb) <= 1e-10 * max(abs(va), abs(vb))
-
-
-def test_kappa_euclidean_b1_matches_split_shape():
-    a = Z.kappa_const("euclidean-b1", r=2, d=5, n=12)
-    b = Z.kappa_const("split", r=2, d=5, n=12)
-    assert a.num == b.num and a.den == b.den and a.tau_power == b.tau_power
-
-
-def test_kappa_non_split_transcription():
-    kc = Z.kappa_const("non-split", r=2, d=4, n=6)
-    assert kc.tau_power == 2
-    assert kc.num == ParamPoly.of(16)
-    assert kc.note
-    with pytest.raises(ValueError):
-        Z.kappa_const("mystery")
+    for kind in ("mystery", "non-split", "euclidean-b1"):
+        with pytest.raises(ValueError):
+            Z.kappa_const(kind, r=2, d=5, n=12)
 
 
 def test_quad_matrix_identities():
@@ -98,41 +86,13 @@ def test_quad_matrix_identities():
 
 
 def test_euclidean_case_selection():
-    assert Z.euclidean_case_name(3, 1) == "c1"
-    assert Z.euclidean_case_name(2, 1) == "b1"
-    assert Z.euclidean_case_name(2, 2) == "a'"
-    assert Z.euclidean_case_name(3, 2) == "a"
-    assert Z.euclidean_case_name(2, 4) == "a"
-    assert Z.euclidean_case_name(2, 5) == "b1"
-    assert Z.euclidean_case_name(2, 7) == "b2"
-    assert Z.euclidean_case_name(4, 1) == "c3"
-    assert Z.euclidean_case_name(5, 1) == "c2"
-    assert Z.euclidean_case_name(6, 1) == "c4"
-    Z.euclidean_matrices("c4", 2, 1, 3)  # rank-2, d = 1 admits the d = 1 family too
-    with pytest.raises(Z.CaseConfigurationError):
-        Z.euclidean_matrices("a", 2, 1, 3)
-    with pytest.raises(Z.CaseConfigurationError):
+    # the cases no shift flip certifies are unknown, on their own (r, d) too
+    for case, r, d, n in [("zz", 2, 1, 3), ("a", 3, 2, 9), ("a'", 2, 2, 4),
+                          ("c3", 4, 1, 10), ("c4", 6, 1, 21)]:
+        with pytest.raises(Z.CaseConfigurationError, match="unknown case"):
+            Z.euclidean_matrices(case, r, d, n)
+    with pytest.raises(Z.CaseConfigurationError, match="inconsistent"):
         Z.euclidean_matrices("b1", 3, 1, 6)
-    with pytest.raises(Z.CaseConfigurationError):
-        Z.euclidean_matrices("zz", 2, 1, 3)
-
-
-def test_euclidean_displays():
-    s = 0.37
-    fe = Z.euclidean_matrices("a", 3, 2, 9)
-    M = fe.matrix(s)
-    th = math.pi / 2 * (s + 3.0)
-    assert abs(M[0][0] - math.cos(th) ** 3) < 1e-12
-    assert abs(M[1][1] - (1j ** 3) * math.sin(th) ** 3) < 1e-12
-    assert M[0][1] == 0 and M[1][0] == 0
-    assert Z.euclidean_matrices("c3", 4, 1, 10).matrix(1.2) == [[-1j, 1.0], [1.0, -1j]]
-    assert Z.euclidean_matrices("c4", 2, 1, 3).matrix(0.5) == [[1.0, -1j], [-1j, 1.0]]
-    fe_b = Z.euclidean_matrices("b1", 2, 5, 12)
-    pre = fe_b.prefactor(s)
-    ge = Z.gamma_euclid(2, 5, 12, S + Fraction(6)).evaluate(s, 0)
-    assert abs(pre - 4 * math.sqrt(2) * ge) < 1e-10 * abs(pre)
-    assert fe_b.target == "pm"
-    assert Z.euclidean_matrices("c1", 3, 1, 6).target == "eo"
 
 
 def test_euclidean_flips():
