@@ -8,6 +8,12 @@ algebra or one the suite cannot use, unwritable report), 3 resource limit
 the spec before the algebra is built).
 
 Every flag has an environment-variable override COVJORD_<FLAG>.
+
+`--jobs N` above 1 runs the checks in up to N forked worker processes (no
+more than the checks, nor the CPUs this process may use).  Each check's
+`millis` is measured in the worker that ran it, and the report does not
+depend on `--jobs` apart from those timings.  A lost worker (killed, say,
+by the out-of-memory killer) gives its unfinished checks status "error".
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", default=_env_default("report"),
                         help="path for the JSON report (stdout summary either way)")
     parser.add_argument("--jobs", type=int,
-                        help="reserved: accepted and validated (>= 1); checks "
-                             "run in order on one thread")
+                        help="worker processes (>= 1): above 1, checks run in "
+                             "forked workers and each check's millis is timed "
+                             "in its worker; reports do not depend on --jobs")
     parser.add_argument("--registry", action="store_true",
                         help="print the algebra classification registry as JSON and exit")
     return parser
@@ -117,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIGURATION
     with sink or contextlib.nullcontext():
         try:
-            report = run_suite(config)
+            report = run_suite(config, args.jobs)
         except ResourceLimitError as exc:
             print(f"resource limit: {exc}", file=sys.stderr)
             return EXIT_RESOURCE_LIMIT

@@ -5,6 +5,7 @@ configs produce identical reports (timing aside)."""
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, replace
@@ -74,22 +75,82 @@ class Check:
     tolerance: float = 0.0
 
 
-def _execute(checks: Sequence[Check]) -> list[CheckResult]:
-    """Run the checks in order, one at a time."""
-    results = []
-    for check in checks:
-        t0 = time.perf_counter()
-        try:
-            residual = float(check.run())
-            status = "pass" if residual <= check.tolerance else "fail"
-            detail = ""
-        except Exception as exc:  # a crashed check is a result, not a crash of the run
-            residual = float("inf")
-            status = "error"
-            detail = f"{type(exc).__name__}: {exc}"
-        millis = (time.perf_counter() - t0) * 1000.0
-        results.append(CheckResult(check.id, check.identity, status, residual, millis, detail))
-    return results
+def _run_check(check: Check) -> CheckResult:
+    t0 = time.perf_counter()
+    try:
+        residual = float(check.run())
+        status = "pass" if residual <= check.tolerance else "fail"
+        detail = ""
+    except Exception as exc:  # a crashed check is a result, not a crash of the run
+        residual = float("inf")
+        status = "error"
+        detail = f"{type(exc).__name__}: {exc}"
+    millis = (time.perf_counter() - t0) * 1000.0
+    return CheckResult(check.id, check.identity, status, residual, millis, detail)
+
+
+# the plan a forked worker runs from: set in each worker by its initializer,
+# never in the parent
+_worker_plan: Sequence[Check] = ()
+
+
+def _init_worker(checks: Sequence[Check]) -> None:
+    global _worker_plan
+    _worker_plan = checks
+
+
+def _run_planned(index: int) -> CheckResult:
+    return _run_check(_worker_plan[index])
+
+
+def _worker_count(jobs: int, n_checks: int) -> int:
+    """Workers for `jobs`: no more than the checks, nor the CPUs this
+    process may run on."""
+    return max(1, min(jobs, n_checks, len(os.sched_getaffinity(0))))
+
+
+def _execute(checks: Sequence[Check], jobs: int = 1) -> list[CheckResult]:
+    """Run the checks and return their results in plan order: in this
+    process one at a time, or, when more than one worker is allowed, in
+    forked worker processes, one check per task, each timed in the worker
+    that ran it.  A check whose worker was lost has status "error"."""
+    workers = _worker_count(jobs, len(checks))
+    if workers == 1:
+        return [_run_check(check) for check in checks]
+    # imported here: `import covjord.cli` stays free of them.  Workers are
+    # forked, because the check closures cannot be pickled; the program
+    # starts no thread before this point.
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    outcomes: list[CheckResult | None] = []
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker,
+                               initargs=(checks,))
+    try:
+        futures = [pool.submit(_run_planned, i) for i in range(len(checks))]
+        # the first submit forked every worker; the pool keeps a lost one in
+        # this table, so its exit code can name it below
+        processes = list(pool._processes.values())
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                outcomes.append(None)
+    finally:
+        # joins every worker; on an interrupt the checks not yet started are
+        # dropped rather than run
+        pool.shutdown(cancel_futures=True)
+    if all(outcomes):
+        return outcomes
+    # the pool terminates its surviving workers once one is lost
+    lost = [p for p in processes if p.exitcode not in (0, -signal.SIGTERM)] or processes
+    detail = "worker process lost: " + ", ".join(
+        f"pid {p.pid} exit code {p.exitcode}" for p in lost)
+    return [r or CheckResult(c.id, c.identity, "error", float("inf"), 0.0, detail)
+            for r, c in zip(outcomes, checks)]
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +814,7 @@ def zeta_matrix_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[C
     def run_kappa_split() -> float:
         rng = _rng(config.seed, "kappa")
         for (r, d, n, r_plus) in [(2, 2, 4, 2), (3, 2, 9, 3)]:
-            display = zt.kappa_as_gamma(zt.kappa_const("split", r=r, d=d, n=n))
+            display = zt.kappa_as_gamma(zt.kappa_const("split", r=r, d=d))
             for eps in "+-":
                 for eta in "+-":
                     qv = zt.kappa_split_quotient(r, d, n, r_plus, eps, eta)
@@ -881,9 +942,11 @@ def build_checks(config: SuiteConfig) -> list[Check]:
     return out
 
 
-def run_suite(config: SuiteConfig) -> dict:
+def run_suite(config: SuiteConfig, jobs: int = 1) -> dict:
+    """Build and run the checks of `config`; `jobs` bounds the worker
+    processes and leaves the report unchanged apart from the timings."""
     checks = build_checks(config)
-    results = _execute(checks)
+    results = _execute(checks, jobs)
     passed = sum(1 for r in results if r.status == "pass")
     default = SUITES[config.suite].algebra if config.suite in SUITES else None
     return {

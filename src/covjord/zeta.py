@@ -212,8 +212,7 @@ def _b_in(var: ParamPoly, k: int, d: int) -> ParamPoly:
     return b_reference(k, d).substitute({"s": var})
 
 
-def kappa_const(kind: str, *, r: int = 0, d: int = 0, n: int = 0,
-                p: int = 0, q: int = 0) -> KappaConstant:
+def kappa_const(kind: str, *, r: int = 0, d: int = 0, p: int = 0, q: int = 0) -> KappaConstant:
     """The displayed kappa constant: "rpq" for the quadratic space R^(p,q)
     (unit-imaginary kernel convention), "split" for a split algebra of
     rank r and degree d."""

@@ -209,7 +209,7 @@ def test_criterion_09_kappa_consistency():
             assert disp.num * tele.den == tele.num * disp.den
         rng = random.Random("acceptance:kappa")
         for (r, d, n, r_plus) in [(2, 2, 4, 2), (3, 2, 9, 3)]:
-            display = Z.kappa_as_gamma(Z.kappa_const("split", r=r, d=d, n=n))
+            display = Z.kappa_as_gamma(Z.kappa_const("split", r=r, d=d))
             for eps in "+-":
                 for eta in "+-":
                     assert Z.kappa_split_quotient(r, d, n, r_plus, eps, eta).equals(display)

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,9 +14,11 @@ from covjord import detpower as D
 from covjord import jordan as J
 from covjord import rpq as R
 from covjord.cli import main
-from covjord.suites import SUITES, SuiteConfig, build_checks
+from covjord.suites import SUITES, Check, SuiteConfig, _execute, _worker_count, build_checks
 
 ENV = dict(os.environ)
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="forked workers need at least 2 usable CPUs")
 
 
 def run_cli(args, env=None, timeout=600):
@@ -103,11 +107,14 @@ def test_environment_error_names_variable(monkeypatch, capsys):
 
 
 def test_import_leaves_scipy_out():
-    code = "import sys, covjord.cli; print('scipy' in sys.modules)"
+    # the CLI's import time is its set-up time: the worker pool's modules are
+    # imported only when checks run in workers
+    modules = ("scipy", "multiprocessing", "concurrent.futures")
+    code = f"import sys, covjord.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_zeta_suite_leaves_scipy_and_numpy_out():
@@ -284,14 +291,90 @@ def test_build_checks_defers_operator_builds(suite, monkeypatch):
     assert build_checks(SuiteConfig(suite))
 
 
-def test_jobs_is_reserved(tmp_path):
-    reports = []
+def test_reports_do_not_depend_on_jobs(tmp_path):
+    reports, codes = [], []
     for jobs in ("1", "2"):
         path = tmp_path / f"jobs{jobs}.json"
-        assert main(["--suite", "zeta-matrices", "--seed", "3", "--jobs", jobs,
-                     "--report", str(path)]) == 0
+        proc = run_cli(["--suite", "all", "--seed", "0", "--jobs", jobs, "--report", str(path)])
+        assert "Traceback" not in proc.stderr
+        codes.append(proc.returncode)
         report = json.loads(path.read_text())
         for check in report["checks"]:
             check.pop("millis")
         reports.append(report)
+    assert codes[0] == codes[1]
     assert reports[0] == reports[1]
+
+
+def own_pid() -> float:
+    time.sleep(0.05)  # long enough that one worker cannot take every task
+    return float(os.getpid())
+
+
+def pid_checks(count: int) -> list[Check]:
+    return [Check(f"pid-{i}", "the id of the process that ran it", own_pid, float("inf"))
+            for i in range(count)]
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert _worker_count(1, 108) == 1
+    assert _worker_count(8, 108) == 3  # the CPUs this process may use
+    assert _worker_count(8, 2) == 2  # the checks
+    assert _worker_count(2, 0) == 1
+
+
+def test_one_worker_runs_in_this_process():
+    # capped at one check, --jobs 8 forks nothing
+    [result] = _execute(pid_checks(1), jobs=8)
+    assert result.status == "pass" and result.residual == os.getpid()
+
+
+@TWO_CPUS
+def test_execute_runs_checks_in_worker_processes():
+    checks = pid_checks(8)
+    results = _execute(checks, jobs=2)
+    assert [r.id for r in results] == [c.id for c in checks]
+    assert all(r.status == "pass" and r.millis >= 50 for r in results)
+    pids = {r.residual for r in results}
+    assert len(pids) >= 2 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+# runs `covjord --jobs 2` on a plan whose fourth check ends its worker; every
+# check records the pid of its worker under argv[1]
+LOSE_A_WORKER = """
+import os, sys, time
+from covjord import cli, suites
+
+def mark():
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(0.05)
+    return 0.0
+
+plan = [suites.Check(f"mark-{i}", "records its worker", mark) for i in range(6)]
+plan.insert(3, suites.Check("exit", "ends its worker", lambda: os._exit(3)))
+suites.build_checks = lambda config: plan
+sys.exit(cli.main(["--suite", "bernstein", "--jobs", "2", "--report", sys.argv[2]]))
+"""
+
+
+@TWO_CPUS
+def test_cli_survives_a_lost_worker(tmp_path):
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", LOSE_A_WORKER, str(pid_dir), str(report)],
+                          capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["id"] for c in checks] == [f"mark-{i}" for i in range(3)] + \
+        ["exit"] + [f"mark-{i}" for i in range(3, 6)]
+    assert checks[3]["status"] == "error" and "exit code 3" in checks[3]["detail"]
+    assert all(c["status"] in ("pass", "error") for c in checks)
+    pids = [int(path.name) for path in pid_dir.iterdir()]
+    assert pids
+    for pid in pids:  # no worker outlives the CLI
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -54,7 +54,7 @@ def test_kappa_rpq_exact_and_poles():
 def test_kappa_split_quotient():
     rng = random.Random(5)
     for (r, d, n, r_plus) in [(2, 2, 4, 2), (3, 2, 9, 3), (2, 1, 3, 2)]:
-        display = Z.kappa_as_gamma(Z.kappa_const("split", r=r, d=d, n=n))
+        display = Z.kappa_as_gamma(Z.kappa_const("split", r=r, d=d))
         for eps in "+-":
             for eta in "+-":
                 qv = Z.kappa_split_quotient(r, d, n, r_plus, eps, eta)
@@ -67,7 +67,7 @@ def test_kappa_split_quotient():
             assert abs(va - vb) <= 1e-10 * max(abs(va), abs(vb))
     for kind in ("mystery", "non-split", "euclidean-b1"):
         with pytest.raises(ValueError):
-            Z.kappa_const(kind, r=2, d=5, n=12)
+            Z.kappa_const(kind, r=2, d=5)
 
 
 def test_quad_matrix_identities():
