@@ -14,6 +14,18 @@ substitution y -> x in an operator's coefficients.  The formal Fourier
 constant tau lets conjugation by the Fourier transform act as the ring
 automorphism d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
 
+The kernel adds packed keys.  A coefficient term x^m s^e0 t^e1 lam^e2
+mu^e3 tau^e4 is one int of 16-bit fields, the coordinates low, then s, t,
+lam and mu, and tau on top with its sign; an operator monomial d^beta is
+packed in the coordinate fields.  A product's key is the sum of its
+factors' keys, and beta - delta + gamma is int arithmetic.  Packing refuses
+(OverflowError) an exponent above 2^14 - 1, so a product, and a product
+folded onto the diagonal, stays inside its field.  The result unpacks each
+distinct key once.  The derivative rows of the right factor are kept for
+the two right operators used most recently, keyed by identity with a
+reference held, so an F that many covariance certificates share is tabled,
+and differentiated, once.
+
 The bracket chain f_chain composes a translation-covariant family, whose
 coefficients are polynomials in x - y alone, through the same kernel on
 those coefficients in difference form, and expands the result once; a
@@ -28,35 +40,181 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, le, sub
-from typing import Iterable, Mapping, Sequence
+from struct import Struct
+from typing import Mapping, Sequence
 
 from .polynomials import (MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly,
                           differences, leibniz_orders, partials)
 from .scalars import LAM, MU, ParamPoly
 
 
+def _intern(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial, ParamPoly]:
+    """A coefficient held as coordinate monomial -> settled exponent dict
+    (no zeros, integral values as int) turned into MPoly terms in place:
+    equal scalars become one ParamPoly, interned in shared under
+    frozenset(terms.items()), and the dict of a repeat is freed.  This is
+    sound because a ParamPoly is never mutated."""
+    for m, out in coeff.items():
+        key = frozenset(out.items())
+        scalar = shared.get(key)
+        if scalar is None:
+            scalar = shared[key] = ParamPoly.__new__(ParamPoly)
+            scalar.terms = out
+        coeff[m] = scalar
+    return coeff
+
+
 def _settle_scalars(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial, ParamPoly]:
-    """A compose accumulator's coefficient, coordinate monomial -> exponent
-    -> rational, turned into MPoly terms in place: zeros are dropped and
-    integral Fractions stored as int.  Equal scalars become one ParamPoly,
-    interned in shared under frozenset(terms.items()); the dict of a repeat
-    is freed.  This is sound because a ParamPoly is never mutated."""
+    """_intern after settling: zeros dropped and integral Fractions stored
+    as int, in place."""
     for m, out in list(coeff.items()):
         for e, c in list(out.items()):
             if not c:
                 del out[e]
             elif type(c) is not int and c.denominator == 1:
                 out[e] = c.numerator
-        if out:
-            key = frozenset(out.items())
-            scalar = shared.get(key)
-            if scalar is None:
-                scalar = shared[key] = ParamPoly.__new__(ParamPoly)
-                scalar.terms = out
-            coeff[m] = scalar
-        else:
+        if not out:
             del coeff[m]
-    return coeff
+    return _intern(coeff, shared)
+
+
+# ---------------------------------------------------------------------------
+# packed keys
+
+_FIELD = 16
+_BOUND = (1 << _FIELD - 2) - 1  # a product adds two exponents, a fold two products
+_LOW4 = (1 << 4 * _FIELD) - 1
+_TABLE_LIMIT = 1 << 14
+# a covariance certificate alternates F with a new field as the right
+# factor; a deeper reuse would hold more tables for no further reuse
+_REUSE_DEPTH = 2
+
+# the packed keys of coordinate monomials and, per chart size, those of
+# scalar exponents both ways, shared by every accumulator of the process:
+# small one-shot operators would otherwise pack the same few tuples anew
+# on every call
+_MONO_KEYS: dict[Monomial, int] = {}
+_EXP_KEYS: dict[int, tuple[dict[tuple, int], dict[int, tuple]]] = {}
+
+
+def _refuse(exps: tuple[int, ...]) -> None:
+    raise OverflowError(f"exponent outside [0, {_BOUND}] in {exps}")
+
+
+@lru_cache(maxsize=None)
+def _struct(nfields: int) -> Struct:
+    return Struct(f"<{nfields}H")
+
+
+_PACK4, _UNPACK4 = _struct(4).pack, _struct(4).unpack
+
+
+def _pack_mono(m: Monomial) -> int:
+    """m_i in field i, each field 16 bits; an exponent above _BOUND raises."""
+    if m and (max(m) > _BOUND or min(m) < 0):
+        _refuse(m)
+    return int.from_bytes(_struct(len(m)).pack(*m), "little")
+
+
+class _Keys:
+    """The packed keys of one accumulator over nvars coordinates.
+
+    A term x^m s^e0 t^e1 lam^e2 mu^e3 tau^e4 of a coefficient is the int
+    with m_i in field i and e_j in field nvars + j, a field being 16 bits;
+    tau is the top field and keeps its sign.  An operator monomial d^beta is
+    packed the same way, in the coordinate fields alone.  Packing refuses an
+    exponent above _BOUND, so every field of a product, and of a product
+    folded onto the diagonal, stays below 2^16 and no carry crosses a field.
+
+    The keys of monomials and exponents, and the exponent of each exponent
+    key, come from tables kept for the process, emptied between calls once
+    they pass _TABLE_LIMIT entries; mono_of unpacks the monomial keys of one
+    result, so the result shares one tuple per monomial."""
+
+    __slots__ = ("nvars", "shift", "monos", "exps", "exp_of", "mono_of")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.shift = _FIELD * nvars
+        if len(_MONO_KEYS) > _TABLE_LIMIT:
+            _MONO_KEYS.clear()
+        tables = _EXP_KEYS.get(nvars)
+        if tables is None or max(map(len, tables)) > _TABLE_LIMIT:
+            tables = _EXP_KEYS[nvars] = ({}, {})
+        self.monos = _MONO_KEYS
+        self.exps, self.exp_of = tables
+        self.mono_of: dict[int, Monomial] = {}
+
+    def mono(self, m: Monomial) -> int:
+        k = self.monos.get(m)
+        if k is None:
+            k = self.monos[m] = _pack_mono(m)
+        return k
+
+    def terms(self, c: MPoly) -> list[tuple[int, object]]:
+        """The terms of a coefficient as (packed key, rational) pairs."""
+        monos, exps, shift = self.monos, self.exps, self.shift
+        out = []
+        for m, s in c.terms.items():
+            mk = monos.get(m)
+            if mk is None:
+                mk = monos[m] = _pack_mono(m)
+            for e, r in s.terms.items():
+                ek = exps.get(e)
+                if ek is None:
+                    head = e[:4]
+                    if max(head) > _BOUND or min(head) < 0:
+                        _refuse(e)
+                    ek = exps[e] = (int.from_bytes(_PACK4(*head), "little")
+                                    + (e[4] << 4 * _FIELD)) << shift
+                out.append((mk + ek, r))
+        return out
+
+
+@lru_cache(maxsize=None)
+def _orders(beta: Monomial) -> tuple[tuple[Monomial, int, int], ...]:
+    """polynomials.leibniz_orders(beta) with each delta's packed key:
+    (delta, key, C(beta, delta))."""
+    return tuple((delta, _pack_mono(delta), binom) for delta, binom in leibniz_orders(beta))
+
+
+class _Rows:
+    """The derivative rows of a right factor: for a packed delta, the list of
+    (gamma, packed gamma, packed terms of d^delta b_gamma) over the gamma whose
+    derivative is nonzero.  Rows are made on demand from one partials table
+    per coefficient, so no derivative is taken twice, and the row of delta = 0
+    holds the packed coefficients themselves."""
+
+    __slots__ = ("op", "coeffs", "rows")
+
+    def __init__(self, op: "DiffOp", keys: _Keys, difference: bool):
+        nvars = len(op.vars)
+        diff = _difference_diff if difference else MPoly.diff
+        self.op = op
+        self.coeffs = []
+        for gamma, b in op.terms.items():
+            degree = [max(column) for column in zip(*b.terms)]
+            if difference:
+                degree[nvars // 2:] = degree[:nvars // 2]
+            self.coeffs.append((gamma, keys.mono(gamma), partials(b, nvars, diff), degree))
+        self.rows: dict[int, list] = {}
+
+
+_REUSED: dict[int, _Rows] = {}
+
+
+def _rows_of(op: "DiffOp", keys: _Keys) -> _Rows:
+    """The rows of op, kept for the _REUSE_DEPTH right factors used most
+    recently.  An entry holds a reference to its operator, so no other
+    operator can take its id while the entry lives, and a DiffOp is never
+    mutated, so the rows stay valid."""
+    entry = _REUSED.pop(id(op), None)
+    if entry is None:
+        entry = _Rows(op, keys, difference=False)
+        if len(_REUSED) >= _REUSE_DEPTH:
+            del _REUSED[next(iter(_REUSED))]
+    _REUSED[id(op)] = entry
+    return entry
 
 
 def _difference_diff(c: MPoly, i: int) -> MPoly:
@@ -66,83 +224,73 @@ def _difference_diff(c: MPoly, i: int) -> MPoly:
     return c.diff(i) if i < n else -c.diff(i - n)
 
 
-def _accumulate(acc: dict[Monomial, dict[Monomial, dict]], keys: dict[tuple, tuple],
-                left: "DiffOp", right: "DiffOp", sign: int, skip_zero: bool,
-                difference: bool = False) -> dict:
-    """Add sign * left o right, normal-ordered, into acc: operator monomial
-    -> coordinate monomial -> scalar exponent -> rational.
+def _accumulate(acc: dict[int, dict[int, object]], keys: _Keys, left: "DiffOp",
+                right: "DiffOp", sign: int, skip_zero: bool, difference: bool = False) -> dict:
+    """Add sign * left o right, normal-ordered, into acc: packed operator
+    monomial -> packed term -> rational, in the layout of _Keys.
 
     Normal ordering through d^beta (b(x) d^gamma) =
     sum_{delta <= beta} C(beta,delta) (d^delta b) d^(beta-delta+gamma),
     with the pairs (delta, C(beta,delta)) from polynomials.leibniz_orders.
     The nonzero derivatives d^delta b of the right-hand coefficients are
-    tabled once per call and indexed by delta, for the delta that lie under
-    some left monomial and, componentwise, under b's degree in each
-    coordinate (any other delta gives zero and is not taken), with their
-    scalar terms.  Each (beta, delta) then visits only the gamma whose
-    d^delta b_gamma is nonzero; the left terms are scaled, and the offset
-    beta - delta formed, once per (beta, delta) that has a product.  Every
-    product sign * C(beta,delta) * a * d^delta b is added term by term;
-    skip_zero leaves out the delta = 0 products a b d^(beta+gamma).  keys
-    interns the monomial and exponent tuples, so the result shares one
-    object per key.
+    tabled as packed rows (_Rows), indexed by delta, for the delta that lie
+    under some left monomial and, componentwise, under b's degree in each
+    coordinate (any other delta gives zero and is not taken).  The rows of
+    the last _REUSE_DEPTH right factors are kept, keyed by identity, so an
+    operator such as F that is the right factor of many calls is tabled once
+    and its derivatives are taken once; a left factor whose rows are kept
+    reads its packed coefficients from its delta = 0 row.  Each (beta, delta)
+    then visits only the gamma whose d^delta b_gamma is nonzero; the left
+    terms are scaled, and the offset beta - delta formed, once per
+    (beta, delta) that has a product.  Every product sign * C(beta,delta) * a * d^delta b is added
+    term by term, its key the sum of its factors' keys; skip_zero leaves out
+    the delta = 0 products a b d^(beta+gamma).
 
     With difference, both operators hold their coefficients in difference
     form, c(u, 0) for c(x - y): the derivatives are taken by
     _difference_diff, and u_i's degree bounds the order in both x_i and y_i.
     Products of y-free coefficients are y-free, so the accumulator holds the
-    difference form of left o right."""
+    difference form of left o right.  Those rows serve one call and are not
+    kept."""
     if left.vars != right.vars:
         raise VariableMismatchError("operators over different charts")
-    nvars = len(left.vars)
-    diff = _difference_diff if difference else MPoly.diff
-    deltas = {delta for beta in left.terms for delta, _ in leibniz_orders(beta)}
-    if skip_zero:
-        deltas.discard((0,) * nvars)
-    table: dict[Monomial, list[tuple[Monomial, list]]] = {}
-    for gamma, b in right.terms.items():
-        partial = partials(b, nvars, diff)
-        degree = [max(column) for column in zip(*b.terms)]
-        if difference:
-            degree[nvars // 2:] = degree[:nvars // 2]
-        for delta in deltas:
-            if all(map(le, delta, degree)) and (db := partial(delta)):
-                row = table.get(delta)
-                if row is None:
-                    row = table[delta] = []
-                row.append((gamma, [(m, c.terms.items()) for m, c in db.terms.items()]))
-    for beta, a in left.terms.items():
+    entry = _Rows(right, keys, difference=True) if difference else _rows_of(right, keys)
+    rows, coeffs = entry.rows, entry.coeffs
+    reused = _REUSED.get(id(left))
+    if reused is not None and 0 in reused.rows:
+        left_terms = reused.rows[0]
+    else:
+        left_terms = [(beta, keys.mono(beta), a) for beta, a in left.terms.items()]
+    for beta, bkey, a in left_terms:
         a_terms = None
-        for delta, binom in leibniz_orders(beta):
-            row = table.get(delta)
+        for delta, dkey, binom in _orders(beta):
+            if skip_zero and not dkey:
+                continue
+            row = rows.get(dkey)
             if row is None:
+                row = []
+                for gamma, gkey, partial, degree in coeffs:
+                    if all(map(le, delta, degree)) and (db := partial(delta)):
+                        row.append((gamma, gkey, keys.terms(db)))
+                rows[dkey] = row  # only once whole: a refused exponent leaves no row
+            if not row:
                 continue
             if a_terms is None:
-                a_terms = [(m, c.terms.items()) for m, c in a.terms.items()]
+                a_terms = a if type(a) is list else keys.terms(a)
             mult = sign * binom
-            left_terms = a_terms if mult == 1 else [
-                (m, [(e, c * mult) for e, c in s]) for m, s in a_terms]
-            offset = tuple(map(sub, beta, delta))
-            for gamma, db_terms in row:
-                key = tuple(map(add, offset, gamma))
+            scaled = a_terms if mult == 1 else [(k, c * mult) for k, c in a_terms]
+            offset = bkey - dkey
+            for _, gkey, db_terms in row:
+                key = offset + gkey
                 coeff = acc.get(key)
                 if coeff is None:
                     coeff = acc[key] = {}
-                for m1, s1 in left_terms:
-                    for m2, s2 in db_terms:
-                        m = tuple(map(add, m1, m2))
-                        out = coeff.get(m)
-                        if out is None:
-                            out = coeff[keys.setdefault(m, m)] = {}
-                        for e1, c1 in s1:
-                            for e2, c2 in s2:
-                                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                                     e1[3] + e2[3], e1[4] + e2[4])
-                                c = out.get(e)
-                                if c is None:
-                                    out[keys.setdefault(e, e)] = c1 * c2
-                                else:
-                                    out[e] = c + c1 * c2
+                get = coeff.get
+                for k1, c1 in scaled:
+                    for k2, c2 in db_terms:
+                        k = k1 + k2
+                        c = get(k)
+                        coeff[k] = c1 * c2 if c is None else c + c1 * c2
     return acc
 
 
@@ -170,21 +318,60 @@ def _fold(coeff: Mapping[Monomial, dict], n: int, folds: dict[Monomial, Monomial
     return out
 
 
-def _result(vars: tuple[str, ...], coeffs: Iterable[tuple[Monomial, dict]], keys: dict,
+def _op(vars: tuple[str, ...], terms: dict[Monomial, MPoly]) -> "DiffOp":
+    """The operator of terms that are already canonical: nonzero coefficients
+    over vars with ParamPoly values, as the kernel settles them."""
+    res = DiffOp.__new__(DiffOp)
+    res.vars, res.terms = vars, terms
+    return res
+
+
+def _result(vars: tuple[str, ...], acc: dict[int, dict[int, object]], keys: _Keys,
             fold: int | None = None) -> "DiffOp":
-    """The operator of an accumulator's items, operator monomial ->
-    coordinate monomial -> exponent dict, zeros dropped, with one ParamPoly
-    per distinct scalar: keys, the call's table of interned tuples, interns
-    them too.  With fold = n each coefficient is first folded onto the
-    diagonal by _fold.  Each coefficient is settled as soon as it is read."""
-    folds: dict = {}
+    """The operator of a packed accumulator, zeros dropped, with one
+    ParamPoly per distinct scalar.  Each distinct key is unpacked once and
+    its tuple interned by keys.  With fold = n each coefficient is first
+    folded onto the diagonal of the doubled chart, the y fields of every key
+    added into its x fields.  Each coefficient is settled as soon as it is
+    read."""
+    shift, mono_of, exp_of = keys.shift, keys.mono_of, keys.exp_of
+    unpack, unpack4, nbytes = _struct(keys.nvars).unpack, _UNPACK4, 2 * keys.nvars
+    low = (1 << shift) - 1
+    ys = 0 if fold is None else low ^ ((1 << _FIELD * fold) - 1)
+    shared: dict = {}
     terms = {}
-    for b, c in coeffs:
-        if fold is not None:
-            c = _fold(c, fold, folds)
-        if _settle_scalars(c, keys):
-            terms[b] = _poly(vars, c)
-    return DiffOp(vars, terms)
+    for bkey, flat in acc.items():
+        if ys:
+            folded: dict[int, object] = {}
+            for k, c in flat.items():
+                y = k & ys
+                k += (y >> _FIELD * fold) - y
+                folded[k] = folded.get(k, 0) + c
+            flat = folded
+        coeff: dict[Monomial, dict] = {}
+        for k, c in flat.items():
+            if c:
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                km = k & low
+                m = mono_of.get(km)
+                if m is None:
+                    m = mono_of[km] = unpack(km.to_bytes(nbytes, "little"))
+                out = coeff.get(m)
+                if out is None:
+                    out = coeff[m] = {}
+                ke = k >> shift
+                e = exp_of.get(ke)
+                if e is None:
+                    low4 = (ke & _LOW4).to_bytes(8, "little")
+                    e = exp_of[ke] = unpack4(low4) + (ke >> 4 * _FIELD,)
+                out[e] = c
+        if coeff:
+            b = mono_of.get(bkey)
+            if b is None:
+                b = mono_of[bkey] = unpack(bkey.to_bytes(nbytes, "little"))
+            terms[b] = _poly(vars, _intern(coeff, shared))
+    return _op(vars, terms)
 
 
 class DiffOp:
@@ -282,9 +469,9 @@ class DiffOp:
 
         Every normal-ordered product goes through _accumulate once; its
         accumulator becomes the result's terms."""
-        keys: dict = {}
+        keys = _Keys(len(self.vars))
         acc = _accumulate({}, keys, self, other, sign=1, skip_zero=False)
-        return _result(self.vars, acc.items(), keys)
+        return _result(self.vars, acc, keys)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """[self, other] = self.compose(other) - other.compose(self).
@@ -344,13 +531,19 @@ def restrict(op: DiffOp, n: int) -> DiffOp:
     changes nothing, and the diagonal substitution of restrict(op, n).apply(f)
     equals that of op.apply(f).
 
-    Each coordinate monomial is folded once per call, by the fold of
-    commutator_sum, and each operator monomial's coefficient is settled as
-    soon as it is folded, with one ParamPoly per distinct scalar.  Sums go
-    into fresh dicts; an unsummed scalar's dict is canonical, so settling
-    writes nothing to it, and op is left as it was."""
-    coeffs = ((b, {m: s.terms for m, s in c.terms.items()}) for b, c in op.terms.items())
-    return _result(op.vars, coeffs, {}, fold=n)
+    Each coordinate monomial is folded once per call, on its tuple (_fold),
+    and each operator monomial's coefficient is settled as soon as it is
+    folded, with one ParamPoly per distinct scalar.  Sums go into fresh
+    dicts; an unsummed scalar's dict is canonical, so settling writes
+    nothing to it, and op is left as it was."""
+    folds: dict = {}
+    shared: dict = {}
+    terms = {}
+    for b, c in op.terms.items():
+        coeff = _settle_scalars(_fold({m: s.terms for m, s in c.terms.items()}, n, folds), shared)
+        if coeff:
+            terms[b] = _poly(op.vars, coeff)
+    return _op(op.vars, terms)
 
 
 def commutator_sum(a: DiffOp, b: DiffOp, m: DiffOp | None = None,
@@ -364,16 +557,23 @@ def commutator_sum(a: DiffOp, b: DiffOp, m: DiffOp | None = None,
     doubled chart, y -> x as in restrict, before it is settled, so the
     result is restrict([a, b] + m o a, n)."""
     acc: dict = {}
-    keys: dict = {}
+    keys = _Keys(len(a.vars))
     _accumulate(acc, keys, a, b, sign=1, skip_zero=True)
     _accumulate(acc, keys, b, a, sign=-1, skip_zero=True)
     if m is not None:
         _accumulate(acc, keys, m, a, sign=1, skip_zero=False)
-    return _result(a.vars, acc.items(), keys, fold)
+    return _result(a.vars, acc, keys, fold)
 
 
 # ---------------------------------------------------------------------------
 # Fourier conjugation
+
+
+def _tau_shift(c: ParamPoly, k: int, sign: int) -> ParamPoly:
+    """sign * tau^k * c, by moving c's tau exponents."""
+    res = ParamPoly.__new__(ParamPoly)
+    res.terms = {e[:4] + (e[4] + k,): v * sign for e, v in c.terms.items()}
+    return res
 
 
 def fourier_conjugate(op: DiffOp, inverse: bool = False) -> DiffOp:
@@ -387,16 +587,18 @@ def fourier_conjugate(op: DiffOp, inverse: bool = False) -> DiffOp:
     vars = op.vars
     x_sign = -1 if inverse else 1
     d_sign = -x_sign
+    zero = (0,) * len(vars)
     acc: dict = {}
-    keys: dict = {}
+    keys = _Keys(len(vars))
     for beta, coeff in op.terms.items():
-        coeff_image = DiffOp(vars, {
-            mono: MPoly.constant(vars, c * ParamPoly.var("tau", -sum(mono)) * x_sign ** sum(mono))
-            for mono, c in coeff.terms.items()})
+        image = {}
+        for mono, c in coeff.terms.items():
+            k = sum(mono)
+            image[mono] = _poly(vars, {zero: _tau_shift(c, -k, x_sign ** k)})
         deg = sum(beta)
-        mult = MPoly(vars, {beta: ParamPoly.var("tau", deg) * d_sign ** deg})
-        _accumulate(acc, keys, coeff_image, DiffOp.multiplication(mult), sign=1, skip_zero=False)
-    return _result(vars, acc.items(), keys)
+        mult = _poly(vars, {beta: ParamPoly.var("tau", deg).scale_rat(d_sign ** deg)})
+        _accumulate(acc, keys, _op(vars, image), _op(vars, {zero: mult}), sign=1, skip_zero=False)
+    return _result(vars, acc, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +669,10 @@ def f_chain(F: DiffOp, N: int) -> DiffOp:
     form = _difference_form(F)
     chain = form
     for k in range(1, N):
-        keys: dict = {}
+        keys = _Keys(len(F.vars))
         shifted = form.subs_params({"lam": LAM + k, "mu": MU + k})
-        acc = _accumulate({}, keys, shifted, chain, sign=1, skip_zero=False, difference=True)
-        chain = _result(F.vars, acc.items(), keys)
+        # no name holds the accumulator, so it is freed before the next step
+        # and before the expansion
+        chain = _result(F.vars, _accumulate({}, keys, shifted, chain, sign=1, skip_zero=False,
+                                            difference=True), keys)
     return F if N == 1 else _expand(chain)

@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from covjord.polynomials import MPoly
+from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import LAM, MU, PARAM_NAMES, TAU, TAU_INV, ParamPoly
-from covjord.weyl import DiffOp
+from covjord.weyl import DiffOp, commutator_sum
 
-from conftest import random_poly, stored_form
+from conftest import diagonal_substitute, random_poly, stored_form
 
 sp = pytest.importorskip("sympy")
 
@@ -165,3 +165,104 @@ def test_bare_coefficients_are_lifted():
     op = DiffOp(V, {(1, 0): p})
     assert all(type(c) is ParamPoly for c in op.terms[(1, 0)].terms.values())
     assert op.compose(x(0)) == DiffOp(V, {(1, 0): MPoly(V, p.terms)}).compose(x(0))
+
+
+# ---------------------------------------------------------------------------
+# the accumulator folded onto the diagonal, deep tau^-k and Fraction scalars,
+# and the bound of the packed exponent fields
+
+V2 = double_vars(V)
+
+
+def doubled_op(rng: random.Random, scalars) -> DiffOp:
+    out = DiffOp.zero(V2)
+    for _ in range(rng.randint(1, 3)):
+        beta = tuple(rng.randint(0, 1) for _ in V2)
+        coeff = MPoly.zero(V2)
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(rng.randint(0, 2) for _ in V2)
+            coeff = coeff + MPoly.monomial(V2, mono, rng.choice(scalars))
+        out = out + DiffOp(V2, {beta: coeff})
+    return out
+
+
+def folded(op: DiffOp, n: int) -> DiffOp:
+    return DiffOp(op.vars, {b: diagonal_substitute(c, n) for b, c in op.terms.items()})
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_folded_commutator_sum_matches_substitution_route(case):
+    # [a, b] + m o a folded onto the diagonal inside the accumulator equals
+    # the unfolded sum with y -> x substituted monomial by monomial
+    rng = random.Random(f"folded-sum:{case}")
+    a, b, m = (doubled_op(rng, SCALARS) for _ in range(3))
+    got = commutator_sum(a, b, m, fold=len(V))
+    want = folded(a.compose(b) - b.compose(a) + m.compose(a), len(V))
+    assert got == want
+    assert_canonical(got)
+    assert all(not any(mono[len(V):]) for c in got.terms.values() for mono in c.terms)
+    assert commutator_sum(a, b, fold=len(V)) == folded(a.commutator(b), len(V))
+
+
+DEEP = (TAU_INV * TAU_INV * TAU_INV * Fraction(-5, 7), LAM * TAU_INV * TAU_INV * Fraction(1, 3),
+        MU * TAU_INV * Fraction(7, 2), ParamPoly.var("tau", -6) * Fraction(3, 4),
+        TAU * LAM * Fraction(-2, 9), ParamPoly.of(Fraction(5, 6)))
+
+
+def deep_poly(rng: random.Random) -> MPoly:
+    out = MPoly.zero(V)
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, 2) for _ in V)
+        out = out + MPoly.monomial(V, mono, rng.choice(DEEP))
+    return out
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_negative_tau_powers_and_fractions(case):
+    # the signed tau field on top of the key, and rationals that are not
+    # integers, survive products, sums and cancellations
+    rng = random.Random(f"deep-scalars:{case}")
+    A = DiffOp(V, {(1, 0): deep_poly(rng), (0, 2): deep_poly(rng)})
+    B = DiffOp(V, {(0, 1): deep_poly(rng), (1, 1): deep_poly(rng), (0, 0): deep_poly(rng)})
+    f = random_poly(V, rng, 4, terms=5)
+    check_pair(A, B, f)
+    check_pair(B, A, f)
+    check_commutator(A, B, f)
+    assert any(e[4] < -3 for c in A.compose(B).terms.values()
+               for s in c.terms.values() for e in s.terms)
+
+
+BOUND = (1 << 14) - 1  # the largest exponent a packed field takes in
+
+
+def test_exponent_at_the_packed_bound():
+    d1 = DiffOp.derivative(V, 0)
+    x_top = DiffOp.multiplication(MPoly.monomial(V, (BOUND, 0), LAM))
+    assert d1.compose(x_top) == DiffOp(V, {
+        (0, 0): MPoly.monomial(V, (BOUND - 1, 0), LAM * BOUND),
+        (1, 0): MPoly.monomial(V, (BOUND, 0), LAM)})
+    # two factors at the bound, folded together: 4 * BOUND stays inside the field
+    top = DiffOp.multiplication(MPoly.monomial(V2, (BOUND, 0, BOUND, 0), ParamPoly.var("mu", BOUND)))
+    got = commutator_sum(top, DiffOp.identity(V2), top, fold=len(V))
+    assert got == DiffOp.multiplication(MPoly.monomial(V2, (4 * BOUND, 0, 0, 0),
+                                                       ParamPoly.var("mu", 2 * BOUND)))
+    # tau is the top field: its exponent is not bounded
+    deep = DiffOp.multiplication(MPoly.monomial(V, (0, 1), ParamPoly.var("tau", -BOUND - 5)))
+    assert d1.compose(deep).compose(deep).terms[(1, 0)] == MPoly.monomial(
+        V, (0, 2), ParamPoly.var("tau", -2 * BOUND - 10))
+
+
+@pytest.mark.parametrize("coeff", [
+    MPoly.monomial(V, (BOUND + 1, 0)),
+    MPoly.monomial(V, (0, BOUND + 1), TAU),
+    MPoly.monomial(V, (1, 0), ParamPoly.var("lam", BOUND + 1)),
+])
+def test_exponent_above_the_packed_bound_raises(coeff):
+    # above the bound a field could carry into its neighbour: refused, not wrapped
+    d1 = DiffOp.derivative(V, 0)
+    wide = DiffOp.multiplication(coeff)
+    for _ in range(2):  # a refused operator is refused again, not served a partial table
+        with pytest.raises(OverflowError):
+            d1.compose(wide)
+        with pytest.raises(OverflowError):
+            wide.compose(d1)

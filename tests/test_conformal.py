@@ -441,6 +441,48 @@ def test_covariance_residual_equals_the_compose_route(model):
         assert nonzero > 0
 
 
+def _diff_calls_on(F: W.DiffOp, run, monkeypatch) -> int:
+    """MPoly.diff calls made by run() on F's coefficients and on the
+    derivatives taken from them."""
+    diff = MPoly.diff
+    tracked = {id(c): c for c in F.terms.values()}  # held, so no id is taken again
+    calls = []
+
+    def counted(poly, index):
+        d = diff(poly, index)
+        if id(poly) in tracked:
+            calls.append(index)
+            tracked[id(d)] = d
+        return d
+
+    monkeypatch.setattr(MPoly, "diff", counted)
+    run()
+    monkeypatch.setattr(MPoly, "diff", diff)
+    return len(calls)
+
+
+def test_F_is_tabled_once_across_its_certificates(monkeypatch):
+    # F is the right factor of src o F in every certificate; its derivative
+    # rows are kept, so the 15 certificates of rpq:2,2 differentiate its
+    # coefficients no more often than the one that needs every direction
+    model = C.QuadricModel(2, 2)
+    F = R.explicit_F(2, 2)
+    basis = model.lie_basis()
+
+    def fresh():  # a new operator with F's coefficients: no rows kept yet
+        return W.DiffOp(F.vars, F.terms)
+
+    single = []
+    for X in basis:
+        G = fresh()
+        single.append(_diff_calls_on(G, lambda: C.covariance_residual_F(model, G, X), monkeypatch))
+    G = fresh()
+    every = _diff_calls_on(G, lambda: [C.covariance_residual_F(model, G, X) for X in basis],
+                           monkeypatch)
+    assert every == max(single) > 0
+    assert every < sum(single)
+
+
 @pytest.mark.parametrize("p, q", [(2, 1), (2, 2), (3, 1), (1, 2)])
 def test_restricted_source_minus_lift_is_the_shift_multiplier(p, q):
     # res(d(pi_lam (x) pi_mu)(X)) - lift is -shift sigma(x), of order 0: the

@@ -1,6 +1,7 @@
 """Weyl algebra: normal ordering, composition, Fourier conjugation, and the
 derived operator families."""
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -245,6 +246,42 @@ def test_chain_differentiates_only_up_to_each_coefficient_degree(monkeypatch):
     monkeypatch.setattr(MPoly, "diff", counted)
     W.f_chain(F, 2)
     assert len(calls) == 351
+
+
+# ---------------------------------------------------------------------------
+# the derivative rows kept for the right factors used most recently
+
+
+def _right_factor(k: int) -> W.DiffOp:
+    return W.DiffOp(V, {(0, 1): MPoly.monomial(V, (2, k % 3), LAM + k),
+                        (1, 0): MPoly.monomial(V, (k % 2, 1), MU * k - 1)})
+
+
+def test_reuse_holds_at_most_two_operators():
+    left = W.DiffOp.derivative(V, 0, 2)
+    kept = _right_factor(1)
+    base = sys.getrefcount(kept)
+    left.compose(kept)
+    assert sys.getrefcount(kept) == base + 1  # held while its rows are kept
+    for k in range(2, 6):
+        left.compose(_right_factor(k))
+        assert len(W._REUSED) <= 2
+    assert sys.getrefcount(kept) == base  # released once two others came after it
+
+
+def test_freed_operator_never_serves_its_rows_to_a_new_one(rng):
+    # every right factor is freed once two others have followed it; a new
+    # operator that takes its id must get its own rows
+    left = W.DiffOp(V, {(2, 1): random_poly(V, rng, 2), (0, 1): random_poly(V, rng, 1)})
+    f = random_poly(V, rng, 4, terms=5)
+    ids = []
+    for k in range(12):
+        right = _right_factor(k)
+        ids.append(id(right))
+        assert left.compose(right).apply(f) == left.apply(right.apply(f))
+        assert right.compose(left).apply(f) == right.apply(left.apply(f))
+        del right
+    assert len(set(ids)) < len(ids)  # some id was taken again
 
 
 # ---------------------------------------------------------------------------
