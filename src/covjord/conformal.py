@@ -269,12 +269,13 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     res([R, src]) + (res(src) - lift) . R, in one accumulator folded onto
     the diagonal once (weyl.commutator_sum): the commutator leaves out the
     products that cancel, and the second term takes one product per term
-    of R, none with y in it."""
+    of R, none with y in it.  Restriction is linear and idempotent, so
+    res(src) - lift is formed with one restriction, as
+    restrict(src - dpi_tensor(model, X, lam+mu+shift, 0), n)."""
     n = model.n
-    res = restrict(chain, n)
     src = dpi_tensor(model, X, LAM, MU)
-    lifted = restrict(dpi_tensor(model, X, LAM + MU + total_shift, 0), n)
-    return commutator_sum(res, src, restrict(src, n) - lifted, fold=n)
+    lift = dpi_tensor(model, X, LAM + MU + total_shift, 0)
+    return commutator_sum(restrict(chain, n), src, restrict(src - lift, n), fold=n)
 
 
 def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:
@@ -352,15 +353,6 @@ class ConformalWord:
             x, a = self._step(gen, x)
             total *= a
         return x, total
-
-
-def hua_check(algebra: jd.AlgebraDescriptor, x: jd.JordanElement,
-              y: jd.JordanElement) -> bool:
-    """det(iota(x) - iota(y)) det(x) det(y) = det(x - y), exactly."""
-    ix = jd.scale(jd.inverse(x), -1)
-    iy = jd.scale(jd.inverse(y), -1)
-    lhs = jd.det(jd.sub(ix, iy)) * jd.det(x) * jd.det(y)
-    return lhs == jd.det(jd.sub(x, y))
 
 
 def covdet_check(algebra: jd.AlgebraDescriptor, word: ConformalWord,

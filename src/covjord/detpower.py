@@ -51,10 +51,8 @@ class DetPowerExpr:
     body: MPoly
 
 
-def single_power(algebra: AlgebraDescriptor, body: MPoly | None = None) -> DetPowerExpr:
-    if body is None:
-        body = MPoly.constant(algebra.vars, 1)
-    return DetPowerExpr(algebra, (0,), body)
+def single_power(algebra: AlgebraDescriptor) -> DetPowerExpr:
+    return DetPowerExpr(algebra, (0,), MPoly.constant(algebra.vars, 1))
 
 
 def pair_power(algebra: AlgebraDescriptor, body: MPoly | None = None) -> DetPowerExpr:
@@ -352,7 +350,7 @@ def eps_flip_check(algebra: AlgebraDescriptor, point: Sequence[Fraction], k: int
     dv = jdet(x)
     if dv >= 0:
         raise ValueError("flip check needs a negative-determinant point")
-    bk = bernstein_poly(algebra).b.evaluate({"s": Fraction(k)})
+    bk = bernstein_poly(algebra).b.substitute({"s": ParamPoly.of(k)}).constant_value()
     lhs_poly = _wave_det_power(algebra, k).subs_point(list(point)).constant_value()
     for eps in ("+", "-"):
         # det^(k,eps) coincides with c * det^k near the point

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .fischer import dual_polynomial
 from .polynomials import InexactDivisionError, MPoly
-from .scalars import G_I, G_ONE, Gaussian, ParamPoly, mat_mul, rref
+from .scalars import G_I, G_ONE, Gaussian, mat_mul, rref
 
 Coords = tuple  # entries are Fraction or MPoly
 
@@ -449,20 +449,13 @@ def trace(x: JordanElement) -> Fraction:
     return _trace(x.algebra.trace_vec, x.coords, Fraction(0))
 
 
-def det(x: JordanElement):
-    value = x.algebra.det_poly.subs_point(x.coords)
-    if isinstance(value, ParamPoly):
-        return value.constant_value() if value.is_constant() else value
-    return value
+def det(x: JordanElement) -> Fraction:
+    return x.algebra.det_poly.subs_point(x.coords).constant_value()
 
 
 def minpoly_values(x: JordanElement) -> list[Fraction]:
     """a_1(x) .. a_r(x) from the stored coefficient polynomials."""
-    out = []
-    for p in x.algebra.minpoly_coeffs:
-        v = p.subs_point(x.coords)
-        out.append(v.constant_value() if v.is_constant() else v)
-    return out
+    return [p.subs_point(x.coords).constant_value() for p in x.algebra.minpoly_coeffs]
 
 
 def generic_min_poly(x: JordanElement) -> list[Fraction]:

@@ -7,11 +7,14 @@ order used for division and printing is graded lexicographic.
 
 The constructor stores ParamPoly coefficients.  A parameter-free polynomial
 can be lowered (`over_q`) to bare rationals: int, or Fraction when not
-integral.  The integer-power oracle of the main identity runs in that form,
-which skips the scalar wrapper.  The bare form takes any exact coefficient
-with +, -, * and truthiness: the zeta layer's polynomials are built over
-Gaussian rationals (`scalars.Gaussian`) by scaling a lowered one.  Sums,
-products, powers, derivatives and scalings are written once for every form
+integral.  `over_q` is the one place that stores integral values as int;
+arithmetic on the bare form keeps the exact values that + and * return, so
+an integral value it forms may stay a Fraction.  The integer-power oracle
+of the main identity runs in that form, which skips the scalar wrapper.
+The bare form takes any exact coefficient with +, -, * and truthiness: the
+zeta layer's polynomials are built over Gaussian rationals
+(`scalars.Gaussian`) by scaling a lowered one.  Sums, products, powers,
+derivatives, scalings and renamings are written once for every form
 through +, * and truthiness; a polynomial holds one form throughout, and
 contact with a parameter promotes bare rationals to ParamPoly.
 
@@ -70,14 +73,6 @@ def _one(terms: Mapping[Monomial, Coeff]) -> Coeff:
             return ParamPoly.of(1)
         return G_ONE if type(c) is Gaussian else 1
     return 1
-
-
-def _settle(terms: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
-    """Store the integral Fractions of a bare term dict as int."""
-    for m, c in terms.items():
-        if type(c) is Fraction and c.denominator == 1:
-            terms[m] = c.numerator
-    return terms
 
 
 def _add_into(out: dict, terms: Mapping, op=add) -> dict:
@@ -150,7 +145,7 @@ class MPoly:
             if p.vars != vars:
                 raise VariableMismatchError(f"variable lists differ: {p.vars} vs {vars}")
             _add_into(out, p.terms)
-        return _poly(vars, out if _param_form(out) else _settle(out))
+        return _poly(vars, out)
 
     # -- predicates / structure --------------------------------------------
 
@@ -195,8 +190,7 @@ class MPoly:
         for m, c in self.terms.items():
             if type(c) is ParamPoly:
                 c = c.constant_value()
-                c = c.numerator if c.denominator == 1 else c
-            out[m] = c
+            out[m] = c.numerator if c.denominator == 1 else c
         return _poly(self.vars, out)
 
     # -- arithmetic ----------------------------------------------------------
@@ -208,8 +202,7 @@ class MPoly:
         if pa != pb and self.terms and other.terms:
             # a parameter meets bare rationals: promote them
             return op(MPoly(self.vars, self.terms), MPoly(other.vars, other.terms))
-        out = _add_into(dict(self.terms), other.terms, op)
-        return _poly(self.vars, out if pa or pb else _settle(out))
+        return _poly(self.vars, _add_into(dict(self.terms), other.terms, op))
 
     def __add__(self, other: "MPoly") -> "MPoly":
         return self._combine(other, add)
@@ -244,9 +237,7 @@ class MPoly:
                         out[m] = c
                     else:
                         del out[m]
-        if _param_form(self.terms) or _param_form(other.terms):
-            return _poly(self.vars, out)
-        return _poly(self.vars, _settle(out))
+        return _poly(self.vars, out)
 
     def scale(self, c: Coeff) -> "MPoly":
         if not c:
@@ -255,11 +246,9 @@ class MPoly:
             return _poly(self.vars, {m: v * c for m, v in self.terms.items()})
         if c == 1:
             return self
-        if type(c) is Fraction and c.denominator == 1:
-            c = c.numerator  # an integral Fraction scales as an int
         if _param_form(self.terms):
             return _poly(self.vars, {m: v.scale_rat(c) for m, v in self.terms.items()})
-        return _poly(self.vars, _settle({m: v * c for m, v in self.terms.items()}))
+        return _poly(self.vars, {m: v * c for m, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -294,7 +283,7 @@ class MPoly:
             e = m[i]
             if e:
                 out[m[:i] + (e - 1,) + m[i + 1 :]] = times(c, e)
-        return _poly(self.vars, out if param else _settle(out))
+        return _poly(self.vars, out)
 
     # -- substitution ---------------------------------------------------------
 
@@ -340,19 +329,19 @@ class MPoly:
     def rename_vars(self, new_vars: Sequence[str]) -> "MPoly":
         if len(new_vars) != len(self.vars):
             raise VariableMismatchError("renaming must preserve arity")
-        return MPoly(new_vars, self.terms)
+        return _poly(tuple(new_vars), self.terms)
 
     def extend_vars(self, new_vars: Sequence[str]) -> "MPoly":
         """Embed into a larger chart (existing names keep their meaning)."""
         new_vars = tuple(new_vars)
         pos = [new_vars.index(v) for v in self.vars]
-        out: dict[Monomial, ParamPoly] = {}
+        out: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             nm = [0] * len(new_vars)
             for i, e in enumerate(m):
                 nm[pos[i]] = e
             out[tuple(nm)] = c
-        return MPoly(new_vars, out)
+        return _poly(new_vars, out)
 
     def subs_params(self, images: Mapping[str, ParamPoly]) -> "MPoly":
         if not _param_form(self.terms):

@@ -34,10 +34,6 @@ def _quad_syms(p: int, q: int):
     return alg, dvars, Px, Py, Pxy, Pdiff, diffs
 
 
-def _d(dvars, index: int) -> DiffOp:
-    return DiffOp.derivative(dvars, index)
-
-
 @lru_cache(maxsize=None)
 def explicit_Dst(p: int, q: int) -> DiffOp:
     """Wave-identity operator, transcribed:
@@ -54,9 +50,9 @@ def explicit_Dst(p: int, q: int) -> DiffOp:
         xj = MPoly.variable(dvars, dvars[j])
         yj = MPoly.variable(dvars, dvars[n + j])
         mx = DiffOp.multiplication((Py * xj).scale(S * 4))
-        out = out + mx.compose(_d(dvars, j) - _d(dvars, n + j))
+        out = out + mx.compose(DiffOp.derivative(dvars, j) - DiffOp.derivative(dvars, n + j))
         my = DiffOp.multiplication((Px * yj).scale(T * 4))
-        out = out + my.compose(_d(dvars, n + j) - _d(dvars, j))
+        out = out + my.compose(DiffOp.derivative(dvars, n + j) - DiffOp.derivative(dvars, j))
 
     const = (
         Px.scale(T * (2 * T - 2 + n) * 2)
@@ -82,9 +78,9 @@ def explicit_Est(p: int, q: int) -> DiffOp:
     out = DiffOp.multiplication(Pdiff.scale(-1)).compose(dPx.compose(dPy))
     for j in range(n):
         cx = DiffOp.multiplication(diffs[j].scale((S - 1) * 4))
-        out = out + cx.compose(_d(dvars, j).compose(dPy))
+        out = out + cx.compose(DiffOp.derivative(dvars, j).compose(dPy))
         cy = DiffOp.multiplication(diffs[j].scale((T - 1) * (-4)))
-        out = out + cy.compose(_d(dvars, n + j).compose(dPx))
+        out = out + cy.compose(DiffOp.derivative(dvars, n + j).compose(dPx))
     out = out + dPy.scale((S - 1) * (2 * S - n) * (-2))
     out = out + DiffOp.from_symbol(Pxy).scale((S - 1) * (T - 1) * 8)
     out = out + dPx.scale((T - 1) * (2 * T - n) * (-2))

@@ -19,8 +19,9 @@ distinct scalar value.
 A coefficient is stored as an int when it is an integer and as a Fraction
 otherwise: construction, sums, products and division all hand back an int
 for an integral value, so integer work never builds a Fraction.  Rational
-values leave the ring (constant_value, evaluate) as Fraction, so that `/`
-on them stays exact.  A bare rational operand of `*` goes straight to
+values leave the ring as Fraction (constant_value), so that `/` on them
+stays exact; a value at a rational point is substitute followed by
+constant_value.  A bare rational operand of `*` goes straight to
 scale_rat.  Parameter-free polynomials need not carry this ring at all: a
 lowered MPoly (MPoly.over_q) stores the same int/Fraction values bare.
 
@@ -240,7 +241,7 @@ class ParamPoly:
     def substitute(self, images: Mapping[str, "ParamPoly"]) -> "ParamPoly":
         """Substitute parameters by scalar polynomials (tau not substitutable)."""
         if "tau" in images:
-            raise ValueError("tau is a formal constant; use evaluate")
+            raise ValueError("tau is a formal constant and cannot be substituted")
         out: dict[Exponent, RatLike] = {}
         for e, c in self.terms.items():
             term = ParamPoly({(0, 0, 0, 0, e[_TAU]): c})
@@ -253,21 +254,6 @@ class ParamPoly:
         res = ParamPoly.__new__(ParamPoly)
         res.terms = out
         return res
-
-    def evaluate(self, values: Mapping[str, RatLike]) -> Fraction:
-        """Exact evaluation; every parameter occurring must be assigned."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for i, name in enumerate(PARAM_NAMES):
-                if e[i] == 0:
-                    continue
-                if name not in values:
-                    raise KeyError(f"parameter {name} unassigned")
-                base = Fraction(_as_rational(values[name]))  # tau may occur to a negative power
-                term *= base ** e[i]
-            total += term
-        return total
 
     def evaluate_complex(self, values: Mapping[str, complex]) -> complex:
         total = 0j

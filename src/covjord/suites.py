@@ -563,13 +563,14 @@ def covariance_checks(config: SuiteConfig, alg: jd.AlgebraDescriptor) -> list[Ch
 
     def run_hua() -> float:
         rng = _rng(config.seed, "hua", alg.key)
+        inversion = cf.ConformalWord(alg, [cf.Inversion()])
         done = 0
         while done < 100:
             x = jd.random_invertible(alg, rng)
             y = jd.random_invertible(alg, rng)
             if jd.det(jd.sub(x, y)) == 0:
                 continue
-            if not cf.hua_check(alg, x, y):
+            if not cf.covdet_check(alg, inversion, x, y):
                 return 1.0
             done += 1
         return 0.0

@@ -22,9 +22,9 @@ factors' keys, and beta - delta + gamma is int arithmetic.  Packing refuses
 (OverflowError) an exponent above 2^14 - 1, so a product, and a product
 folded onto the diagonal, stays inside its field.  The result unpacks each
 distinct key once.  The derivative rows of the right factor are kept for
-the two right operators used most recently, keyed by identity with a
-reference held, so an F that many covariance certificates share is tabled,
-and differentiated, once.
+the two right operators used most recently, each entry holding its
+operator and found by `is`, so an F that many covariance certificates share
+is tabled, and differentiated, once.
 
 The bracket chain f_chain composes a translation-covariant family, whose
 coefficients are polynomials in x - y alone, through the same kernel on
@@ -200,20 +200,29 @@ class _Rows:
         self.rows: dict[int, list] = {}
 
 
-_REUSED: dict[int, _Rows] = {}
+_REUSED: list[_Rows] = []  # the least recently used first
+
+
+def _kept(op: "DiffOp") -> _Rows | None:
+    """The kept entry of op itself, found by `is`: an operator equal in value
+    but distinct has none."""
+    for entry in _REUSED:
+        if entry.op is op:
+            return entry
+    return None
 
 
 def _rows_of(op: "DiffOp", keys: _Keys) -> _Rows:
     """The rows of op, kept for the _REUSE_DEPTH right factors used most
-    recently.  An entry holds a reference to its operator, so no other
-    operator can take its id while the entry lives, and a DiffOp is never
-    mutated, so the rows stay valid."""
-    entry = _REUSED.pop(id(op), None)
-    if entry is None:
+    recently.  A DiffOp is never mutated, so the rows stay valid."""
+    entry = _kept(op)
+    if entry is not None:
+        _REUSED.remove(entry)
+    else:
         entry = _Rows(op, keys, difference=False)
         if len(_REUSED) >= _REUSE_DEPTH:
-            del _REUSED[next(iter(_REUSED))]
-    _REUSED[id(op)] = entry
+            del _REUSED[0]
+    _REUSED.append(entry)
     return entry
 
 
@@ -236,7 +245,7 @@ def _accumulate(acc: dict[int, dict[int, object]], keys: _Keys, left: "DiffOp",
     tabled as packed rows (_Rows), indexed by delta, for the delta that lie
     under some left monomial and, componentwise, under b's degree in each
     coordinate (any other delta gives zero and is not taken).  The rows of
-    the last _REUSE_DEPTH right factors are kept, keyed by identity, so an
+    the last _REUSE_DEPTH right factors are kept and found by `is`, so an
     operator such as F that is the right factor of many calls is tabled once
     and its derivatives are taken once; a left factor whose rows are kept
     reads its packed coefficients from its delta = 0 row.  Each (beta, delta)
@@ -256,7 +265,7 @@ def _accumulate(acc: dict[int, dict[int, object]], keys: _Keys, left: "DiffOp",
         raise VariableMismatchError("operators over different charts")
     entry = _Rows(right, keys, difference=True) if difference else _rows_of(right, keys)
     rows, coeffs = entry.rows, entry.coeffs
-    reused = _REUSED.get(id(left))
+    reused = _kept(left)
     if reused is not None and 0 in reused.rows:
         left_terms = reused.rows[0]
     else:

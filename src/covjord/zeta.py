@@ -166,10 +166,6 @@ class GammaFactor:
         return val
 
 
-def _const(c: Fraction | int) -> ParamPoly:
-    return ParamPoly.of(c)
-
-
 def gamma_V(r_plus: int, d: int, arg: ParamPoly) -> GammaFactor:
     """prod_{k=1..r_plus} Gamma(arg/2 - (k-1) d/4)."""
     args = tuple(arg / 2 - Fraction(k * d, 4) for k in range(r_plus))
@@ -180,7 +176,7 @@ def gamma_quad(n: int, arg: ParamPoly) -> GammaFactor:
     """2^(2 arg + n) pi^(n/2 - 1) Gamma(arg + 1) Gamma(arg + n/2)."""
     return GammaFactor(
         pow2=arg * 2 + n,
-        powpi=_const(Fraction(n - 2, 2)),
+        powpi=ParamPoly.of(Fraction(n - 2, 2)),
         g_num=(arg + 1, arg + Fraction(n, 2)),
     )
 
@@ -191,7 +187,7 @@ def c_factor(r: int, d: int, n: int, r_plus: int, eps: str, arg: ParamPoly) -> G
     if eps == "+":
         return base * gamma_V(r_plus, d, arg + Fraction(n, r)) / gamma_V(r_plus, d, -arg)
     if eps == "-":
-        phase = GammaFactor(eipi=_const(Fraction(r, 2)))
+        phase = GammaFactor(eipi=ParamPoly.of(Fraction(r, 2)))
         return base * phase * gamma_V(r_plus, d, arg + 1 + Fraction(n, r)) \
             / gamma_V(r_plus, d, -arg + 1)
     raise ValueError("epsilon must be '+' or '-'")
@@ -236,15 +232,16 @@ def kappa_split_quotient(r: int, d: int, n: int, r_plus: int,
     ct = c_factor(r, d, n, r_plus, eta, T)
     cs1 = c_factor(r, d, n, r_plus, flip[eps], S + 1)
     ct1 = c_factor(r, d, n, r_plus, flip[eta], T + 1)
-    tau_r = GammaFactor(pow2=_const(r), powpi=_const(r), eipi=_const(Fraction(r, 2)))
+    tau_r = GammaFactor(pow2=ParamPoly.of(r), powpi=ParamPoly.of(r),
+                        eipi=ParamPoly.of(Fraction(r, 2)))
     return (cs * ct) / (tau_r * cs1 * ct1)
 
 
 def kappa_as_gamma(kc: KappaConstant) -> GammaFactor:
     return GammaFactor(
-        eipi=_const(Fraction(kc.tau_power, 2)),
-        pow2=_const(kc.tau_power),
-        powpi=_const(kc.tau_power),
+        eipi=ParamPoly.of(Fraction(kc.tau_power, 2)),
+        pow2=ParamPoly.of(kc.tau_power),
+        powpi=ParamPoly.of(kc.tau_power),
         poly_num=kc.num,
         poly_den=kc.den,
     )

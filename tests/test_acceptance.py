@@ -133,17 +133,19 @@ def test_criterion_06_cocycle_hua():
                     done += 1
                 except C.PointAtInfinityError:
                     continue
+            inversion = C.ConformalWord(alg, [C.Inversion()])
             done = 0
             while done < 100:
                 x = J.random_invertible(alg, rng)
                 y = J.random_invertible(alg, rng)
                 if J.det(J.sub(x, y)) == 0:
                     continue
-                assert C.hua_check(alg, x, y)
+                assert C.covdet_check(alg, inversion, x, y)
                 done += 1
         for spec in ("sym:2", "mat:2"):
             alg = J.algebra_from_spec(spec)
             rng = random.Random(f"acceptance:hua:{spec}")
+            inversion = C.ConformalWord(alg, [C.Inversion()])
             done = 0
             while done < 100:
                 word = C.ConformalWord(alg, [
@@ -156,7 +158,7 @@ def test_criterion_06_cocycle_hua():
                 try:
                     if J.det(J.sub(x, y)) == 0:
                         continue
-                    assert C.hua_check(alg, x, y)
+                    assert C.covdet_check(alg, inversion, x, y)
                     assert C.covdet_check(alg, word, x, y)
                     done += 1
                 except J.SingularElementError:

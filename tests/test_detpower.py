@@ -272,7 +272,7 @@ def test_bernstein_against_sympy(spec):
                     term = sp.diff(term, x, e)
             c = coeff.constant_value()
             waved += sp.Rational(c.numerator, c.denominator) * term
-        bk = b.evaluate({"s": k})
+        bk = b.substitute({"s": ParamPoly.of(k)}).constant_value()
         assert bk != 0
         assert sp.expand(waved - sp.Rational(bk.numerator, bk.denominator) * det**(k - 1)) == 0
 

@@ -270,18 +270,20 @@ def test_reuse_holds_at_most_two_operators():
 
 
 def test_freed_operator_never_serves_its_rows_to_a_new_one(rng):
-    # every right factor is freed once two others have followed it; a new
-    # operator that takes its id must get its own rows
+    # a kept entry is found by `is`: an operator distinct from a kept one,
+    # whether a copy equal in value or one that took a freed operator's id,
+    # gets its own rows
     left = W.DiffOp(V, {(2, 1): random_poly(V, rng, 2), (0, 1): random_poly(V, rng, 1)})
     f = random_poly(V, rng, 4, terms=5)
-    ids = []
     for k in range(12):
         right = _right_factor(k)
-        ids.append(id(right))
         assert left.compose(right).apply(f) == left.apply(right.apply(f))
+        assert W._kept(right).op is right
+        twin = _right_factor(k)
+        assert twin == right and W._kept(twin) is None
+        assert left.compose(twin).apply(f) == left.apply(right.apply(f))
+        assert W._kept(twin).op is twin and W._kept(right).op is right
         assert right.compose(left).apply(f) == right.apply(left.apply(f))
-        del right
-    assert len(set(ids)) < len(ids)  # some id was taken again
 
 
 # ---------------------------------------------------------------------------
