@@ -271,7 +271,11 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     products that cancel, and the second term takes one product per term
     of R, none with y in it.  Restriction is linear and idempotent, so
     res(src) - lift is formed with one restriction, as
-    restrict(src - dpi_tensor(model, X, lam+mu+shift, 0), n)."""
+    restrict(src - dpi_tensor(model, X, lam+mu+shift, 0), n).
+
+    R is read with weyl.restrict, which restricts each operator once: the
+    chain of weyl.f_chain leaves its restriction with it, and F keeps its
+    own after its first certificate, so no call folds the chain again."""
     n = model.n
     src = dpi_tensor(model, X, LAM, MU)
     lift = dpi_tensor(model, X, LAM + MU + total_shift, 0)

@@ -62,13 +62,15 @@ def explicit_Dst(p: int, q: int) -> DiffOp:
     return out + DiffOp.multiplication(const)
 
 
-@lru_cache(maxsize=None)
 def explicit_Est(p: int, q: int) -> DiffOp:
     """Fourier-side family, transcribed (normal-ordered display):
 
     -P(x-y) P(dx)P(dy)
       + 4(s-1) sum_j (x_j-y_j) dx_j P(dy) + 4(t-1) sum_j (y_j-x_j) dy_j P(dx)
       - 2(s-1)(2s-n) P(dy) + 8(s-1)(t-1) P(dx,dy) - 2(t-1)(2t-n) P(dx).
+
+    Not cached: its one builder, explicit_F, keeps its own result, so E is
+    not held for the life of the process.
     """
     alg, dvars, Px, Py, Pxy, Pdiff, diffs = _quad_syms(p, q)
     n = alg.n
@@ -124,7 +126,10 @@ def f_chain(p: int, q: int, N: int) -> DiffOp:
     return weyl.f_chain(explicit_F(p, q), N)
 
 
-@lru_cache(maxsize=None)
 def build_BN(p: int, q: int, N: int) -> DiffOp:
-    """Bracket family: restriction of the length-N chain; total order 2N."""
+    """Bracket family: restriction of the length-N chain; total order 2N.
+
+    Not cached: f_chain is, and restrict returns the restriction the chain
+    keeps (weyl.f_chain leaves it for N >= 2; at N = 1 the chain is
+    explicit_F, folded once), so no call makes a pass over the chain."""
     return restrict(f_chain(p, q, N), p + q)

@@ -32,6 +32,11 @@ those coefficients in difference form, and expands the result once; a
 family whose coefficients are not polynomials in x - y is refused with
 ValueError.
 
+Each operator is restricted to the diagonal once: restrict keeps its
+result with the operator, and f_chain leaves its chain's restriction there,
+read off the chain's zero-monomial terms, so a bracket never folds its
+chain.
+
 This module knows no Jordan algebra: the families built from an algebra's
 wave identity (D, E and F) live in detpower.
 """
@@ -384,7 +389,9 @@ def _result(vars: tuple[str, ...], acc: dict[int, dict[int, object]], keys: _Key
 
 
 class DiffOp:
-    __slots__ = ("vars", "terms")
+    # _restriction holds (n, restrict(self, n)) once restrict or f_chain has
+    # made it; equality and hashing read vars and terms alone
+    __slots__ = ("vars", "terms", "_restriction")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Monomial, MPoly] | None = None):
         self.vars = tuple(vars)
@@ -540,11 +547,20 @@ def restrict(op: DiffOp, n: int) -> DiffOp:
     changes nothing, and the diagonal substitution of restrict(op, n).apply(f)
     equals that of op.apply(f).
 
+    Each operator is folded once: the result is kept with op, and a later
+    call on op with the same n returns it (f_chain leaves its chain's
+    restriction there too).  A DiffOp is never mutated, so the kept result
+    stays valid; a call with another n folds anew, and the result does not
+    keep itself, which would be a reference cycle.
+
     Each coordinate monomial is folded once per call, on its tuple (_fold),
     and each operator monomial's coefficient is settled as soon as it is
     folded, with one ParamPoly per distinct scalar.  Sums go into fresh
     dicts; an unsummed scalar's dict is canonical, so settling writes
-    nothing to it, and op is left as it was."""
+    nothing to it, and op's terms are left as they were."""
+    kept = getattr(op, "_restriction", None)
+    if kept is not None and kept[0] == n:
+        return kept[1]
     folds: dict = {}
     shared: dict = {}
     terms = {}
@@ -552,7 +568,9 @@ def restrict(op: DiffOp, n: int) -> DiffOp:
         coeff = _settle_scalars(_fold({m: s.terms for m, s in c.terms.items()}, n, folds), shared)
         if coeff:
             terms[b] = _poly(op.vars, coeff)
-    return _op(op.vars, terms)
+    res = _op(op.vars, terms)
+    op._restriction = (n, res)
+    return res
 
 
 def commutator_sum(a: DiffOp, b: DiffOp, m: DiffOp | None = None,
@@ -672,10 +690,20 @@ def f_chain(F: DiffOp, N: int) -> DiffOp:
     x - y alone, and ValueError is raised otherwise.  The chain is composed
     on those coefficients in difference form, c(u, 0) for c(x - y), so every
     coefficient product is one of polynomials in n variables, and the
-    result is expanded at u = x - y once."""
+    result is expanded at u = x - y once.
+
+    For N >= 2 the chain leaves its restriction to the diagonal with it, so
+    restrict(chain, n) folds nothing.  It is read off the expanded chain:
+    every coefficient term but the one at the zero monomial is a multiple of
+    (x - y)^m with m != 0, which vanishes on the diagonal, so the
+    restriction keeps, for each d^beta, that term alone, with the scalar
+    object _expand interned.  At N = 1 the chain is F itself, and the first
+    restrict(F, n) folds it."""
     if N < 1:
         raise ValueError("bracket order must be >= 1")
     form = _difference_form(F)
+    if N == 1:
+        return F
     chain = form
     for k in range(1, N):
         keys = _Keys(len(F.vars))
@@ -684,4 +712,9 @@ def f_chain(F: DiffOp, N: int) -> DiffOp:
         # and before the expansion
         chain = _result(F.vars, _accumulate({}, keys, shifted, chain, sign=1, skip_zero=False,
                                             difference=True), keys)
-    return F if N == 1 else _expand(chain)
+    chain = _expand(chain)
+    vars, zero = F.vars, (0,) * len(F.vars)
+    res = _op(vars, {beta: _poly(vars, {zero: s}) for beta, c in chain.terms.items()
+                     if (s := c.terms.get(zero)) is not None})
+    chain._restriction = (len(vars) // 2, res)
+    return chain

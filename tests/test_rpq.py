@@ -161,6 +161,32 @@ def test_bracket_covariance_single_sample():
     assert C.bracket_covariance_residual(model, chain, X, 4).is_zero()
 
 
+def test_bracket_certificates_fold_none_of_the_chain(monkeypatch):
+    # the chain leaves its restriction, so neither the certificate nor
+    # build_BN folds any of the chain's terms: the fold sees the
+    # coefficients of src - lift alone, whose restriction is the multiplier
+    p, q = 2, 2
+    model = C.QuadricModel(p, q)
+    X = model.lie_basis()[-1]
+    chain = R.f_chain(p, q, 2)
+    assert sum(len(c.terms) for c in chain.terms.values()) == 18098
+    chain_dicts = {id(s.terms) for c in chain.terms.values() for s in c.terms.values()}
+    fold = W._fold
+    folded = []
+
+    def counted(coeff, n, folds):
+        folded.extend(map(id, coeff.values()))
+        return fold(coeff, n, folds)
+
+    monkeypatch.setattr(W, "_fold", counted)
+    assert C.bracket_covariance_residual(model, chain, X, 4).is_zero()
+    bracket = R.build_BN(p, q, 2)
+    src_minus_lift = C.dpi_tensor(model, X, LAM, MU) - C.dpi_tensor(model, X, LAM + MU + 4, 0)
+    assert len(folded) == sum(len(c.terms) for c in src_minus_lift.terms.values())
+    assert chain_dicts.isdisjoint(folded)
+    assert bracket is W.restrict(chain, p + q)
+
+
 def _full_chain_residual(model, chain, X, shift):
     """The bracket residual composed on the full chain, restricted afterwards."""
     n = model.n

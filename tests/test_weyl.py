@@ -15,7 +15,7 @@ from covjord import weyl as W
 from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import LAM, MU, ParamPoly, TAU
 
-from conftest import random_poly
+from conftest import diagonal_substitute, random_poly
 
 V = ("x1", "x2")
 
@@ -315,6 +315,29 @@ def test_chain_equals_plain_product(spec, N):
     assert _value_types(chain) == _value_types(plain)
     scalars = _scalars(chain)
     assert len({id(s) for s in scalars}) == len(set(scalars))
+
+
+@pytest.mark.parametrize("spec, N", [
+    ("rpq:2,1", 2), ("rpq:2,1", 3), ("rpq:1,2", 2), *(("sym:1", N) for N in range(2, 7))])
+def test_chain_leaves_its_restriction(spec, N):
+    # f_chain reads the restriction off the chain's zero-monomial terms; it
+    # equals the fold of a distinct copy and the per-coefficient route,
+    # holds one scalar per value, and a second call returns it again
+    kind, params, _ = J.parse_spec(spec)
+    if kind == "rpq":
+        chain = R.f_chain(*params, N)
+    else:
+        chain = W.f_chain(D.build_F(J.algebra_from_spec(spec)), N)
+    n = len(chain.vars) // 2
+    got = W.restrict(chain, n)
+    assert got is W.restrict(chain, n)
+    assert got == W.restrict(W.DiffOp(chain.vars, chain.terms), n)
+    assert got == W.DiffOp(chain.vars, {b: diagonal_substitute(c, n)
+                                        for b, c in chain.terms.items()})
+    scalars = _scalars(got)
+    assert len({id(s) for s in scalars}) == len(set(scalars))
+    # restricting the restriction folds it anew: it never keeps itself
+    assert W.restrict(got, n) == got and W.restrict(got, n) is not got
 
 
 def test_chain_refuses_a_family_not_in_x_minus_y():
