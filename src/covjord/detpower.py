@@ -215,7 +215,10 @@ def extract_Dst(algebra: AlgebraDescriptor, f: MPoly) -> MPoly:
 def brute_force_wave(algebra: AlgebraDescriptor, k: int, l: int, f: MPoly) -> MPoly:
     """Integer-power oracle: wave(dx-dy) applied to det(x)^k det(y)^l f by
     plain polynomial differentiation, in the coefficient form of f (bare
-    rationals once f is lowered with over_q)."""
+    rationals once f is lowered with over_q).  The product is expanded first
+    and `fischer.apply_diffop` differentiates it monomial by monomial, in one
+    pass with no table of partial derivatives; neither the product rule nor
+    the det-power calculus of the symbolic side is used."""
     if k < 0 or l < 0:
         raise ValueError("integer powers must be nonnegative")
     target = _pair_det_power(algebra, 0, k) * _pair_det_power(algebra, 1, l) * f

@@ -14,9 +14,11 @@ diagonal instead of assuming orthonormality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, perm
 from typing import Callable, Sequence
 
-from .polynomials import MPoly, Monomial, VariableMismatchError, partials
+from .polynomials import (Coeff, MPoly, Monomial, VariableMismatchError, _pack_mono, _param_form,
+                          _poly, _unpack_terms)
 from .scalars import ParamPoly, fraction_matrix_inverse, rref
 
 
@@ -25,14 +27,51 @@ class EmptySpaceError(ValueError):
 
 
 def apply_diffop(p: MPoly, q: MPoly) -> MPoly:
-    """Apply p(d/dx) to q, substituting d/dx_i for x_i in p literally; the
-    partial derivatives of q come from one polynomials.partials table."""
+    """Apply p(d/dx) to q, substituting d/dx_i for x_i in p literally.
+
+    One pass over the pairs of a symbol term w_alpha x^alpha and a term
+    c x^m of q: where m >= alpha, w_alpha c m!/(m - alpha)! is added at the
+    packed key of m - alpha (`polynomials._pack_mono`), so no partial
+    derivative of q is formed.  When p's coefficients are rationals (or
+    ParamPoly constants, and q holds ParamPoly) the pass runs over L p, L
+    the lcm of their denominators, whose coefficients are ints, and each
+    result term is divided by L once.  The result holds q's coefficient
+    form, or ParamPoly if p has it; its terms come in the order of the sum
+    over alpha of the partial derivatives of q."""
     if p.vars != q.vars:
         raise VariableMismatchError(f"variable lists differ: {p.vars} vs {q.vars}")
-    partial = partials(q, len(q.vars), MPoly.diff)
-    # every scaled partial holds one form: q's, or ParamPoly if p has it
-    return MPoly.sum(q.vars, (d.scale(coeff) for mono, coeff in p.terms.items()
-                              if (d := partial(mono))))
+    weights = p.terms
+    if _param_form(q.terms) and all(type(w) is ParamPoly and w.is_constant()
+                                    for w in weights.values()):
+        # the result is ParamPoly either way, and an int weight scales each
+        # pair's term once
+        weights = {alpha: w.constant_value() for alpha, w in weights.items()}
+    rational = all(type(w) is int or type(w) is Fraction for w in weights.values())
+    clear = lcm(*(w.denominator for w in weights.values())) if rational else 1
+    terms = [(_pack_mono(m), m, c) for m, c in q.terms.items()]
+    acc: dict[int, Coeff] = {}
+    get = acc.get
+    for alpha, w in weights.items():
+        akey = _pack_mono(alpha)
+        weight = w.numerator * (clear // w.denominator) if rational else w
+        orders = [(i, a) for i, a in enumerate(alpha) if a]
+        for mkey, m, c in terms:
+            k = weight
+            for i, a in orders:
+                k *= perm(m[i], a)  # 0 unless m_i >= a
+            if k:
+                key = mkey - akey
+                v = get(key)
+                v = c * k if v is None else v + c * k
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+    if clear != 1:
+        inv = Fraction(1, clear)
+        for key, v in acc.items():
+            acc[key] = v * inv
+    return _poly(q.vars, _unpack_terms(acc, len(q.vars)))
 
 
 def dual_polynomial(p: MPoly, G: Sequence[Sequence[Fraction]]) -> MPoly:

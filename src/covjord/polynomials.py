@@ -18,6 +18,15 @@ derivatives, scalings and renamings are written once for every form
 through +, * and truthiness; a polynomial holds one form throughout, and
 contact with a parameter promotes bare rationals to ParamPoly.
 
+The packed exponent keys live here; `fischer.apply_diffop` and `weyl`'s
+kernel read them.  A monomial x^m over n coordinates is the int with m_i
+in the 16-bit field i (`_pack_mono`), so the key of a product is the sum of
+its factors' keys and the key of a derivative the difference.  Packing
+refuses (OverflowError) an exponent above 2^14 - 1, so no sum of two keys,
+nor a fold of two sums, carries out of a field.  A product of two
+polynomials of several terms each (`MPoly.__mul__`) adds its products on
+packed keys and unpacks each distinct key once.
+
 The calculus of the whole tower goes through two helpers here: `partials`,
 the one memoised table of partial derivatives (of polynomials and of
 determinant-power expressions alike), and `leibniz_orders`, the one
@@ -32,6 +41,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, prod
 from operator import add, mul, sub
+from struct import Struct
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .scalars import G_ONE, Gaussian, ParamPoly
@@ -98,6 +108,36 @@ def _poly(vars: tuple[str, ...], terms: dict[Monomial, Coeff]) -> "MPoly":
 def _constant(vars: tuple[str, ...], c: Coeff) -> "MPoly":
     """The constant c (nonzero) in its own coefficient form."""
     return _poly(vars, {(0,) * len(vars): c})
+
+
+# ---------------------------------------------------------------------------
+# packed keys
+
+_FIELD = 16
+_BOUND = (1 << _FIELD - 2) - 1  # a product adds two exponents, a fold two products
+
+
+def _refuse(exps: tuple[int, ...]) -> None:
+    raise OverflowError(f"exponent outside [0, {_BOUND}] in {exps}")
+
+
+@lru_cache(maxsize=None)
+def _struct(nfields: int) -> Struct:
+    return Struct(f"<{nfields}H")
+
+
+def _pack_mono(m: Monomial) -> int:
+    """m_i in field i, each field 16 bits; an exponent above _BOUND raises."""
+    if m and (max(m) > _BOUND or min(m) < 0):
+        _refuse(m)
+    return int.from_bytes(_struct(len(m)).pack(*m), "little")
+
+
+def _unpack_terms(acc: Mapping[int, Coeff], nvars: int) -> dict[Monomial, Coeff]:
+    """The term dict of a packed accumulator over nvars coordinates, each
+    key unpacked once."""
+    unpack, nbytes = _struct(nvars).unpack, 2 * nvars
+    return {unpack(k.to_bytes(nbytes, "little")): c for k, c in acc.items()}
 
 
 class MPoly:
@@ -225,18 +265,22 @@ class MPoly:
         elif len(self.terms) == 1:
             return other * self
         else:
-            out = {}
+            # the keys keep the order in which a tuple loop would first meet
+            # them, a cancelled key dropped and met again at the end
+            right = [(_pack_mono(m2), c2) for m2, c2 in other.terms.items()]
+            acc: dict[int, Coeff] = {}
+            get = acc.get
             for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(map(add, m1, m2))
-                    c = c1 * c2
-                    nc = out.get(m)
-                    if nc is not None:
-                        c = nc + c
+                k1 = _pack_mono(m1)
+                for k2, c2 in right:
+                    k = k1 + k2
+                    c = get(k)
+                    c = c1 * c2 if c is None else c + c1 * c2
                     if c:
-                        out[m] = c
+                        acc[k] = c
                     else:
-                        del out[m]
+                        del acc[k]
+            out = _unpack_terms(acc, len(self.vars))
         return _poly(self.vars, out)
 
     def scale(self, c: Coeff) -> "MPoly":

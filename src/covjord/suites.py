@@ -21,7 +21,7 @@ from . import weyl as wy
 from . import zeta as zt
 from .fischer import (LeibnitzExpansion, apply_diffop, derivative_space, fischer_inner,
                       orthogonal_basis)
-from .polynomials import MPoly, double_vars
+from .polynomials import MPoly, Monomial, _add_into, _poly, double_vars
 from .scalars import LAM, MU, ParamPoly
 
 _MAX_DIMENSION = 16
@@ -165,15 +165,17 @@ def _rng(*parts) -> random.Random:
 def random_mpoly(vars: Sequence[str], rng: random.Random, max_deg: int,
                  terms: int = 4) -> MPoly:
     """A random polynomial with integer coefficients in -3..3, never zero."""
-    out = MPoly.zero(vars)
+    out: dict[Monomial, ParamPoly] = {}
     for _ in range(terms):
         mono = [0] * len(vars)
         for _ in range(rng.randint(0, max_deg)):
             mono[rng.randrange(len(vars))] += 1
-        out = out + MPoly.monomial(vars, tuple(mono), Fraction(rng.randint(-3, 3)))
-    if out.is_zero():
-        out = MPoly.constant(vars, 1)
-    return out
+        c = rng.randint(-3, 3)
+        if c:
+            _add_into(out, {tuple(mono): ParamPoly.of(c)})
+    if not out:
+        return MPoly.constant(vars, 1)
+    return _poly(tuple(vars), out)
 
 
 def _exact(ok: bool) -> float:

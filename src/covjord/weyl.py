@@ -14,17 +14,19 @@ substitution y -> x in an operator's coefficients.  The formal Fourier
 constant tau lets conjugation by the Fourier transform act as the ring
 automorphism d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
 
-The kernel adds packed keys.  A coefficient term x^m s^e0 t^e1 lam^e2
-mu^e3 tau^e4 is one int of 16-bit fields, the coordinates low, then s, t,
-lam and mu, and tau on top with its sign; an operator monomial d^beta is
+The kernel adds packed keys.  The packing of coordinate monomials, its
+16-bit fields and its refusal (OverflowError) of an exponent above
+2^14 - 1, are stated once in `polynomials` and read here; the kernel adds
+only the scalar-exponent fields above the coordinates.  A coefficient term
+x^m s^e0 t^e1 lam^e2 mu^e3 tau^e4 is one int, the coordinates low, then s,
+t, lam and mu, and tau on top with its sign; an operator monomial d^beta is
 packed in the coordinate fields.  A product's key is the sum of its
-factors' keys, and beta - delta + gamma is int arithmetic.  Packing refuses
-(OverflowError) an exponent above 2^14 - 1, so a product, and a product
-folded onto the diagonal, stays inside its field.  The result unpacks each
-distinct key once.  The derivative rows of the right factor are kept for
-the two right operators used most recently, each entry holding its
-operator and found by `is`, so an F that many covariance certificates share
-is tabled, and differentiated, once.
+factors' keys, and beta - delta + gamma is int arithmetic; the bound keeps
+a product, and a product folded onto the diagonal, inside its field.  The
+result unpacks each distinct key once.  The derivative rows of the right
+factor are kept for the two right operators used most recently, each entry
+holding its operator and found by `is`, so an F that many covariance
+certificates share is tabled, and differentiated, once.
 
 The bracket chain f_chain composes a translation-covariant family, whose
 coefficients are polynomials in x - y alone, through the same kernel on
@@ -45,11 +47,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, le, sub
-from struct import Struct
 from typing import Mapping, Sequence
 
-from .polynomials import (MPoly, Monomial, VariableMismatchError, _add_into, _param_form, _poly,
-                          differences, leibniz_orders, partials)
+from .polynomials import (_BOUND, _FIELD, MPoly, Monomial, VariableMismatchError, _add_into,
+                          _pack_mono, _param_form, _poly, _refuse, _struct, differences,
+                          leibniz_orders, partials)
 from .scalars import LAM, MU, ParamPoly
 
 
@@ -86,8 +88,6 @@ def _settle_scalars(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial,
 # ---------------------------------------------------------------------------
 # packed keys
 
-_FIELD = 16
-_BOUND = (1 << _FIELD - 2) - 1  # a product adds two exponents, a fold two products
 _LOW4 = (1 << 4 * _FIELD) - 1
 _TABLE_LIMIT = 1 << 14
 # a covariance certificate alternates F with a new field as the right
@@ -102,23 +102,7 @@ _MONO_KEYS: dict[Monomial, int] = {}
 _EXP_KEYS: dict[int, tuple[dict[tuple, int], dict[int, tuple]]] = {}
 
 
-def _refuse(exps: tuple[int, ...]) -> None:
-    raise OverflowError(f"exponent outside [0, {_BOUND}] in {exps}")
-
-
-@lru_cache(maxsize=None)
-def _struct(nfields: int) -> Struct:
-    return Struct(f"<{nfields}H")
-
-
 _PACK4, _UNPACK4 = _struct(4).pack, _struct(4).unpack
-
-
-def _pack_mono(m: Monomial) -> int:
-    """m_i in field i, each field 16 bits; an exponent above _BOUND raises."""
-    if m and (max(m) > _BOUND or min(m) < 0):
-        _refuse(m)
-    return int.from_bytes(_struct(len(m)).pack(*m), "little")
 
 
 class _Keys:

@@ -15,6 +15,8 @@ from covjord.fischer import (
 )
 from covjord.jordan import algebra_from_spec, sym_algebra
 from covjord.polynomials import MPoly, VariableMismatchError
+from covjord.scalars import ParamPoly, S
+from covjord.weyl import DiffOp
 
 from conftest import random_poly
 
@@ -28,6 +30,59 @@ def test_apply_diffop_examples():
     assert apply_diffop(x1, x1 * x1) == x1.scale(2)
     assert apply_diffop(x1 * x2, x1 * x2) == MPoly.constant(V2, 1)
     assert apply_diffop(x1 ** 2, x1 ** 3) == x1.scale(6)
+
+
+# a symbol with monomials of order 3 and 4, one above the operands' degree
+# (4), a constant term, and repeated coefficients, integral and not
+SYMBOL = {(3, 0, 0): Fraction(1, 2), (1, 1, 1): Fraction(1, 2), (0, 2, 1): -3,
+          (2, 0, 2): Fraction(-5, 6), (0, 5, 0): 7, (1, 0, 0): -3, (0, 0, 0): 2}
+
+
+def _in_form(p: MPoly, form: str) -> MPoly:
+    """p with bare coefficients (int, or Fraction when not integral), with
+    ParamPoly constants, or scaled by the parameter s + 2."""
+    if form == "bare":
+        return p.over_q()
+    return p if form == "constant" else p.scale(S + 2)
+
+
+@pytest.mark.parametrize("q_form", ["bare", "constant", "param"])
+@pytest.mark.parametrize("p_form", ["bare", "constant", "param"])
+def test_apply_diffop_matches_the_operator_route(p_form, q_form):
+    # DiffOp.apply differentiates through a polynomials.partials table; the
+    # one-pass apply_diffop must give the same polynomial, term order included
+    rng = random.Random(f"apply-{p_form}-{q_form}")
+    symbols = [MPoly(V3, SYMBOL), MPoly(V3, {(0, 0, 0): Fraction(1, 3)}),
+               MPoly(V3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})]
+    symbols += [random_poly(V3, rng, 3, terms=5) for _ in range(4)]
+    for symbol in symbols:
+        p = _in_form(symbol, p_form)
+        for _ in range(4):
+            q = _in_form(random_poly(V3, rng, 4, terms=8), q_form)
+            got = apply_diffop(p, q)
+            want = DiffOp.from_symbol(p).apply(q)
+            assert MPoly(got.vars, got.terms) == want
+            assert list(got.terms) == list(want.terms)
+            if "bare" == p_form == q_form:
+                assert all(type(c) in (int, Fraction) for c in got.terms.values())
+            else:
+                assert all(type(c) is ParamPoly for c in got.terms.values())
+
+
+def test_apply_diffop_takes_no_partial_derivative(monkeypatch):
+    calls = []
+    diff = MPoly.diff
+
+    def counted(self, var):
+        calls.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(MPoly, "diff", counted)
+    rng = random.Random(30)
+    q = random_poly(V3, rng, 4, terms=8)
+    for p in (MPoly(V3, SYMBOL), MPoly(V3, SYMBOL).over_q()):
+        assert apply_diffop(p, q) == apply_diffop(p, q.over_q())
+    assert calls == []
 
 
 def test_apply_diffop_mismatch():

@@ -2,7 +2,9 @@
 (at module level or inside a function) only modules listed above its own
 line in the layer list of the package docstring.  The README's module
 table follows the same list.  Every top-level function and class is read
-by the package or the benchmark, not only by the tests."""
+by the package or the benchmark, not only by the tests.  A private
+top-level name is defined in one module only: a helper that two layers
+share lives in the lower one and the higher one imports it."""
 
 import ast
 import re
@@ -100,3 +102,25 @@ def test_every_definition_is_read_outside_the_tests():
     unread.sort()
     # an oracle that gains a reader leaves the set
     assert unread == sorted(TEST_ORACLES)
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def test_private_names_are_defined_once():
+    modules: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in defined_names(stmt):
+                if name.startswith("_") and not name.endswith("__"):
+                    modules.setdefault(name, []).append(path.stem)
+    assert "_pack_mono" in modules
+    assert {name: where for name, where in modules.items() if len(where) > 1} == {}

@@ -194,6 +194,53 @@ def test_leibniz_orders_product_rule():
             assert diff_decreasing(f * g, alpha) == rhs, alpha
 
 
+def tuple_product(a: MPoly, b: MPoly) -> dict:
+    """The terms of a * b by a loop on exponent tuples, a cancelled monomial
+    dropped at once: the reference order of MPoly.__mul__."""
+    out: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            c = out[m] + c1 * c2 if m in out else c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def test_product_keeps_the_tuple_loop_order():
+    v = ("x", "y")
+    x, y, one = (MPoly.variable(v, "x"), MPoly.variable(v, "y"), MPoly.constant(v, 1))
+    # x y cancels at y * (-x) and comes back with 1 * x y, at the end
+    got = (x + y + one) * (y - x + x * y)
+    assert list(got.terms) == [(2, 0), (2, 1), (0, 2), (1, 2), (0, 1), (1, 0), (1, 1)]
+    assert got.terms == tuple_product(x + y + one, y - x + x * y)
+    rng = random.Random(17)
+    for form in ("param", "bare"):
+        for _ in range(40):
+            a = random_poly(VARS, rng, 3, terms=6)
+            b = random_poly(VARS, rng, 3, terms=6)
+            if form == "bare":
+                a, b = a.over_q(), b.over_q()
+            got = a * b
+            assert got.terms == tuple_product(a, b)
+            assert list(got.terms) == list(tuple_product(a, b))
+
+
+def test_product_refuses_an_exponent_outside_its_field():
+    # packed keys hold 16-bit fields; 2^14 - 1 is the largest exponent a
+    # factor may have, so that a sum of two stays inside its field
+    top = (1 << 14) - 1
+    x = MPoly.variable(VARS, "x1")
+    wide = MPoly.monomial(VARS, (top, 0, 0)) + MPoly.monomial(VARS, (0, top, 1))
+    assert (wide * wide).terms == tuple_product(wide, wide)
+    over = MPoly.monomial(VARS, (top + 1, 0, 0)) + x
+    for a, b in ((over, x + MPoly.constant(VARS, 1)), (x + MPoly.constant(VARS, 1), over)):
+        with pytest.raises(OverflowError):
+            a * b
+
+
 # ---------------------------------------------------------------------------
 # the bare form over Gaussian rationals
 
