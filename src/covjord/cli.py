@@ -24,6 +24,7 @@ import json
 import os
 import sys
 
+from . import suites
 from .suites import SUITES, ConfigurationError, ResourceLimitError, SuiteConfig, run_suite
 
 EXIT_PASS = 0
@@ -116,22 +117,24 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
     )
-    # the report is opened before any check runs, so a bad path fails at once
+    # the checks are built before the report is opened, so a refused run
+    # leaves the report as it was; the report is opened before any check
+    # runs, so a bad path fails at once
+    try:
+        checks = suites.build_checks(config)
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIGURATION
     try:
         sink = open(args.report, "w", encoding="utf-8") if args.report else None
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION
     with sink or contextlib.nullcontext():
-        try:
-            report = run_suite(config, args.jobs)
-        except ResourceLimitError as exc:
-            print(f"resource limit: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE_LIMIT
-        except ConfigurationError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIGURATION
-
+        report = run_suite(config, checks, args.jobs)
         for check in report["checks"]:
             status = check["status"].upper()
             residual = check["residual"]

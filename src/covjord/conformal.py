@@ -248,7 +248,7 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     chain is any operator over Q[lam, mu] on the doubled chart, such as
     weyl.f_chain(F, N) of a family F, or its restriction.  The single-slot
     operator enters lifted through the restriction: the lift is
-    restrict(dpi_tensor(model, X, lam+mu+shift, 0), n).
+    restrict(dpi_tensor(model, X, lam+mu+shift, 0)).
 
     Only R = res(chain) is read, and passing a restricted chain gives the
     same residual:
@@ -271,20 +271,19 @@ def bracket_covariance_residual(model: QuadricModel, chain: DiffOp, X: Matrix,
     products that cancel, and the second term takes one product per term
     of R, none with y in it.  Restriction is linear and idempotent, so
     res(src) - lift is formed with one restriction, as
-    restrict(src - dpi_tensor(model, X, lam+mu+shift, 0), n).
+    restrict(src - dpi_tensor(model, X, lam+mu+shift, 0)).
 
     R is read with weyl.restrict, which restricts each operator once: the
     chain of weyl.f_chain leaves its restriction with it, and F keeps its
     own after its first certificate, so no call folds the chain again."""
-    n = model.n
     src = dpi_tensor(model, X, LAM, MU)
     lift = dpi_tensor(model, X, LAM + MU + total_shift, 0)
-    return commutator_sum(restrict(chain, n), src, restrict(src - lift, n), fold=n)
+    return commutator_sum(restrict(chain), src, restrict(src - lift), fold=True)
 
 
 def restriction_covariance_residual(model: QuadricModel, X: Matrix) -> DiffOp:
     """res . d(pi_lam (x) pi_mu)(X) - d(pi_(lam+mu))(X) . res, exactly."""
-    return restrict(dpi_tensor(model, X, LAM, MU) - dpi_tensor(model, X, LAM + MU, 0), model.n)
+    return restrict(dpi_tensor(model, X, LAM, MU) - dpi_tensor(model, X, LAM + MU, 0))
 
 
 # ---------------------------------------------------------------------------

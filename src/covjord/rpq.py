@@ -117,7 +117,7 @@ def explicit_B1(p: int, q: int) -> DiffOp:
         + DiffOp.from_symbol(Py).scale(lam_f * 4)
         + DiffOp.from_symbol(Pxy).scale(cross * 4)
     )
-    return restrict(op, n)
+    return restrict(op)
 
 
 @lru_cache(maxsize=None)
@@ -132,4 +132,4 @@ def build_BN(p: int, q: int, N: int) -> DiffOp:
     Not cached: f_chain is, and restrict returns the restriction the chain
     keeps (weyl.f_chain leaves it for N >= 2; at N = 1 the chain is
     explicit_F, folded once), so no call makes a pass over the chain."""
-    return restrict(f_chain(p, q, N), p + q)
+    return restrict(f_chain(p, q, N))

@@ -8,11 +8,9 @@ Composition rewrites into this normal form through the commutation rule
 Fourier conjugation; the commutator leaves out the products in which no
 coefficient is differentiated, which is exact because those of A o B and
 of B o A are the same products of commuting coefficients.  commutator_sum
-adds a commutator and a product into one such accumulator, and can fold it
-onto the diagonal of a doubled chart with the fold of restrict, the
-substitution y -> x in an operator's coefficients.  The formal Fourier
-constant tau lets conjugation by the Fourier transform act as the ring
-automorphism d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
+adds a commutator and a product into one such accumulator.  The formal
+Fourier constant tau lets conjugation by the Fourier transform act as the
+ring automorphism d_j -> -tau x_j, x_j -> tau^-1 d_j, exactly.
 
 The kernel adds packed keys.  The packing of coordinate monomials, its
 16-bit fields and its refusal (OverflowError) of an exponent above
@@ -34,10 +32,13 @@ those coefficients in difference form, and expands the result once; a
 family whose coefficients are not polynomials in x - y is refused with
 ValueError.
 
-Each operator is restricted to the diagonal once: restrict keeps its
-result with the operator, and f_chain leaves its chain's restriction there,
-read off the chain's zero-monomial terms, so a bracket never folds its
-chain.
+The restriction to the diagonal, y -> x in an operator's coefficients, is
+one fold of packed keys as an accumulator is read: restrict packs an
+operator's terms and settles them through it, and commutator_sum can fold
+its accumulator the same way.  The slot is half the chart, which must be a
+doubled chart.  Each operator is restricted once: restrict keeps its result
+with the operator, and f_chain leaves its chain's restriction there, read
+off the chain's zero-monomial terms, so a bracket never folds its chain.
 
 This module knows no Jordan algebra: the families built from an algebra's
 wave identity (D, E and F) live in detpower.
@@ -51,7 +52,7 @@ from typing import Mapping, Sequence
 
 from .polynomials import (_BOUND, _FIELD, MPoly, Monomial, VariableMismatchError, _add_into,
                           _pack_mono, _param_form, _poly, _refuse, _struct, differences,
-                          leibniz_orders, partials)
+                          double_vars, leibniz_orders, partials)
 from .scalars import LAM, MU, ParamPoly
 
 
@@ -69,20 +70,6 @@ def _intern(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial, ParamPo
             scalar.terms = out
         coeff[m] = scalar
     return coeff
-
-
-def _settle_scalars(coeff: dict[Monomial, dict], shared: dict) -> dict[Monomial, ParamPoly]:
-    """_intern after settling: zeros dropped and integral Fractions stored
-    as int, in place."""
-    for m, out in list(coeff.items()):
-        for e, c in list(out.items()):
-            if not c:
-                del out[e]
-            elif type(c) is not int and c.denominator == 1:
-                out[e] = c.numerator
-        if not out:
-            del coeff[m]
-    return _intern(coeff, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -292,30 +279,6 @@ def _accumulate(acc: dict[int, dict[int, object]], keys: _Keys, left: "DiffOp",
     return acc
 
 
-def _fold(coeff: Mapping[Monomial, dict], n: int, folds: dict[Monomial, Monomial]) -> dict:
-    """y -> x in a coefficient held as coordinate monomial -> exponent ->
-    rational on a doubled chart with n coordinates a slot.  Each coordinate
-    monomial is folded once per call (folds keeps the folded ones), and the
-    exponent dicts of monomials that fold together are summed in place in a
-    fresh dict, so no dict of coeff is written to."""
-    out: dict[Monomial, dict] = {}
-    summed = set()
-    for m, d in coeff.items():
-        f = folds.get(m)
-        if f is None:
-            f = folds[m] = tuple(map(add, m[:n], m[n:])) + (0,) * n
-        into = out.get(f)
-        if into is None:
-            out[f] = d
-            continue
-        if f not in summed:
-            summed.add(f)
-            into = out[f] = dict(into)
-        for e, c in d.items():
-            into[e] = into.get(e, 0) + c
-    return out
-
-
 def _op(vars: tuple[str, ...], terms: dict[Monomial, MPoly]) -> "DiffOp":
     """The operator of terms that are already canonical: nonzero coefficients
     over vars with ParamPoly values, as the kernel settles them."""
@@ -325,17 +288,23 @@ def _op(vars: tuple[str, ...], terms: dict[Monomial, MPoly]) -> "DiffOp":
 
 
 def _result(vars: tuple[str, ...], acc: dict[int, dict[int, object]], keys: _Keys,
-            fold: int | None = None) -> "DiffOp":
+            fold: bool = False) -> "DiffOp":
     """The operator of a packed accumulator, zeros dropped, with one
     ParamPoly per distinct scalar.  Each distinct key is unpacked once and
-    its tuple interned by keys.  With fold = n each coefficient is first
-    folded onto the diagonal of the doubled chart, the y fields of every key
-    added into its x fields.  Each coefficient is settled as soon as it is
-    read."""
+    its tuple interned by keys.  With fold each coefficient is first folded
+    onto the diagonal, y -> x, the y fields of every key added into its x
+    fields; vars must then be double_vars of its first half, the slot, and
+    ValueError is raised otherwise.  Each coefficient is settled as soon as
+    it is read."""
     shift, mono_of, exp_of = keys.shift, keys.mono_of, keys.exp_of
     unpack, unpack4, nbytes = _struct(keys.nvars).unpack, _UNPACK4, 2 * keys.nvars
     low = (1 << shift) - 1
-    ys = 0 if fold is None else low ^ ((1 << _FIELD * fold) - 1)
+    ys = 0
+    if fold:
+        n = len(vars) // 2
+        if vars != double_vars(vars[:n]):
+            raise ValueError(f"chart {vars} is not a doubled chart")
+        ys = low ^ ((1 << _FIELD * n) - 1)
     shared: dict = {}
     terms = {}
     for bkey, flat in acc.items():
@@ -343,7 +312,7 @@ def _result(vars: tuple[str, ...], acc: dict[int, dict[int, object]], keys: _Key
             folded: dict[int, object] = {}
             for k, c in flat.items():
                 y = k & ys
-                k += (y >> _FIELD * fold) - y
+                k += (y >> _FIELD * n) - y
                 folded[k] = folded.get(k, 0) + c
             flat = folded
         coeff: dict[Monomial, dict] = {}
@@ -373,8 +342,8 @@ def _result(vars: tuple[str, ...], acc: dict[int, dict[int, object]], keys: _Key
 
 
 class DiffOp:
-    # _restriction holds (n, restrict(self, n)) once restrict or f_chain has
-    # made it; equality and hashing read vars and terms alone
+    # _restriction holds restrict(self) once restrict or f_chain has made
+    # it; equality and hashing read vars and terms alone
     __slots__ = ("vars", "terms", "_restriction")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Monomial, MPoly] | None = None):
@@ -409,10 +378,10 @@ class DiffOp:
         return cls(p.vars, {mono: MPoly.constant(p.vars, c) for mono, c in p.terms.items()})
 
     @classmethod
-    def derivative(cls, vars: Sequence[str], index: int, order: int = 1) -> "DiffOp":
+    def derivative(cls, vars: Sequence[str], index: int) -> "DiffOp":
         vars = tuple(vars)
         b = [0] * len(vars)
-        b[index] = order
+        b[index] = 1
         return cls(vars, {tuple(b): MPoly.constant(vars, 1)})
 
     # -- structure -----------------------------------------------------------
@@ -524,49 +493,40 @@ class DiffOp:
 # restriction to the diagonal, and residuals in one accumulator
 
 
-def restrict(op: DiffOp, n: int) -> DiffOp:
+def restrict(op: DiffOp) -> DiffOp:
     """Restriction to the diagonal: the operator f -> (op f)(x, x), written
     as the doubled-chart operator with y -> x in every coefficient and the
     dx/dy slots kept distinct.  This form is faithful, restricting it again
-    changes nothing, and the diagonal substitution of restrict(op, n).apply(f)
-    equals that of op.apply(f).
+    changes nothing, and the diagonal substitution of restrict(op).apply(f)
+    equals that of op.apply(f).  The slot is half of op's chart, which must
+    be double_vars of its first half: ValueError is raised otherwise.
 
-    Each operator is folded once: the result is kept with op, and a later
-    call on op with the same n returns it (f_chain leaves its chain's
-    restriction there too).  A DiffOp is never mutated, so the kept result
-    stays valid; a call with another n folds anew, and the result does not
-    keep itself, which would be a reference cycle.
-
-    Each coordinate monomial is folded once per call, on its tuple (_fold),
-    and each operator monomial's coefficient is settled as soon as it is
-    folded, with one ParamPoly per distinct scalar.  Sums go into fresh
-    dicts; an unsummed scalar's dict is canonical, so settling writes
-    nothing to it, and op's terms are left as they were."""
+    op's terms are packed and folded by the fold of the compose kernel's
+    result (_result), so a folded exponent above the packed bound raises
+    OverflowError as a product's does.  Each operator is folded once: the
+    result is kept with op, and a later call on op returns it (f_chain
+    leaves its chain's restriction there too).  A DiffOp is never mutated,
+    so the kept result stays valid; the result does not keep itself, which
+    would be a reference cycle."""
     kept = getattr(op, "_restriction", None)
-    if kept is not None and kept[0] == n:
-        return kept[1]
-    folds: dict = {}
-    shared: dict = {}
-    terms = {}
-    for b, c in op.terms.items():
-        coeff = _settle_scalars(_fold({m: s.terms for m, s in c.terms.items()}, n, folds), shared)
-        if coeff:
-            terms[b] = _poly(op.vars, coeff)
-    res = _op(op.vars, terms)
-    op._restriction = (n, res)
+    if kept is not None:
+        return kept
+    keys = _Keys(len(op.vars))
+    acc = {keys.mono(b): dict(keys.terms(c)) for b, c in op.terms.items()}
+    res = _result(op.vars, acc, keys, fold=True)
+    op._restriction = res
     return res
 
 
 def commutator_sum(a: DiffOp, b: DiffOp, m: DiffOp | None = None,
-                   fold: int | None = None) -> DiffOp:
+                   fold: bool = False) -> DiffOp:
     """[a, b] + m o a, through one accumulator settled once: the two orders
     of the commutator without their delta = 0 products, which cancel term
     for term (see DiffOp.commutator), and the product m o a.  No
     intermediate operator is settled or added.
 
-    With fold = n the accumulator is folded onto the diagonal of the
-    doubled chart, y -> x as in restrict, before it is settled, so the
-    result is restrict([a, b] + m o a, n)."""
+    With fold the accumulator is folded onto the diagonal by the fold of
+    restrict before it is settled, so the result is restrict([a, b] + m o a)."""
     acc: dict = {}
     keys = _Keys(len(a.vars))
     _accumulate(acc, keys, a, b, sign=1, skip_zero=True)
@@ -677,12 +637,12 @@ def f_chain(F: DiffOp, N: int) -> DiffOp:
     result is expanded at u = x - y once.
 
     For N >= 2 the chain leaves its restriction to the diagonal with it, so
-    restrict(chain, n) folds nothing.  It is read off the expanded chain:
+    restrict(chain) folds nothing.  It is read off the expanded chain:
     every coefficient term but the one at the zero monomial is a multiple of
     (x - y)^m with m != 0, which vanishes on the diagonal, so the
     restriction keeps, for each d^beta, that term alone, with the scalar
     object _expand interned.  At N = 1 the chain is F itself, and the first
-    restrict(F, n) folds it."""
+    restrict(F) folds it."""
     if N < 1:
         raise ValueError("bracket order must be >= 1")
     form = _difference_form(F)
@@ -700,5 +660,5 @@ def f_chain(F: DiffOp, N: int) -> DiffOp:
     vars, zero = F.vars, (0,) * len(F.vars)
     res = _op(vars, {beta: _poly(vars, {zero: s}) for beta, c in chain.terms.items()
                      if (s := c.terms.get(zero)) is not None})
-    chain._restriction = (len(vars) // 2, res)
+    chain._restriction = res
     return chain

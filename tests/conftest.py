@@ -25,7 +25,7 @@ def random_poly(vars, rng: random.Random, max_deg: int, terms: int = 4) -> MPoly
 def diagonal_substitute(f: MPoly, n: int) -> MPoly:
     """y -> x in a polynomial on a doubled chart with n coordinates a slot,
     monomial by monomial: the oracle for weyl.restrict, which folds an
-    operator's coefficients through its own accumulator."""
+    operator's coefficients on the packed keys of the compose kernel."""
     out: dict = {}
     for m, c in f.terms.items():
         key = tuple(a + b for a, b in zip(m[:n], m[n:])) + (0,) * n

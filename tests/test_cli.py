@@ -90,11 +90,27 @@ def test_resource_limit_exit_code():
 
 
 def test_unwritable_report_fails_before_any_check(tmp_path, monkeypatch):
-    def run_suite(config):
+    def run_suite(*args):
         raise AssertionError("a check ran although the report cannot be written")
 
     monkeypatch.setattr("covjord.cli.run_suite", run_suite)
     assert main(["--suite", "bernstein", "--report", str(tmp_path / "missing" / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--suite", "brackets", "--algebra", "mat:2"], 2),
+    (["--suite", "jordan-axioms", "--algebra", "sym:9"], 3),
+], ids=["configuration", "resource-limit"])
+def test_refused_run_leaves_the_report_alone(tmp_path, argv, code):
+    # the checks are built before the report is opened: a refused run
+    # neither truncates an existing report nor creates a new one
+    kept = tmp_path / "kept.json"
+    kept.write_text('{"earlier": "report"}\n')
+    assert main([*argv, "--report", str(kept)]) == code
+    assert kept.read_text() == '{"earlier": "report"}\n'
+    fresh = tmp_path / "fresh.json"
+    assert main([*argv, "--report", str(fresh)]) == code
+    assert not fresh.exists()
 
 
 def test_environment_error_names_variable(monkeypatch, capsys):

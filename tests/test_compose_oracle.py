@@ -11,7 +11,7 @@ import pytest
 
 from covjord.polynomials import MPoly, double_vars
 from covjord.scalars import LAM, MU, PARAM_NAMES, TAU, TAU_INV, ParamPoly
-from covjord.weyl import DiffOp, commutator_sum
+from covjord.weyl import DiffOp, commutator_sum, restrict
 
 from conftest import diagonal_substitute, random_poly, stored_form
 
@@ -196,12 +196,12 @@ def test_folded_commutator_sum_matches_substitution_route(case):
     # the unfolded sum with y -> x substituted monomial by monomial
     rng = random.Random(f"folded-sum:{case}")
     a, b, m = (doubled_op(rng, SCALARS) for _ in range(3))
-    got = commutator_sum(a, b, m, fold=len(V))
+    got = commutator_sum(a, b, m, fold=True)
     want = folded(a.compose(b) - b.compose(a) + m.compose(a), len(V))
     assert got == want
     assert_canonical(got)
     assert all(not any(mono[len(V):]) for c in got.terms.values() for mono in c.terms)
-    assert commutator_sum(a, b, fold=len(V)) == folded(a.commutator(b), len(V))
+    assert commutator_sum(a, b, fold=True) == folded(a.commutator(b), len(V))
 
 
 DEEP = (TAU_INV * TAU_INV * TAU_INV * Fraction(-5, 7), LAM * TAU_INV * TAU_INV * Fraction(1, 3),
@@ -243,9 +243,13 @@ def test_exponent_at_the_packed_bound():
         (1, 0): MPoly.monomial(V, (BOUND, 0), LAM)})
     # two factors at the bound, folded together: 4 * BOUND stays inside the field
     top = DiffOp.multiplication(MPoly.monomial(V2, (BOUND, 0, BOUND, 0), ParamPoly.var("mu", BOUND)))
-    got = commutator_sum(top, DiffOp.identity(V2), top, fold=len(V))
+    got = commutator_sum(top, DiffOp.identity(V2), top, fold=True)
     assert got == DiffOp.multiplication(MPoly.monomial(V2, (4 * BOUND, 0, 0, 0),
                                                        ParamPoly.var("mu", 2 * BOUND)))
+    # restrict takes the same fold: x^BOUND y^BOUND goes to x^(2 BOUND)
+    pair = DiffOp.multiplication(MPoly.monomial(V2, (BOUND, 0, BOUND, 0), LAM))
+    assert restrict(pair) == folded(pair, len(V)) == DiffOp.multiplication(
+        MPoly.monomial(V2, (2 * BOUND, 0, 0, 0), LAM))
     # tau is the top field: its exponent is not bounded
     deep = DiffOp.multiplication(MPoly.monomial(V, (0, 1), ParamPoly.var("tau", -BOUND - 5)))
     assert d1.compose(deep).compose(deep).terms[(1, 0)] == MPoly.monomial(
@@ -266,3 +270,19 @@ def test_exponent_above_the_packed_bound_raises(coeff):
             d1.compose(wide)
         with pytest.raises(OverflowError):
             wide.compose(d1)
+    # restrict packs the operator's terms, so it refuses them too
+    doubled = DiffOp.multiplication(MPoly(V2, {m + (0,) * len(V): s for m, s in coeff.terms.items()}))
+    for _ in range(2):  # a refused operator keeps no restriction
+        with pytest.raises(OverflowError):
+            restrict(doubled)
+
+
+@pytest.mark.parametrize("chart", [V, ("x1", "y1", "x2"), ("y1", "x1"), ("u1", "v1")])
+def test_fold_refuses_a_chart_that_is_not_doubled(chart):
+    # the slot is read from the chart, so only double_vars of its first
+    # half is folded
+    one = DiffOp.multiplication(MPoly.monomial(chart, (1,) * len(chart), LAM))
+    with pytest.raises(ValueError):
+        restrict(one)
+    with pytest.raises(ValueError):
+        commutator_sum(one, one, fold=True)

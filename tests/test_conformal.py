@@ -364,7 +364,7 @@ def test_lift_acts_as_the_single_slot_operator_on_the_diagonal(p, q):
     w = LAM + MU + 2
     mismatched = 0
     for X in model.lie_basis():
-        lift = C.restrict(C.dpi_tensor(model, X, w, 0), n)
+        lift = C.restrict(C.dpi_tensor(model, X, w, 0))
         single = C.dpi(model, X, w, dvars, 0).op
         wrong = C.dpi(model, X, w + 1, dvars, 0).op
         for _ in range(3):
@@ -490,15 +490,14 @@ def test_restricted_source_minus_lift_is_the_shift_multiplier(p, q):
     # res(d(pi_lam (x) pi_mu)(X)) - lift is -shift sigma(x), of order 0: the
     # vector fields cancel, and so do lam, mu against the lifted weight
     model = C.QuadricModel(p, q)
-    n = model.n
     dvars = double_vars(model.algebra.vars)
     nonzero = 0
     for X in model.lie_basis():
         sigma = C.dpi(model, X, LAM, dvars, 0).sigma
         src = C.dpi_tensor(model, X, LAM, MU)
         for shift in (2, 5):
-            lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + shift, 0), n)
-            multiplier = C.restrict(src, n) - lifted
+            lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + shift, 0))
+            multiplier = C.restrict(src) - lifted
             assert multiplier.order() == 0
             assert multiplier == W.DiffOp.multiplication(sigma.scale(-shift))
             nonzero += not multiplier.is_zero()

@@ -109,7 +109,7 @@ def test_b1_displays():
     p, q = 2, 1
     n = p + q
     b1 = R.explicit_B1(p, q)
-    resF = R.restrict(R.explicit_F(p, q), n)
+    resF = R.restrict(R.explicit_F(p, q))
     assert resF == b1
     # lam = mu = 0: only the mixed part survives, coefficient 8(n/2-1)^2
     sub = [(beta, c.subs_params({"lam": ParamPoly.of(0), "mu": ParamPoly.of(0)}))
@@ -139,7 +139,7 @@ def test_b1_displays():
 
 def test_bracket_N1_equals_restricted_family():
     for (p, q) in [(2, 1), (2, 2)]:
-        assert R.build_BN(p, q, 1).terms == R.restrict(R.explicit_F(p, q), p + q).terms
+        assert R.build_BN(p, q, 1).terms == R.restrict(R.explicit_F(p, q)).terms
 
 
 def test_bracket_applies_to_constants():
@@ -163,36 +163,38 @@ def test_bracket_covariance_single_sample():
 
 def test_bracket_certificates_fold_none_of_the_chain(monkeypatch):
     # the chain leaves its restriction, so neither the certificate nor
-    # build_BN folds any of the chain's terms: the fold sees the
-    # coefficients of src - lift alone, whose restriction is the multiplier
+    # build_BN folds any of the chain's terms: restrict's fold sees the
+    # scalar terms of src - lift alone, whose restriction is the multiplier,
+    # and the certificate's own fold sees a small accumulator
     p, q = 2, 2
     model = C.QuadricModel(p, q)
     X = model.lie_basis()[-1]
     chain = R.f_chain(p, q, 2)
     assert sum(len(c.terms) for c in chain.terms.values()) == 18098
-    chain_dicts = {id(s.terms) for c in chain.terms.values() for s in c.terms.values()}
-    fold = W._fold
+    result = W._result
     folded = []
 
-    def counted(coeff, n, folds):
-        folded.extend(map(id, coeff.values()))
-        return fold(coeff, n, folds)
+    def counted(vars, acc, keys, fold=False):
+        if fold:
+            folded.append(sum(map(len, acc.values())))
+        return result(vars, acc, keys, fold)
 
-    monkeypatch.setattr(W, "_fold", counted)
+    monkeypatch.setattr(W, "_result", counted)
     assert C.bracket_covariance_residual(model, chain, X, 4).is_zero()
     bracket = R.build_BN(p, q, 2)
     src_minus_lift = C.dpi_tensor(model, X, LAM, MU) - C.dpi_tensor(model, X, LAM + MU + 4, 0)
-    assert len(folded) == sum(len(c.terms) for c in src_minus_lift.terms.values())
-    assert chain_dicts.isdisjoint(folded)
-    assert bracket is W.restrict(chain, p + q)
+    assert len(folded) == 2
+    assert folded[0] == sum(len(s.terms) for c in src_minus_lift.terms.values()
+                            for s in c.terms.values())
+    assert folded[1] < 18098 // 10
+    assert bracket is W.restrict(chain)
 
 
 def _full_chain_residual(model, chain, X, shift):
     """The bracket residual composed on the full chain, restricted afterwards."""
-    n = model.n
     src = C.dpi_tensor(model, X, LAM, MU)
-    lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + shift, 0), n)
-    return C.restrict(chain.compose(src), n) - C.restrict(lifted.compose(chain), n)
+    lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + shift, 0))
+    return C.restrict(chain.compose(src)) - C.restrict(lifted.compose(chain))
 
 
 @pytest.mark.parametrize("p, q, N, elements", [
@@ -223,13 +225,12 @@ def test_bracket_residual_matches_full_chain_route_off_constant_coefficients():
     # shift 2 and the wrong shift 3 both match the full-chain route
     p, q = 2, 1
     model = C.QuadricModel(p, q)
-    n = model.n
     basis = model.lie_basis()
     F = R.explicit_F(p, q)
     nonzero = 0
     for i, j in [(5, 1), (6, 4), (len(basis) - 1, len(basis) - 2)]:
         chain = F.compose(C.dpi_tensor(model, basis[i], LAM, MU))
-        res = C.restrict(chain, n)
+        res = C.restrict(chain)
         assert any(not c.is_constant() for c in res.terms.values())
         for shift in (2, 3):
             got = C.bracket_covariance_residual(model, chain, basis[j], shift)
@@ -254,13 +255,13 @@ def test_restrict_equals_the_per_coefficient_route(case):
           "chain2": lambda: R.f_chain(p, q, 2),
           "dpi_tensor": lambda: C.dpi_tensor(model, model.lie_basis()[-1], LAM, MU)}[case]()
     before = _scalar_snapshot(op)
-    got = C.restrict(op, n)
+    got = C.restrict(op)
     assert got == W.DiffOp(op.vars, {b: diagonal_substitute(c, n) for b, c in op.terms.items()})
     assert got != op
     scalars = [s for c in got.terms.values() for s in c.terms.values()]
     assert all(type(s) is ParamPoly for s in scalars)
     assert len({id(s) for s in scalars}) == len(set(scalars))
-    assert C.restrict(got, n) == got
+    assert C.restrict(got) == got
     after = _scalar_snapshot(op)
     assert after == before
     assert all(s is s2 for b in before for (_, s, _), (_, s2, _) in zip(before[b], after[b]))
@@ -293,15 +294,15 @@ def test_lifted_composition_sees_only_the_restriction(seed):
     X = tuple(tuple(sum(c * B[i][j] for c, B in zip(coeffs, basis)) for j in range(n + 2))
               for i in range(n + 2))
     A = _random_doubled_op(rng, dvars, n)
-    resA = C.restrict(A, n)
+    resA = C.restrict(A)
     assert any(any(m[n:]) for c in A.terms.values() for m in c.terms)
     assert A != resA
-    lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + rng.randint(0, 3), 0), n)
+    lifted = C.restrict(C.dpi_tensor(model, X, LAM + MU + rng.randint(0, 3), 0))
     src = C.dpi_tensor(model, X, LAM, MU)
-    assert C.restrict(lifted.compose(A), n) == C.restrict(lifted.compose(resA), n)
-    assert C.restrict(A.compose(src), n) == C.restrict(resA.compose(src), n)
+    assert C.restrict(lifted.compose(A)) == C.restrict(lifted.compose(resA))
+    assert C.restrict(A.compose(src)) == C.restrict(resA.compose(src))
     dx = W.DiffOp.derivative(dvars, rng.randrange(n))
-    assert C.restrict(dx.compose(A), n) != C.restrict(dx.compose(resA), n)
+    assert C.restrict(dx.compose(A)) != C.restrict(dx.compose(resA))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -312,9 +313,9 @@ def test_restrict_acts_as_the_operator_on_the_diagonal(seed):
     n = 3
     dvars = double_vars(J.rpq_algebra(2, 1).vars)
     A = _random_doubled_op(rng, dvars, n)
-    resA = C.restrict(A, n)
+    resA = C.restrict(A)
     assert A != resA
-    assert C.restrict(resA, n) == resA
+    assert C.restrict(resA) == resA
     assert not any(any(m[n:]) for c in resA.terms.values() for m in c.terms)
     for _ in range(5):
         f = MPoly.monomial(dvars, tuple(rng.randint(0, 2) for _ in dvars), 1)
