@@ -9,11 +9,11 @@ the spec before the algebra is built).
 
 Every flag has an environment-variable override COVJORD_<FLAG>.
 
-`--jobs N` above 1 runs the checks in up to N forked worker processes (no
-more than the checks, nor the CPUs this process may use).  Each check's
-`millis` is measured in the worker that ran it, and the report does not
-depend on `--jobs` apart from those timings.  A lost worker (killed, say,
-by the out-of-memory killer) gives its unfinished checks status "error".
+`--jobs N` above 1 runs the checks in up to N forked workers (no more than
+the checks, nor the CPUs this process may use), each taking the next check
+when free and timing it in `millis`; reports do not depend on `--jobs`
+apart from those timings.  A lost worker (killed, say, by the out-of-memory
+killer) costs only the check it was running, which gets status "error".
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ configs produce identical reports (timing aside)."""
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import os
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
@@ -89,68 +91,76 @@ def _run_check(check: Check) -> CheckResult:
     return CheckResult(check.id, check.identity, status, residual, millis, detail)
 
 
-# the plan a forked worker runs from: set in each worker by its initializer,
-# never in the parent
-_worker_plan: Sequence[Check] = ()
-
-
-def _init_worker(checks: Sequence[Check]) -> None:
-    global _worker_plan
-    _worker_plan = checks
-
-
-def _run_planned(index: int) -> CheckResult:
-    return _run_check(_worker_plan[index])
-
-
 def _worker_count(jobs: int, n_checks: int) -> int:
-    """Workers for `jobs`: no more than the checks, nor the CPUs this
-    process may run on."""
-    return max(1, min(jobs, n_checks, len(os.sched_getaffinity(0))))
+    """Workers for `jobs`: no more than the checks, nor the usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(jobs, n_checks, cpus))
+
+
+def _work(checks: Sequence[Check], tasks: int, out: int) -> None:
+    """A forked worker: echo each index read from `tasks` to `out`, then its check's result."""
+    code = 1
+    try:
+        with open(out, "wb") as sink:
+            while index := os.read(tasks, 4):
+                os.write(out, index)
+                marshal.dump(astuple(_run_check(checks[int.from_bytes(index, "little")])), sink)
+                sink.flush()
+        code = 0
+    finally:  # an error or interrupt must not unwind into the parent's frames
+        os._exit(code)
 
 
 def _execute(checks: Sequence[Check], jobs: int = 1) -> list[CheckResult]:
     """Run the checks and return their results in plan order: in this
-    process one at a time, or, when more than one worker is allowed, in
-    forked worker processes, one check per task, each timed in the worker
-    that ran it.  A check whose worker was lost has status "error"."""
+    process, or in forked workers that each take the next check when free
+    and time it.  A lost worker costs only the check it was running, which
+    gets status "error"; the other workers finish the plan."""
     workers = _worker_count(jobs, len(checks))
     if workers == 1:
         return [_run_check(check) for check in checks]
     # imported here: `import covjord.cli` stays free of them.  Workers are
-    # forked, because the check closures cannot be pickled; the program
-    # starts no thread before this point.
-    import multiprocessing
+    # forked, as the check closures cannot be pickled; no thread runs yet.
+    import select
     import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    context = multiprocessing.get_context("fork")
-    outcomes: list[CheckResult | None] = []
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker,
-                               initargs=(checks,))
+    # the plan goes into an empty pipe in one write of at most PIPE_BUF bytes,
+    # which never blocks; a read of 4 bytes from it never splits an index
+    if len(checks) > (cap := select.PIPE_BUF // 4):
+        return _execute(checks[:cap], jobs) + _execute(checks[cap:], jobs)
+    tasks, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(checks))))
+    os.close(feed)
+    sources = {}  # worker pid -> its result stream, until the worker is reaped
+    started: dict[int, int] = {}  # check index -> pid of the worker that took it
+    codes: dict[int, int] = {}  # worker pid -> exit code
+    results: list[CheckResult | None] = [None] * len(checks)
     try:
-        futures = [pool.submit(_run_planned, i) for i in range(len(checks))]
-        # the first submit forked every worker; the pool keeps a lost one in
-        # this table, so its exit code can name it below
-        processes = list(pool._processes.values())
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except BrokenProcessPool:
-                outcomes.append(None)
+        for _ in range(workers):
+            stream, out = os.pipe()
+            if (pid := os.fork()) == 0:
+                _work(checks, tasks, out)
+            os.close(out)
+            sources[pid] = open(stream, "rb")
+        # a worker blocked on a full pipe waits for its turn; the others finish the plan
+        for pid in list(sources):
+            with sources[pid] as source, contextlib.suppress(EOFError):
+                while index := source.read(4):
+                    started[i := int.from_bytes(index, "little")] = pid
+                    results[i] = CheckResult(*marshal.load(source))
+            del sources[pid]
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
-        # joins every worker; on an interrupt the checks not yet started are
-        # dropped rather than run
-        pool.shutdown(cancel_futures=True)
-    if all(outcomes):
-        return outcomes
-    # the pool terminates its surviving workers once one is lost
-    lost = [p for p in processes if p.exitcode not in (0, -signal.SIGTERM)] or processes
-    detail = "worker process lost: " + ", ".join(
-        f"pid {p.pid} exit code {p.exitcode}" for p in lost)
-    return [r or CheckResult(c.id, c.identity, "error", float("inf"), 0.0, detail)
-            for r, c in zip(outcomes, checks)]
+        os.close(tasks)
+        for pid, source in sources.items():  # left running by an interrupt, say
+            source.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    lost = [pid for pid, code in codes.items() if code] or list(codes)
+    return [r or CheckResult(c.id, c.identity, "error", float("inf"), 0.0, "worker process lost: "
+                             + ", ".join(f"pid {pid} exit code {codes[pid]}"
+                                         for pid in ([started[i]] if i in started else lost)))
+            for i, (r, c) in enumerate(zip(results, checks))]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 import hashlib
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -338,6 +338,12 @@ def test_worker_count_is_capped(monkeypatch):
     assert _worker_count(8, 108) == 3  # the CPUs this process may use
     assert _worker_count(8, 2) == 2  # the checks
     assert _worker_count(2, 0) == 1
+    # where the usable CPUs are unknown, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _worker_count(8, 108) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8, 108) == 1
 
 
 def test_one_worker_runs_in_this_process():
@@ -354,43 +360,134 @@ def test_execute_runs_checks_in_worker_processes():
     assert all(r.status == "pass" and r.millis >= 50 for r in results)
     pids = {r.residual for r in results}
     assert len(pids) >= 2 and os.getpid() not in pids
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
-# runs `covjord --jobs 2` on a plan whose fourth check ends its worker; every
-# check records the pid of its worker under argv[1]
+# runs `covjord --jobs 2`, then prints the pool modules it imported
+POOL_MODULES = """
+import sys
+from covjord import cli
+code = cli.main(["--suite", "bernstein", "--jobs", "2", "--report", sys.argv[1]])
+print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+sys.exit(code)
+"""
+
+
+@TWO_CPUS
+def test_jobs_leave_the_pool_modules_out(tmp_path):
+    # the workers are bare forks
+    proc = subprocess.run([sys.executable, "-c", POOL_MODULES, str(tmp_path / "r.json")],
+                          capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@TWO_CPUS
+def test_plans_beyond_one_pipe_write_run_in_batches():
+    checks = [Check(f"c-{i}", "passes", lambda: 0.0) for i in range(2500)]
+    results = _execute(checks, jobs=2)
+    assert [r.id for r in results] == [c.id for c in checks]
+    assert all(r.status == "pass" for r in results)
+
+
+def raise_large() -> float:
+    raise ValueError("x" * 100 * 1024)
+
+
+@TWO_CPUS
+def test_large_details_come_back_whole():
+    # a result larger than a pipe buffer is framed, not truncated
+    checks = [Check(f"large-{i}", "raises a 100 KiB message", raise_large) for i in range(3)]
+    alone, forked = _execute(checks, jobs=1), _execute(checks, jobs=2)
+    assert [r.detail for r in forked] == [r.detail for r in alone]
+    assert all(r.status == "error" and len(r.detail) > 100 * 1024 for r in forked)
+
+
+# runs `covjord --jobs 2` on a plan of argv[3]: "mark" records the pid of its
+# worker under argv[1] and sleeps for argv[4] seconds, "exit" also ends its
+# worker with code 3
 LOSE_A_WORKER = """
 import os, sys, time
 from covjord import cli, suites
 
 def mark():
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
-    time.sleep(0.05)
+    time.sleep(float(sys.argv[4]))
     return 0.0
 
-plan = [suites.Check(f"mark-{i}", "records its worker", mark) for i in range(6)]
-plan.insert(3, suites.Check("exit", "ends its worker", lambda: os._exit(3)))
+def exit():
+    mark()
+    os._exit(3)
+
+plan = [suites.Check(f"{name}-{i}", "records its worker", globals()[name])
+        for i, name in enumerate(sys.argv[3].split(","))]
 suites.build_checks = lambda config: plan
 sys.exit(cli.main(["--suite", "bernstein", "--jobs", "2", "--report", sys.argv[2]]))
 """
 
 
-@TWO_CPUS
-def test_cli_survives_a_lost_worker(tmp_path):
+def run_plan(tmp_path, plan, sleep=0.05):
+    """Start LOSE_A_WORKER on `plan`; its pid directory and report path."""
     pid_dir = tmp_path / "pids"
     pid_dir.mkdir()
     report = tmp_path / "report.json"
-    proc = subprocess.run([sys.executable, "-c", LOSE_A_WORKER, str(pid_dir), str(report)],
-                          capture_output=True, text=True, env=ENV, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    checks = json.loads(report.read_text())["checks"]
-    assert [c["id"] for c in checks] == [f"mark-{i}" for i in range(3)] + \
-        ["exit"] + [f"mark-{i}" for i in range(3, 6)]
-    assert checks[3]["status"] == "error" and "exit code 3" in checks[3]["detail"]
-    assert all(c["status"] in ("pass", "error") for c in checks)
-    pids = [int(path.name) for path in pid_dir.iterdir()]
+    argv = [sys.executable, "-c", LOSE_A_WORKER, str(pid_dir), str(report), ",".join(plan),
+            str(sleep)]
+    return pid_dir, report, subprocess.Popen(argv, env=ENV, stdout=subprocess.DEVNULL,
+                                             stderr=subprocess.PIPE, text=True)
+
+
+def worker_pids(pid_dir) -> list[int]:
+    return sorted(int(path.name) for path in pid_dir.iterdir())
+
+
+def assert_all_reaped(pids):
     assert pids
     for pid in pids:  # no worker outlives the CLI
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@TWO_CPUS
+def test_cli_survives_a_lost_worker(tmp_path):
+    plan = ["mark"] * 3 + ["exit"] + ["mark"] * 3
+    pid_dir, report, proc = run_plan(tmp_path, plan)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["id"] for c in checks] == [f"{name}-{i}" for i, name in enumerate(plan)]
+    # the lost worker costs only its own check; the other worker runs the rest
+    assert checks[3]["status"] == "error" and "exit code 3" in checks[3]["detail"]
+    assert [c["status"] for i, c in enumerate(checks) if i != 3] == ["pass"] * 6
+    assert_all_reaped(worker_pids(pid_dir))
+
+
+@TWO_CPUS
+def test_cli_survives_losing_every_worker(tmp_path):
+    pid_dir, report, proc = run_plan(tmp_path, ["exit"] * 5)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err
+    checks = json.loads(report.read_text())["checks"]
+    pids = worker_pids(pid_dir)
+    assert len(pids) == 2 and all(c["status"] == "error" for c in checks)
+    # each worker's own check names it; the checks no worker took name both
+    ran = {c["detail"] for c in checks[:2]}
+    assert ran == {f"worker process lost: pid {pid} exit code 3" for pid in pids}
+    assert all(all(f"pid {pid} exit code 3" in c["detail"] for pid in pids)
+               for c in checks[2:])
+    assert_all_reaped(pids)
+
+
+@TWO_CPUS
+def test_interrupt_leaves_no_worker(tmp_path):
+    pid_dir, _, proc = run_plan(tmp_path, ["mark"] * 4, sleep=60)
+    deadline = time.monotonic() + 60
+    while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    os.kill(proc.pid, signal.SIGINT)  # the CLI alone, as the workers sleep on
+    proc.communicate(timeout=60)
+    assert proc.returncode != 0
+    assert_all_reaped(worker_pids(pid_dir))
